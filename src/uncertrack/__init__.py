@@ -8,7 +8,7 @@ and decodes future waypoints from the final motion state.
 
 Subpackages/modules: ``numerics`` (tape autodiff, layers, Adam),
 ``world`` (synthetic multi-agent worlds + detector noise), ``detections``,
-``affinity``, ``encoder``, ``forecaster``, ``evaluation``, ``cli``.
+``affinity``, ``encoder``, ``forecaster``, ``evaluation``.
 """
 
 from .errors import ConfigError

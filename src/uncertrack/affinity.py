@@ -71,16 +71,27 @@ def long_term_feature(tape: Tape, params: ModelParams, x_mov, h_mot_prev) -> Var
                        tape.concat([tape.lift(x_mov), tape.lift(h_mot_prev)]))
 
 
-def gate_positions(prev_pos: np.ndarray, curr_pos: np.ndarray,
-                   theta_d: float) -> tuple[np.ndarray, np.ndarray]:
-    """All (prev, curr) pairs within theta_d, ordered by (curr, prev)."""
+def gate_positions(prev_pos: np.ndarray, curr_pos: np.ndarray, theta_d: float,
+                   prev_window: np.ndarray | None = None,
+                   curr_window: np.ndarray | None = None
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """All (prev, curr) pairs within theta_d, ordered by (curr, prev).
+
+    Given per-row window indices (``FrameArrays.window``) for both frames,
+    only pairs inside one window are kept; each pair and its distance are
+    then bitwise what gating that window alone gives, shifted by the rows of
+    the windows stacked before it.
+    """
     if theta_d <= 0:
         raise ConfigError("gating distance must be positive")
     if len(prev_pos) == 0 or len(curr_pos) == 0:
         return np.zeros((0, 2), dtype=int), np.zeros(0)
     diff = curr_pos[:, None, :] - prev_pos[None, :, :]  # (N, M, 2)
     d2 = (diff * diff).sum(axis=2)
-    curr_idx, prev_idx = np.nonzero(d2 <= theta_d * theta_d)
+    near = d2 <= theta_d * theta_d
+    if prev_window is not None:
+        near &= curr_window[:, None] == prev_window[None, :]
+    curr_idx, prev_idx = np.nonzero(near)
     order = np.lexsort((prev_idx, curr_idx))
     pairs = np.stack([prev_idx[order], curr_idx[order]], axis=1)
     return pairs, np.sqrt(d2[curr_idx[order], prev_idx[order]])

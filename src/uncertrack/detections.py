@@ -18,7 +18,7 @@ from .numerics import Tape, Var, mlp_forward
 
 __all__ = ["Detection", "FrameArrays", "DetEmbedding", "MovementFeature",
            "embed_detection", "embed_frame", "movement_feature",
-           "movement_batch", "compose_input"]
+           "movement_batch", "compose_input", "stack_windows"]
 
 
 @dataclass
@@ -36,13 +36,23 @@ class Detection:
 
 @dataclass
 class FrameArrays:
-    """Column view of one frame's detections for batched math."""
+    """Column view of one frame's detections for batched math.
+
+    ``window`` holds, per row, the index of the observation window the row
+    belongs to when several windows are stacked into one pack (see
+    :func:`stack_windows`); a lone window's rows are all window 0.
+    """
 
     pos: np.ndarray      # (N, 2)
     velo: np.ndarray     # (N, 2)
     size: np.ndarray     # (N, 3)
     heading: np.ndarray  # (N,)
     score: np.ndarray    # (N,)
+    window: np.ndarray | None = None  # (N,) int
+
+    def __post_init__(self):
+        if self.window is None:
+            self.window = np.zeros(self.pos.shape[0], dtype=np.intp)
 
     @classmethod
     def from_detections(cls, dets: list[Detection]) -> "FrameArrays":
@@ -59,6 +69,28 @@ class FrameArrays:
 
     def __len__(self) -> int:
         return self.pos.shape[0]
+
+
+def stack_windows(windows: list[list[FrameArrays]]) -> list[FrameArrays]:
+    """Stack equally long windows row-wise at every time step.
+
+    Window ``b``'s rows follow those of windows ``0..b-1`` and carry window
+    index ``b``, so per-window rows stay contiguous and in their own order.
+    """
+    steps = len(windows[0])
+    if any(len(w) != steps for w in windows):
+        raise ConfigError("stack_windows: windows differ in length")
+    out = []
+    for t in range(steps):
+        frames = [w[t] for w in windows]
+        out.append(FrameArrays(
+            pos=np.concatenate([f.pos for f in frames]),
+            velo=np.concatenate([f.velo for f in frames]),
+            size=np.concatenate([f.size for f in frames]),
+            heading=np.concatenate([f.heading for f in frames]),
+            score=np.concatenate([f.score for f in frames]),
+            window=np.repeat(np.arange(len(frames)), [len(f) for f in frames])))
+    return out
 
 
 @dataclass

@@ -120,10 +120,12 @@ def _zero_state(tape: Tape, n: int, hidden: int) -> Var:
 
 def encode_sequence(tape: Tape, params: ModelParams,
                     frames: list[FrameArrays]) -> SequenceEncoding:
-    """Run the per-frame pipeline over an observation window.
+    """Run the per-frame pipeline over an observation window, or over a pack
+    of windows stacked by :func:`~uncertrack.detections.stack_windows`.
 
-    Returns the final-frame motion states for decoding plus all per-transition
-    affinity scores for the matching loss.
+    Pairs are gated only within a window, so a pack encodes each of its
+    windows as if alone.  Returns the final-frame motion states for decoding
+    plus all per-transition affinity scores for the matching loss.
     """
     if len(frames) < 2:
         raise ConfigError("encode_sequence needs at least 2 frames")
@@ -140,7 +142,8 @@ def encode_sequence(tape: Tape, params: ModelParams,
         prev, curr = frames[t - 1], frames[t]
         n_curr = len(curr)
         x_det_curr = embed_frame(tape, params, curr)
-        pairs, dists = gate_positions(prev.pos, curr.pos, cfg.theta_d)
+        pairs, dists = gate_positions(prev.pos, curr.pos, cfg.theta_d,
+                                      prev.window, curr.window)
 
         new_mot = _zero_state(tape, n_curr, hidden)
         new_aff = _zero_state(tape, n_curr, hidden)
@@ -162,6 +165,7 @@ def encode_sequence(tape: Tape, params: ModelParams,
 
             h_mot_k, h_aff_k = asu_update(tape, params, x_sel, a_sel,
                                           prev_mot, prev_aff)
+            first = np.flatnonzero(np.r_[True, seg[1:] != seg[:-1]])
             if cfg.use_msa:
                 agg_mot, agg_aff, alpha = msa_aggregate(
                     tape, params, seg, n_seg, h_mot_k, prev_mot, x_sel, s_sel,
@@ -170,7 +174,6 @@ def encode_sequence(tape: Tape, params: ModelParams,
                 alpha_vals = alpha.value[:, 0].copy()
             else:
                 # single-candidate mode: the top-scoring state is used directly
-                first = np.flatnonzero(np.r_[True, seg[1:] != seg[:-1]])
                 agg_mot = tape.gather_rows(h_mot_k, first)
                 agg_aff = (tape.gather_rows(h_aff_k, first)
                            if h_aff_k is not None else None)
@@ -181,14 +184,11 @@ def encode_sequence(tape: Tape, params: ModelParams,
             if agg_aff is not None:
                 new_aff = tape.scatter_rows(agg_aff, seg_curr, n_curr)
 
-            # ages and the argmax-alpha predecessor, for diagnostics
-            best_prev: dict[int, int] = {}
-            for s in range(n_seg):
-                members = np.flatnonzero(seg == s)
-                top = members[np.argmax(alpha_vals[members])]
-                c = int(seg_curr[s])
-                best_prev[c] = int(pi[top])
-                new_ages[c] = ages[pi[top]] + 1
+            # ages and the argmax-alpha predecessor (first on ties), for
+            # diagnostics; seg is sorted, so each segment starts at ``first``
+            best = pi[np.lexsort((-alpha_vals, seg))[first]]
+            new_ages[seg_curr] = ages[best] + 1
+            best_prev = dict(zip(seg_curr.tolist(), best.tolist()))
 
             transitions.append(TransitionRecord(
                 frame=t, pairs=pairs, distances=dists, scores=feats.scores,

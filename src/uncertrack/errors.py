@@ -1,7 +1,6 @@
 """Error taxonomy: configuration/precondition problems vs numerical failures.
 
-The CLI maps ``ConfigError`` to exit code 1 and ``NumericsError`` (from the
-numerics package) to exit code 2.
+``ConfigError`` lives here; ``NumericsError`` comes from the numerics package.
 """
 
 from __future__ import annotations

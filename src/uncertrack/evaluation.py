@@ -15,9 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detections import FrameArrays
+from .detections import FrameArrays, stack_windows
 from .errors import ConfigError
-from .forecaster import forecast_sequence
+from .forecaster import (forecast_sequence, pack_ranges, stride_and_horizon,
+                         window_starts)
 from .model import ModelParams
 from .world import WorldLog
 
@@ -80,9 +81,9 @@ def nonlinearity_residual(points: np.ndarray) -> float:
 def gt_future(log: WorldLog, agent_id: int, frame: int, steps: int,
               step_seconds: float) -> np.ndarray | None:
     """GT positions at the forecast instants, or None without a full future."""
-    stride = int(round(log.frame_rate * step_seconds))
+    stride, horizon = stride_and_horizon(log, steps, step_seconds)
     track = next((t for t in log.tracks if t.agent_id == agent_id), None)
-    if track is None or frame + steps * stride > track.death_frame:
+    if track is None or frame + horizon > track.death_frame:
         return None
     idx = [track.index_at(frame + stride * (i + 1)) for i in range(steps)]
     return track.pos[idx]
@@ -141,6 +142,24 @@ class EvalReport:
         return "\n".join(lines)
 
 
+def _matched_errors(log: WorldLog, t_final: int, horizon: int,
+                    det_pos: np.ndarray, final_waypoints, pred_steps: int,
+                    step_seconds: float, match_threshold: float):
+    """(final-waypoint error, GT future) per detection matched to an agent
+    that is alive at ``t_final`` and for the whole horizon."""
+    live = [tr for tr in log.tracks
+            if tr.alive(t_final) and t_final + horizon <= tr.death_frame]
+    if not live or len(det_pos) == 0:
+        return
+    gt_pos = np.stack([tr.pos[tr.index_at(t_final)] for tr in live])
+    for det_i, gt_j, _ in match_for_eval(det_pos, gt_pos, match_threshold):
+        future = gt_future(log, live[gt_j].agent_id, t_final, pred_steps,
+                           step_seconds)
+        if future is None:
+            continue
+        yield float(np.hypot(*(final_waypoints[det_i] - future[-1]))), future
+
+
 def evaluate_model(params: ModelParams, worlds: list[WorldLog], t_obs: int = 20,
                    window_stride: int = 5, sim=None,
                    nl_threshold: float = NL_RESIDUAL_THRESHOLD,
@@ -148,51 +167,44 @@ def evaluate_model(params: ModelParams, worlds: list[WorldLog], t_obs: int = 20,
                    min_score: float | None = None) -> EvalReport:
     """Slide evaluation windows over worlds and accumulate displacement errors.
 
-    ``min_score`` optionally drops low-confidence detections first (the
-    score-threshold mode standing in for recall-matched TP sets).
+    Each world's windows are forecast in packs (:func:`pack_ranges`), with
+    stride and horizon taken from that world's frame rate.  ``min_score``
+    optionally drops low-confidence detections first (the score-threshold
+    mode standing in for recall-matched TP sets).
     """
     cfg = params.config
-    stride = int(round(worlds[0].frame_rate * cfg.step_seconds)) if worlds else 5
-    horizon = cfg.pred_steps * stride
     errors: list[float] = []
     nonlinear: list[bool] = []
     num_windows = 0
     for log in worlds:
-        last_start = log.num_frames - t_obs - horizon
-        for t0 in range(0, last_start + 1, window_stride):
-            t_final = t0 + t_obs - 1
+        _, horizon = stride_and_horizon(log, cfg.pred_steps, cfg.step_seconds)
+        starts = window_starts(log, t_obs, cfg.pred_steps, cfg.step_seconds)
+        windows = []
+        for t0 in range(0, starts, window_stride):
             frames = []
-            kept_ids = []
             for t in range(t0, t0 + t_obs):
                 dets = log.frames[t]
-                ids = log.true_ids[t]
                 if min_score is not None:
-                    keep = [i for i, d in enumerate(dets) if d.score >= min_score]
-                    dets = [dets[i] for i in keep]
-                    ids = ids[keep]
+                    dets = [d for d in dets if d.score >= min_score]
                 frames.append(FrameArrays.from_detections(dets))
-                kept_ids.append(ids)
             num_windows += 1
-            if len(frames[-1]) == 0:
-                continue
-            _, forecasts = forecast_sequence(params, frames, sim=sim)
+            if len(frames[-1]):
+                windows.append((t0, frames))
 
-            live = [tr for tr in log.tracks
-                    if tr.alive(t_final)
-                    and t_final + horizon <= tr.death_frame]
-            if not live:
-                continue
-            gt_pos = np.stack([tr.pos[tr.index_at(t_final)] for tr in live])
-            for det_i, gt_j, _ in match_for_eval(frames[-1].pos, gt_pos,
-                                                 match_threshold):
-                track = live[gt_j]
-                future = gt_future(log, track.agent_id, t_final,
-                                   cfg.pred_steps, cfg.step_seconds)
-                if future is None:
-                    continue
-                pred = forecasts[det_i].waypoints[-1]
-                errors.append(float(np.hypot(*(pred - future[-1]))))
-                nonlinear.append(nonlinearity_residual(future) > nl_threshold)
+        for lo, hi in pack_ranges([frames for _, frames in windows]):
+            pack = windows[lo:hi]
+            _, forecasts = forecast_sequence(
+                params, stack_windows([frames for _, frames in pack]), sim=sim)
+            row = 0
+            for t0, frames in pack:
+                final = frames[-1]
+                waypoints = [f.waypoints[-1] for f in forecasts[row: row + len(final)]]
+                row += len(final)
+                for err, future in _matched_errors(
+                        log, t0 + t_obs - 1, horizon, final.pos, waypoints,
+                        cfg.pred_steps, cfg.step_seconds, match_threshold):
+                    errors.append(err)
+                    nonlinear.append(nonlinearity_residual(future) > nl_threshold)
 
     errors_arr = np.asarray(errors)
     nl_arr = np.asarray(nonlinear, dtype=bool)
@@ -213,22 +225,14 @@ def stand_still_fde(worlds: list[WorldLog], t_obs: int = 20,
     """Independent baseline: forecast = stay at the detected position."""
     errors = []
     for log in worlds:
-        stride = int(round(log.frame_rate * step_seconds))
-        horizon = pred_steps * stride
-        for t0 in range(0, log.num_frames - t_obs - horizon + 1, window_stride):
+        _, horizon = stride_and_horizon(log, pred_steps, step_seconds)
+        starts = window_starts(log, t_obs, pred_steps, step_seconds)
+        for t0 in range(0, starts, window_stride):
             t_final = t0 + t_obs - 1
             det_pos = np.array([d.pos for d in log.frames[t_final]]).reshape(-1, 2)
-            live = [tr for tr in log.tracks
-                    if tr.alive(t_final) and t_final + horizon <= tr.death_frame]
-            if not live or len(det_pos) == 0:
-                continue
-            gt_pos = np.stack([tr.pos[tr.index_at(t_final)] for tr in live])
-            for det_i, gt_j, _ in match_for_eval(det_pos, gt_pos, match_threshold):
-                future = gt_future(log, live[gt_j].agent_id, t_final,
-                                   pred_steps, step_seconds)
-                if future is None:
-                    continue
-                errors.append(float(np.hypot(*(det_pos[det_i] - future[-1]))))
+            errors.extend(err for err, _ in _matched_errors(
+                log, t_final, horizon, det_pos, det_pos, pred_steps,
+                step_seconds, match_threshold))
     return float(np.mean(errors) * 100.0) if errors else None
 
 

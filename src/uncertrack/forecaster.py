@@ -5,7 +5,9 @@ The decoder emits per-step offsets from the detection's position at the last
 observed frame (so an all-zero decoder forecasts "stand still").  Training
 minimizes smooth-L1 on the final-frame forecasts of true-positive detections
 plus a lambda-weighted mean of the per-transition affinity BCE, with lambda
-decayed linearly over the first half of the epochs.
+decayed linearly over the first half of the epochs.  Windows are encoded in
+packs: several windows stacked row-wise share one tape pass, with every
+row tagged by its window so that nothing mixes across windows.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .detections import FrameArrays
+from .detections import FrameArrays, stack_windows
 from .encoder import SequenceEncoding, encode_sequence
 from .errors import ConfigError
 from .model import (ModelConfig, ModelParams, init_model, variant_config)
@@ -26,8 +28,10 @@ from .world import FP_ID, WorldLog
 __all__ = ["Forecast", "TrainConfig", "SequenceSample", "EpochStats",
            "IdentitySIM", "MeanPoolSIM", "sim_apply", "decode_trajectory",
            "total_loss", "lambda_schedule", "lr_schedule", "augment_sample",
-           "build_sample", "window_starts", "sequence_labels", "train",
-           "forecast_sequence", "parse_config_file", "model_config_from_train"]
+           "build_sample", "window_starts", "stride_and_horizon",
+           "sequence_labels", "train", "forecast_sequence", "parse_config_file",
+           "model_config_from_train", "PACK_DETECTIONS", "pack_ranges",
+           "pack_samples"]
 
 
 @dataclass
@@ -43,26 +47,29 @@ class Forecast:
 class IdentitySIM:
     """Default no-op social module: p_n = h_n, bitwise."""
 
-    def __call__(self, tape: Tape, encodings: Var, positions: np.ndarray) -> Var:
+    def __call__(self, tape: Tape, encodings: Var, frame: FrameArrays) -> Var:
         return encodings
 
 
 class MeanPoolSIM:
     """Demo SIM: subtract the mean encoding of neighbors within a radius.
 
-    Permutation-equivariant by construction; detections with no neighbors are
-    left unchanged.
+    Neighbors come from the detection's own window only.  Permutation-
+    equivariant by construction; detections with no neighbors are left
+    unchanged.
     """
 
     def __init__(self, radius: float = 10.0):
         self.radius = radius
 
-    def __call__(self, tape: Tape, encodings: Var, positions: np.ndarray) -> Var:
+    def __call__(self, tape: Tape, encodings: Var, frame: FrameArrays) -> Var:
+        positions = frame.pos
         n = positions.shape[0]
         if n == 0:
             return encodings
         diff = positions[:, None, :] - positions[None, :, :]
         near = (diff * diff).sum(axis=2) <= self.radius * self.radius
+        near &= frame.window[:, None] == frame.window[None, :]
         np.fill_diagonal(near, False)
         weights = np.zeros((n, n))
         deg = near.sum(axis=1)
@@ -71,11 +78,12 @@ class MeanPoolSIM:
         return tape.sub(encodings, tape.matmul(tape.const(weights), encodings))
 
 
-def sim_apply(tape: Tape, sim, encodings: Var, positions: np.ndarray) -> Var:
-    """Run the configured social-interaction transform (identity when None)."""
+def sim_apply(tape: Tape, sim, encodings: Var, frame: FrameArrays) -> Var:
+    """Run the configured social-interaction transform (identity when None)
+    over the final frame's encodings."""
     if sim is None:
         return encodings
-    return sim(tape, encodings, positions)
+    return sim(tape, encodings, frame)
 
 
 # ---- decoding ------------------------------------------------------------------
@@ -112,44 +120,69 @@ def sequence_labels(transitions, true_ids) -> list[np.ndarray]:
     return labels
 
 
-def total_loss(tape: Tape, pred_offsets: Var, target_offsets: np.ndarray,
-               target_mask: np.ndarray, transitions, labels: list[np.ndarray],
-               lam: float, t_obs: int, beta: float = 1.0):
-    """Joint matching/forecasting loss for one sequence.
+def total_loss(tape: Tape, pred_offsets: Var, sample: SequenceSample,
+               transitions, labels: list[np.ndarray], lam: float, t_obs: int,
+               beta: float = 1.0):
+    """Joint matching/forecasting loss, summed over the windows of a pack.
 
-    Returns (loss Var, l_traj value, l_aff value).  Raises on a degenerate
-    sequence with neither supervised forecasts nor gated pairs.
+    A window's loss is its masked smooth-L1 over the final-frame targets plus
+    ``lam`` times its affinity loss: the per-transition mean BCE over gated
+    pairs, summed over transitions that have pairs and divided by
+    ``t_obs - 1``.  Per-window normalisation is carried by the weights, so one
+    smooth-L1 and one clamp+BCE cover the whole pack.
+
+    Returns (loss Var, summed l_traj, summed l_aff, windows with targets).
+    Raises when a window has neither supervised forecasts nor gated pairs.
     """
+    n_win = sample.num_windows
+    row_window = sample.frames[-1].window
     terms = []
+    row_mask = sample.target_mask.sum(axis=1)
+    win_mask = np.bincount(row_window, weights=row_mask, minlength=n_win)
+    n_traj = int(np.count_nonzero(win_mask))
     l_traj_val = 0.0
-    matched = np.flatnonzero(target_mask.sum(axis=1) > 0)
+    matched = np.flatnonzero(row_mask > 0)
     if len(matched):
-        pred = tape.gather_rows(pred_offsets, matched)
-        l_traj = tape.smooth_l1(pred, target_offsets[matched], beta,
-                                weights=target_mask[matched])
-        terms.append(l_traj)
-        l_traj_val = float(l_traj.value[0, 0])
+        weights = (sample.target_mask[matched]
+                   / win_mask[row_window[matched], None])
+        l_traj = tape.smooth_l1(tape.gather_rows(pred_offsets, matched),
+                                sample.target_offsets[matched], beta,
+                                weights=weights)
+        terms.append(tape.affine(l_traj, float(n_traj)))
+        l_traj_val = float(terms[-1].value[0, 0])
 
-    aff_sum = None
+    scores, aff_labels, aff_weights = [], [], []
+    win_scored = np.zeros(n_win, dtype=bool)
+    n_scored = 0  # (window, transition) combinations with gated pairs
     for rec, lab in zip(transitions, labels):
         if len(lab) == 0:
             continue
-        clamped = tape.clamp(rec.scores, SCORE_EPS, 1.0 - SCORE_EPS)
-        term = tape.bce(clamped, lab[:, None])
-        aff_sum = term if aff_sum is None else tape.add(aff_sum, term)
+        pair_window = sample.frames[rec.frame].window[rec.pairs[:, 1]]
+        per_window = np.bincount(pair_window, minlength=n_win)
+        win_scored |= per_window > 0
+        n_scored += int(np.count_nonzero(per_window))
+        scores.append(rec.scores)
+        aff_labels.append(lab)
+        aff_weights.append(1.0 / per_window[pair_window])
     l_aff_val = 0.0
-    if aff_sum is not None:
-        l_aff = tape.affine(aff_sum, 1.0 / (t_obs - 1))
-        l_aff_val = float(l_aff.value[0, 0])
-        terms.append(tape.affine(l_aff, lam))
+    if scores:
+        clamped = tape.clamp(tape.concat(scores, axis=0), SCORE_EPS,
+                             1.0 - SCORE_EPS)
+        bce = tape.bce(clamped, np.concatenate(aff_labels)[:, None],
+                       weights=np.concatenate(aff_weights))
+        # the weights sum to n_scored, so the weighted mean times n_scored
+        # sums every window's per-transition means
+        l_aff_val = float(bce.value[0, 0]) * n_scored / (t_obs - 1)
+        terms.append(tape.affine(bce, lam * n_scored / (t_obs - 1)))
 
-    if not terms:
-        raise ConfigError("degenerate sequence: no supervised forecasts and "
-                          "no gated pairs")
+    empty = np.flatnonzero((win_mask == 0) & ~win_scored)
+    if len(empty):
+        raise ConfigError(f"degenerate window {int(empty[0])} of the pack: no "
+                          "supervised forecasts and no gated pairs")
     loss = terms[0]
     for t in terms[1:]:
         loss = tape.add(loss, t)
-    return loss, l_traj_val, l_aff_val
+    return loss, l_traj_val, l_aff_val, n_traj
 
 
 # ---- schedules -----------------------------------------------------------------
@@ -180,24 +213,34 @@ def lr_schedule(epoch: int, total_epochs: int, base_lr: float = 0.003,
 
 @dataclass
 class SequenceSample:
+    """One observation window, or a pack of windows (see :func:`pack_samples`)."""
+
     frames: list[FrameArrays]
     true_ids: list[np.ndarray]
     target_offsets: np.ndarray   # (N_T, 2 * pred_steps), GT future minus det pos
     target_mask: np.ndarray      # (N_T, 2 * pred_steps) in {0, 1}
+    num_windows: int = 1
+
+
+def stride_and_horizon(log: WorldLog, pred_steps: int,
+                       step_seconds: float) -> tuple[int, int]:
+    """Frames between forecast waypoints, and frames to the last waypoint,
+    at this world's own frame rate."""
+    stride = int(round(log.frame_rate * step_seconds))
+    return stride, pred_steps * stride
 
 
 def window_starts(log: WorldLog, t_obs: int, pred_steps: int,
                   step_seconds: float) -> int:
     """Number of admissible window start frames (full horizon in-world)."""
-    stride = int(round(log.frame_rate * step_seconds))
-    horizon = pred_steps * stride
+    _, horizon = stride_and_horizon(log, pred_steps, step_seconds)
     return max(0, log.num_frames - t_obs - horizon + 1)
 
 
 def build_sample(log: WorldLog, t0: int, t_obs: int, config: ModelConfig,
                  max_detections: int = 100) -> SequenceSample:
     """Cut one observation window and its forecasting targets from a world."""
-    stride = int(round(log.frame_rate * config.step_seconds))
+    stride, _ = stride_and_horizon(log, config.pred_steps, config.step_seconds)
     frames, ids = [], []
     for t in range(t0, t0 + t_obs):
         dets = log.frames[t]
@@ -232,6 +275,53 @@ def build_sample(log: WorldLog, t0: int, t_obs: int, config: ModelConfig,
                           target_mask=mask)
 
 
+# A pack stops growing before its windows' summed detections per frame pass
+# this budget, so ~17-detection windows go ~7 to a tape pass and ~70-detection
+# windows one at a time.  Measured with one-epoch train() calls over 16
+# augmented windows of 120-frame worlds (single BLAS thread, 2-vCPU x86-64,
+# medians of 3-5 calls, three scans).  At ~17 detections/frame one window per
+# pass took 0.81-1.10 s; every budget from 64 to all 16 windows in one pass
+# took 0.55-0.73 s, within the scans' noise of each other, while peak RSS grew
+# with the budget: 146 MB at 64, 242 MB at 128, 431 MB at 256, 505 MB for all
+# 16.  At ~69 detections/frame, one window per pass (budget 128) took
+# 5.6-6.3 s at 625 MB and ~3 per pass (256) 5.6-5.9 s at 985 MB.  128 sits
+# inside the plateau with room on both sides; bigger packs buy memory use,
+# not speed.
+PACK_DETECTIONS = 128
+
+
+def pack_ranges(windows: list[list[FrameArrays]]) -> list[tuple[int, int]]:
+    """Split consecutive windows into packs ``windows[lo:hi]``.
+
+    A window's size is its mean detections per frame; a pack takes windows
+    in order until the next one would push its summed size past
+    ``PACK_DETECTIONS`` (a window above the budget forms a pack alone).
+    """
+    packs, lo, load = [], 0, 0.0
+    for i, frames in enumerate(windows):
+        size = sum(len(f) for f in frames) / len(frames)
+        if i > lo and load + size > PACK_DETECTIONS:
+            packs.append((lo, i))
+            lo, load = i, 0.0
+        load += size
+    if lo < len(windows):
+        packs.append((lo, len(windows)))
+    return packs
+
+
+def pack_samples(samples: list[SequenceSample]) -> SequenceSample:
+    """Stack single-window samples into one pack; sample ``b``'s rows get
+    window index ``b``."""
+    steps = len(samples[0].frames)
+    return SequenceSample(
+        frames=stack_windows([s.frames for s in samples]),
+        true_ids=[np.concatenate([s.true_ids[t] for s in samples])
+                  for t in range(steps)],
+        target_offsets=np.concatenate([s.target_offsets for s in samples]),
+        target_mask=np.concatenate([s.target_mask for s in samples]),
+        num_windows=len(samples))
+
+
 def _rotate_frames(frames, angle):
     c, s = np.cos(angle), np.sin(angle)
     rot = np.array([[c, s], [-s, c]])  # row vectors: p @ rot = R p
@@ -241,7 +331,7 @@ def _rotate_frames(frames, angle):
                                size=f.size.copy(),
                                heading=np.mod(f.heading + angle + np.pi,
                                               2 * np.pi) - np.pi,
-                               score=f.score.copy()))
+                               score=f.score.copy(), window=f.window))
     return out
 
 
@@ -251,7 +341,7 @@ def _flip_frames(frames):
         out.append(FrameArrays(pos=f.pos * np.array([1.0, -1.0]),
                                velo=f.velo * np.array([1.0, -1.0]),
                                size=f.size.copy(), heading=-f.heading,
-                               score=f.score.copy()))
+                               score=f.score.copy(), window=f.window))
     return out
 
 
@@ -269,7 +359,8 @@ def augment_sample(sample: SequenceSample, rng: np.random.Generator) -> Sequence
         off = off * np.array([1.0, -1.0])
     return SequenceSample(frames=frames, true_ids=sample.true_ids,
                           target_offsets=off.reshape(-1, 2 * steps),
-                          target_mask=sample.target_mask.copy())
+                          target_mask=sample.target_mask.copy(),
+                          num_windows=sample.num_windows)
 
 
 # ---- training ------------------------------------------------------------------
@@ -357,16 +448,20 @@ class EpochStats:
 
 def _sequence_loss(tape, params, sample, lam, t_obs, beta, sim):
     enc = encode_sequence(tape, params, sample.frames)
-    p_n = sim_apply(tape, sim, enc.h_mot_final, sample.frames[-1].pos)
+    p_n = sim_apply(tape, sim, enc.h_mot_final, sample.frames[-1])
     offsets = mlp_forward(tape, params.mlp_dec, p_n)
     labels = sequence_labels(enc.transitions, sample.true_ids)
-    return total_loss(tape, offsets, sample.target_offsets, sample.target_mask,
-                      enc.transitions, labels, lam, t_obs, beta)
+    return total_loss(tape, offsets, sample, enc.transitions, labels, lam,
+                      t_obs, beta)
 
 
 def train(cfg: TrainConfig, worlds: list[WorldLog], variant: str = "full",
           sim=None, progress=None) -> tuple[ModelParams, list[EpochStats]]:
-    """Full training loop; deterministic for a fixed (cfg, worlds, variant)."""
+    """Full training loop; deterministic for a fixed (cfg, worlds, variant).
+
+    Each Adam batch is cut into packs by :func:`pack_ranges` and every pack
+    is one tape pass; the gradient is that of the mean window loss.
+    """
     model_cfg = model_config_from_train(cfg, variant)
     starts_per_world = [window_starts(w, cfg.t_obs, model_cfg.pred_steps,
                                       model_cfg.step_seconds) for w in worlds]
@@ -397,25 +492,29 @@ def train(cfg: TrainConfig, worlds: list[WorldLog], variant: str = "full",
         traj_n = aff_n = 0
         for lo in range(0, len(windows), cfg.batch_sequences):
             batch = windows[lo: lo + cfg.batch_sequences]
+            samples = []
             for wi, t0 in batch:
                 sample = build_sample(worlds[wi], t0, cfg.t_obs, model_cfg,
                                       cfg.max_detections)
                 if cfg.augmentation:
                     sample = augment_sample(sample, aug_rng)
+                samples.append(sample)
+            for p_lo, p_hi in pack_ranges([s.frames for s in samples]):
                 tape = Tape()
-                loss, l_traj, l_aff = _sequence_loss(
-                    tape, params, sample, lam, cfg.t_obs, cfg.smooth_l1_beta, sim)
+                loss, l_traj, l_aff, n_traj = _sequence_loss(
+                    tape, params, pack_samples(samples[p_lo:p_hi]), lam,
+                    cfg.t_obs, cfg.smooth_l1_beta, sim)
                 value = float(loss.value[0, 0])
                 if not np.isfinite(value):
                     raise NumericsError(
-                        f"non-finite loss at epoch {epoch}, window (world "
-                        f"{wi}, t0 {t0}): traj {l_traj}, aff {l_aff}")
+                        f"non-finite loss at epoch {epoch}, windows (world, "
+                        f"t0) {batch[p_lo:p_hi]}: traj {l_traj}, aff {l_aff}")
                 tape.backward(loss, seed=1.0 / len(batch))
-                if l_traj:
-                    traj_sum += l_traj
-                    traj_n += 1
+                del tape, loss  # free this pack's graph before the next one
+                traj_sum += l_traj
+                traj_n += n_traj
                 aff_sum += l_aff
-                aff_n += 1
+                aff_n += p_hi - p_lo
             step += 1
             adam_step(params.blocks(), lr=lr, step=step)
 
@@ -431,9 +530,10 @@ def train(cfg: TrainConfig, worlds: list[WorldLog], variant: str = "full",
 
 def forecast_sequence(params: ModelParams, frames: list[FrameArrays],
                       sim=None) -> tuple[SequenceEncoding, list[Forecast]]:
-    """Inference: encode a window and decode forecasts for its final frame."""
+    """Inference: encode a window, or a pack of stacked windows, and decode
+    forecasts for every row of its final frame."""
     tape = Tape()
     enc = encode_sequence(tape, params, frames)
-    p_n = sim_apply(tape, sim, enc.h_mot_final, frames[-1].pos)
+    p_n = sim_apply(tape, sim, enc.h_mot_final, frames[-1])
     _, forecasts = decode_trajectory(tape, params, p_n, frames[-1].pos)
     return enc, forecasts

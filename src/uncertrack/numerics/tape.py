@@ -3,9 +3,12 @@
 Every value on the tape is a 2-D numpy array (scalars are (1, 1), bias rows
 are (1, n)).  Operations record a backward closure; ``Tape.backward`` walks
 the recorded nodes in reverse creation order, which is a valid topological
-order.  Gradients of parameter leaves accumulate into externally supplied
-buffers so repeated forward passes (shared weights across time steps, or
-several sequences of one batch) sum their contributions.
+order, and hands each closure its node's gradient.  Closures never capture
+their own output node or the tape, so a dropped tape holds no reference
+cycle and is freed by reference counting alone.  Gradients of parameter
+leaves accumulate into externally supplied buffers so repeated forward passes
+(shared weights across time steps, or several sequences of one batch) sum
+their contributions.
 """
 
 from __future__ import annotations
@@ -69,6 +72,25 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return g
 
 
+def _acc_bcast(parent: Var, g: np.ndarray) -> None:
+    if parent.value.shape == g.shape:
+        _acc(parent, g)  # alias of the output gradient
+    else:
+        _acc_own(parent, _unbroadcast(g, parent.value.shape))
+
+
+def _scatter_add(idx: np.ndarray, rows: np.ndarray, n_rows: int) -> np.ndarray:
+    """``out[idx[k]] += rows[k]`` into zeros, summing in ``idx`` order.
+
+    Bitwise equal to ``np.add.at`` on a zero matrix, but one ``bincount``
+    over flattened (row, column) slots instead of the slow ``ufunc.at`` loop.
+    """
+    cols = rows.shape[1]
+    slots = (idx[:, None] * cols + np.arange(cols)).ravel()
+    return np.bincount(slots, weights=rows.ravel(),
+                       minlength=n_rows * cols).reshape(n_rows, cols)
+
+
 def _as2d(x) -> np.ndarray:
     a = np.asarray(x, dtype=np.float64)
     if a.ndim == 0:
@@ -115,74 +137,57 @@ class Tape:
     def matmul(self, a: Var, b: Var) -> Var:
         val = a.value @ b.value
 
-        def backward():
-            g = out.grad
+        def backward(g):
             _acc_own(a, g @ b.value.T)
             _acc_own(b, a.value.T @ g)
 
-        out = self._node(val, (a, b), backward)
-        return out
+        return self._node(val, (a, b), backward)
 
     def linear(self, x: Var, w: Var, b: Var) -> Var:
         """Fused x @ w + bias-row (one node instead of matmul + add)."""
         val = x.value @ w.value + b.value
 
-        def backward():
-            g = out.grad
+        def backward(g):
             _acc_own(x, g @ w.value.T)
             _acc_own(w, x.value.T @ g)
             _acc_own(b, g.sum(axis=0, keepdims=True))
 
-        out = self._node(val, (x, w, b), backward)
-        return out
-
-    def _acc_bcast(self, parent: Var, g: np.ndarray) -> None:
-        if parent.value.shape == g.shape:
-            _acc(parent, g)  # alias of the output gradient
-        else:
-            _acc_own(parent, _unbroadcast(g, parent.value.shape))
+        return self._node(val, (x, w, b), backward)
 
     def add(self, a: Var, b: Var) -> Var:
         val = a.value + b.value
 
-        def backward():
-            g = out.grad
-            self._acc_bcast(a, g)
-            self._acc_bcast(b, g)
+        def backward(g):
+            _acc_bcast(a, g)
+            _acc_bcast(b, g)
 
-        out = self._node(val, (a, b), backward)
-        return out
+        return self._node(val, (a, b), backward)
 
     def sub(self, a: Var, b: Var) -> Var:
         val = a.value - b.value
 
-        def backward():
-            g = out.grad
-            self._acc_bcast(a, g)
+        def backward(g):
+            _acc_bcast(a, g)
             _acc_own(b, _unbroadcast(-g, b.value.shape))
 
-        out = self._node(val, (a, b), backward)
-        return out
+        return self._node(val, (a, b), backward)
 
     def mul(self, a: Var, b: Var) -> Var:
         val = a.value * b.value
 
-        def backward():
-            g = out.grad
+        def backward(g):
             _acc_own(a, _unbroadcast(g * b.value, a.value.shape))
             _acc_own(b, _unbroadcast(g * a.value, b.value.shape))
 
-        out = self._node(val, (a, b), backward)
-        return out
+        return self._node(val, (a, b), backward)
 
     def affine(self, a: Var, scale: float, shift: float = 0.0) -> Var:
         val = scale * a.value + shift
 
-        def backward():
-            _acc_own(a, scale * out.grad)
+        def backward(g):
+            _acc_own(a, scale * g)
 
-        out = self._node(val, (a,), backward)
-        return out
+        return self._node(val, (a,), backward)
 
     # ---- elementwise nonlinearities -------------------------------------
 
@@ -190,57 +195,51 @@ class Tape:
         val = np.abs(a.value)
         sign = np.sign(a.value)
 
-        def backward():
-            _acc_own(a, out.grad * sign)
+        def backward(g):
+            _acc_own(a, g * sign)
 
-        out = self._node(val, (a,), backward)
-        return out
+        return self._node(val, (a,), backward)
 
     def relu(self, a: Var) -> Var:
         val = np.maximum(a.value, 0.0)
 
-        def backward():
-            _acc_own(a, out.grad * (a.value > 0.0))
+        def backward(g):
+            _acc_own(a, g * (a.value > 0.0))
 
-        out = self._node(val, (a,), backward)
-        return out
+        return self._node(val, (a,), backward)
 
     def sigmoid(self, a: Var) -> Var:
         val = 1.0 / (1.0 + np.exp(-a.value))
 
-        def backward():
-            _acc_own(a, out.grad * (val * (1.0 - val)))
+        def backward(g):
+            _acc_own(a, g * (val * (1.0 - val)))
 
-        out = self._node(val, (a,), backward)
-        return out
+        return self._node(val, (a,), backward)
 
     def tanh(self, a: Var) -> Var:
         val = np.tanh(a.value)
 
-        def backward():
-            _acc_own(a, out.grad * (1.0 - val * val))
+        def backward(g):
+            _acc_own(a, g * (1.0 - val * val))
 
-        out = self._node(val, (a,), backward)
-        return out
+        return self._node(val, (a,), backward)
 
     def log(self, a: Var) -> Var:
         val = np.log(a.value)
 
-        def backward():
-            _acc_own(a, out.grad / a.value)
+        def backward(g):
+            _acc_own(a, g / a.value)
 
-        out = self._node(val, (a,), backward)
-        return out
+        return self._node(val, (a,), backward)
 
     def clamp(self, a: Var, lo: float, hi: float) -> Var:
         val = np.clip(a.value, lo, hi)
         inside = (a.value > lo) & (a.value < hi)
 
-        def backward():
-            _acc_own(a, out.grad * inside)
+        def backward(g):
+            _acc_own(a, g * inside)
 
-        out = self._node(val, (a,), backward)
-        return out
+        return self._node(val, (a,), backward)
 
     def logit(self, a: Var) -> Var:
         """Inverse sigmoid; inputs must already sit strictly inside (0, 1)."""
@@ -249,58 +248,50 @@ class Tape:
             raise NumericsError("logit input outside (0, 1); clamp scores first")
         val = np.log(v) - np.log1p(-v)
 
-        def backward():
-            _acc_own(a, out.grad / (v * (1.0 - v)))
+        def backward(g):
+            _acc_own(a, g / (v * (1.0 - v)))
 
-        out = self._node(val, (a,), backward)
-        return out
+        return self._node(val, (a,), backward)
 
     # ---- shape surgery ---------------------------------------------------
 
-    def concat(self, parts: list[Var]) -> Var:
-        val = np.concatenate([p.value for p in parts], axis=1)
-        splits = np.cumsum([p.value.shape[1] for p in parts])[:-1]
+    def concat(self, parts: list[Var], axis: int = 1) -> Var:
+        """Join columns (``axis=1``) or stack rows (``axis=0``)."""
+        val = np.concatenate([p.value for p in parts], axis=axis)
+        splits = np.cumsum([p.value.shape[axis] for p in parts])[:-1]
 
-        def backward():
-            for p, g in zip(parts, np.split(out.grad, splits, axis=1)):
-                _acc(p, g)
+        def backward(g):
+            for p, gp in zip(parts, np.split(g, splits, axis=axis)):
+                _acc(p, gp)
 
-        out = self._node(val, tuple(parts), backward)
-        return out
+        return self._node(val, tuple(parts), backward)
 
     def gather_rows(self, a: Var, idx: np.ndarray) -> Var:
         val = a.value[idx]
 
-        def backward():
-            if not a.no_grad:
-                if a.grad is None:
-                    a.grad = np.zeros_like(a.value)
-                np.add.at(a.grad, idx, out.grad)
+        def backward(g):
+            _acc_own(a, _scatter_add(idx, g, a.value.shape[0]))
 
-        out = self._node(val, (a,), backward)
-        return out
+        return self._node(val, (a,), backward)
 
     def scatter_rows(self, a: Var, idx: np.ndarray, n_rows: int) -> Var:
         """Place rows of ``a`` at ``idx`` in a zero matrix of ``n_rows`` rows."""
         val = np.zeros((n_rows, a.value.shape[1]))
         val[idx] = a.value
 
-        def backward():
-            _acc_own(a, out.grad[idx])
+        def backward(g):
+            _acc_own(a, g[idx])
 
-        out = self._node(val, (a,), backward)
-        return out
+        return self._node(val, (a,), backward)
 
     def segment_sum(self, a: Var, seg: np.ndarray, n_seg: int) -> Var:
         """Row-wise sums over contiguous-by-id segments (summation in row order)."""
-        val = np.zeros((n_seg, a.value.shape[1]))
-        np.add.at(val, seg, a.value)
+        val = _scatter_add(seg, a.value, n_seg)
 
-        def backward():
-            _acc_own(a, out.grad[seg])
+        def backward(g):
+            _acc_own(a, g[seg])
 
-        out = self._node(val, (a,), backward)
-        return out
+        return self._node(val, (a,), backward)
 
     def segment_softmax(self, scores: Var, seg: np.ndarray, n_seg: int) -> Var:
         """Softmax of a (P, 1) score column within each segment.
@@ -316,14 +307,12 @@ class Tape:
         np.add.at(denom, seg, e)
         alpha = (e / denom[seg])[:, None]
 
-        def backward():
-            g = out.grad
+        def backward(g):
             dot = np.zeros((n_seg, 1))
             np.add.at(dot, seg, g * alpha)
             _acc_own(scores, alpha * (g - dot[seg]))
 
-        out = self._node(alpha, (scores,), backward)
-        return out
+        return self._node(alpha, (scores,), backward)
 
     def gru(self, x: Var, h: Var, wz: Var, uz: Var, bz: Var, wr: Var, ur: Var,
             br: Var, wc: Var, uc: Var, bc: Var) -> Var:
@@ -339,8 +328,7 @@ class Tape:
         c = np.tanh(xv @ wc.value + rh @ uc.value + bc.value)
         val = (1.0 - z) * hv + z * c
 
-        def backward():
-            g = out.grad
+        def backward(g):
             dz = g * (c - hv)
             dh = g * (1.0 - z)
             dac = (g * z) * (1.0 - c * c)
@@ -365,30 +353,27 @@ class Tape:
             _acc_own(x, dx)
             _acc_own(h, dh)
 
-        out = self._node(val, (x, h, wz, uz, bz, wr, ur, br, wc, uc, bc),
+        return self._node(val, (x, h, wz, uz, bz, wr, ur, br, wc, uc, bc),
                          backward)
-        return out
 
     # ---- reductions and losses -------------------------------------------
 
     def sum(self, a: Var) -> Var:
         val = np.array([[a.value.sum()]])
 
-        def backward():
-            _acc_own(a, np.full_like(a.value, out.grad[0, 0]))
+        def backward(g):
+            _acc_own(a, np.full_like(a.value, g[0, 0]))
 
-        out = self._node(val, (a,), backward)
-        return out
+        return self._node(val, (a,), backward)
 
     def mean(self, a: Var) -> Var:
         n = a.value.size
         val = np.array([[a.value.sum() / n]])
 
-        def backward():
-            _acc_own(a, np.full_like(a.value, out.grad[0, 0] / n))
+        def backward(g):
+            _acc_own(a, np.full_like(a.value, g[0, 0] / n))
 
-        out = self._node(val, (a,), backward)
-        return out
+        return self._node(val, (a,), backward)
 
     def smooth_l1(self, pred: Var, target: np.ndarray, beta: float,
                   weights: np.ndarray | None = None) -> Var:
@@ -411,35 +396,45 @@ class Tape:
                 raise NumericsError("smooth_l1 weights sum to zero")
             val = np.array([[(per * weights).sum() / denom]])
 
-        def backward():
-            g = out.grad[0, 0] / denom
+        def backward(g):
+            g = g[0, 0] / denom
             dd = np.where(ad < beta, d / beta, np.sign(d))
             if weights is not None:
                 dd = dd * weights
             _acc_own(pred, g * dd)
 
-        out = self._node(val, (pred,), backward)
-        return out
+        return self._node(val, (pred,), backward)
 
-    def bce(self, scores: Var, labels: np.ndarray) -> Var:
-        """Mean binary cross entropy; scores must be pre-clamped into (0, 1)."""
+    def bce(self, scores: Var, labels: np.ndarray,
+            weights: np.ndarray | None = None) -> Var:
+        """Mean (optionally weighted) binary cross entropy; scores must be
+        pre-clamped into (0, 1)."""
         labels = np.asarray(labels, dtype=np.float64).reshape(scores.value.shape)
         s = scores.value
         per = -(labels * np.log(s) + (1.0 - labels) * np.log(1.0 - s))
-        n = s.size
-        val = np.array([[per.sum() / n]])
+        if weights is None:
+            denom = float(per.size)
+            val = np.array([[per.sum() / denom]])
+        else:
+            weights = np.asarray(weights, dtype=np.float64).reshape(s.shape)
+            denom = float(weights.sum())
+            if denom <= 0.0:
+                raise NumericsError("bce weights sum to zero")
+            val = np.array([[(per * weights).sum() / denom]])
 
-        def backward():
-            g = out.grad[0, 0] / n
-            _acc_own(scores, g * ((1.0 - labels) / (1.0 - s) - labels / s))
+        def backward(g):
+            g = g[0, 0] / denom
+            ds = (1.0 - labels) / (1.0 - s) - labels / s
+            if weights is not None:
+                ds = ds * weights
+            _acc_own(scores, g * ds)
 
-        out = self._node(val, (scores,), backward)
-        return out
+        return self._node(val, (scores,), backward)
 
     # ---- driver ------------------------------------------------------------
 
     def backward(self, root: Var, seed: float = 1.0) -> None:
         root.grad = np.full_like(root.value, seed)
         for node in reversed(self._nodes):
-            if node.grad is not None and node._backward is not None:
-                node._backward()
+            if node.grad is not None:
+                node._backward(node.grad)

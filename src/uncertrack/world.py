@@ -360,7 +360,21 @@ def save_world(log: WorldLog, path) -> None:
                                 "detections": recs}) + "\n")
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite number {name}")
+
+
+# NaN and +-Infinity reach the decoder only through parse_constant, so
+# rejecting them there costs nothing on well-formed lines
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def load_world(path) -> WorldLog:
+    """Read a world written by :func:`save_world`.
+
+    A malformed line (bad JSON, a NaN or infinite number, a missing or
+    ill-typed field) raises ``ConfigError`` naming ``path:line``.
+    """
     path = Path(path)
     frame_rate, rng_seed, num_frames = 10.0, 0, None
     tracks: list[AgentTrack] = []
@@ -372,39 +386,42 @@ def load_world(path) -> WorldLog:
             if not line:
                 continue
             try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ConfigError(f"{path}:{line_no}: bad JSON ({e})") from e
-            kind = rec.get("type")
-            if kind == "world":
-                frame_rate = float(rec["frame_rate"])
-                rng_seed = int(rec.get("rng_seed", 0))
-                num_frames = rec.get("num_frames")
-            elif kind == "agent":
-                tracks.append(AgentTrack(
-                    agent_id=int(rec["agent_id"]),
-                    birth_frame=int(rec["birth_frame"]),
-                    death_frame=int(rec["death_frame"]),
-                    pos=np.array(rec["pos"], dtype=float),
-                    velo=np.array(rec["velo"], dtype=float),
-                    heading=np.array(rec["heading"], dtype=float),
-                    size=np.array(rec["size"], dtype=float)))
-            elif kind == "frame":
-                t = int(rec["frame"])
-                dets, ids = [], []
-                for i, r in enumerate(rec["detections"]):
-                    dets.append(Detection(pos=tuple(r["pos"]),
-                                          velo=tuple(r["velo"]),
-                                          size=tuple(r["size"]),
-                                          heading=float(r["heading"]),
-                                          score=float(r["score"]),
-                                          frame=t, local_index=i))
-                    tid = r.get("true_id", "FP")
-                    ids.append(FP_ID if tid == "FP" else int(tid))
-                frame_map[t] = dets
-                ids_map[t] = np.array(ids, dtype=int)
-            else:
-                raise ConfigError(f"{path}:{line_no}: unknown line type {kind!r}")
+                rec = _DECODER.decode(line)
+                kind = rec.get("type")
+                if kind == "world":
+                    frame_rate = float(rec["frame_rate"])
+                    rng_seed = int(rec.get("rng_seed", 0))
+                    num_frames = rec.get("num_frames")
+                elif kind == "agent":
+                    tracks.append(AgentTrack(
+                        agent_id=int(rec["agent_id"]),
+                        birth_frame=int(rec["birth_frame"]),
+                        death_frame=int(rec["death_frame"]),
+                        pos=np.array(rec["pos"], dtype=float),
+                        velo=np.array(rec["velo"], dtype=float),
+                        heading=np.array(rec["heading"], dtype=float),
+                        size=np.array(rec["size"], dtype=float)))
+                elif kind == "frame":
+                    t = int(rec["frame"])
+                    dets, ids = [], []
+                    for i, r in enumerate(rec["detections"]):
+                        dets.append(Detection(pos=tuple(r["pos"]),
+                                              velo=tuple(r["velo"]),
+                                              size=tuple(r["size"]),
+                                              heading=float(r["heading"]),
+                                              score=float(r["score"]),
+                                              frame=t, local_index=i))
+                        tid = r.get("true_id", "FP")
+                        ids.append(FP_ID if tid == "FP" else int(tid))
+                    frame_map[t] = dets
+                    ids_map[t] = np.array(ids, dtype=int)
+                else:
+                    raise ConfigError(f"{path}:{line_no}: unknown line type {kind!r}")
+            except KeyError as e:
+                raise ConfigError(f"{path}:{line_no}: missing field {e}") from e
+            except (ValueError, TypeError, AttributeError) as e:
+                # json.JSONDecodeError is a ValueError
+                raise ConfigError(f"{path}:{line_no}: bad line ({e})") from e
     if num_frames is None:
         num_frames = max(frame_map) + 1 if frame_map else 0
     frames = [frame_map.get(t, []) for t in range(num_frames)]

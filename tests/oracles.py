@@ -212,3 +212,34 @@ def circle_positions(center, radius, phase0, omega, dt, n):
     ang = phase0 + omega * t
     return np.stack([center[0] + radius * np.cos(ang),
                      center[1] + radius * np.sin(ang)], axis=1)
+
+
+# ---- encoder diagnostics (one segment at a time) -----------------------------
+
+def best_prev_loop(seg, seg_curr, alphas, prev_index, ages, n_curr):
+    """Argmax-alpha predecessor (first on ties) and ages, segment by segment.
+
+    ``prev_index`` is the previous-frame detection of each selected pair.
+    Returns ({curr: prev}, ages of the current frame).
+    """
+    best_prev = {}
+    new_ages = np.zeros(n_curr, dtype=int)
+    for s in range(len(seg_curr)):
+        members = np.flatnonzero(seg == s)
+        top = members[np.argmax(alphas[members])]
+        c = int(seg_curr[s])
+        best_prev[c] = int(prev_index[top])
+        new_ages[c] = ages[prev_index[top]] + 1
+    return best_prev, new_ages
+
+
+def chains_from(best_prevs, n_final):
+    """Walk each final detection back through per-transition predecessor maps."""
+    chains = []
+    for n in range(n_final):
+        chain, curr = [n], n
+        for best_prev in reversed(best_prevs):
+            curr = best_prev.get(curr) if curr is not None else None
+            chain.append(curr)
+        chains.append(chain)
+    return chains

@@ -190,3 +190,28 @@ def test_select_top_k_segment_layout():
     assert list(seg) == [0, 0, 1]
     # best two for det 0: prev 2 (0.95) then prev 0 (0.9)
     assert list(pairs[sel, 0]) == [2, 0, 0]
+
+
+def test_window_gating_matches_each_window_alone():
+    # windows stacked into one pack overlap in space; gating pairs only
+    # within a window gives each window's own pairs and distances, bitwise
+    rng = np.random.default_rng(33)
+    windows = [(rng.uniform(-8, 8, (n, 2)), rng.uniform(-8, 8, (m, 2)))
+               for n, m in [(7, 6), (0, 4), (5, 0), (9, 11)]]
+    prev_pos = np.concatenate([p for p, _ in windows])
+    curr_pos = np.concatenate([c for _, c in windows])
+    prev_win = np.repeat(np.arange(4), [len(p) for p, _ in windows])
+    curr_win = np.repeat(np.arange(4), [len(c) for _, c in windows])
+    pairs, dists = gate_positions(prev_pos, curr_pos, 6.0, prev_win, curr_win)
+
+    assert np.array_equal(prev_win[pairs[:, 0]], curr_win[pairs[:, 1]])
+    want_pairs, want_dists = [], []
+    prev_off = curr_off = 0
+    for p, c in windows:
+        wp, wd = gate_positions(p, c, 6.0)
+        want_pairs.append(wp + [prev_off, curr_off])
+        want_dists.append(wd)
+        prev_off += len(p)
+        curr_off += len(c)
+    assert np.array_equal(pairs, np.concatenate(want_pairs))
+    assert np.array_equal(dists, np.concatenate(want_dists))

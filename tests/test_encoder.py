@@ -3,16 +3,17 @@
 import numpy as np
 import pytest
 
-from uncertrack.detections import Detection, FrameArrays
+from uncertrack.detections import Detection, FrameArrays, stack_windows
 from uncertrack.encoder import (SequenceEncoding, TrackState, asu_update,
                                 encode_sequence, implicit_chains, init_track,
                                 msa_aggregate)
 from uncertrack.errors import ConfigError
-from uncertrack.model import ModelConfig, init_model
+from uncertrack.model import ModelConfig, init_model, variant_config
 from uncertrack.numerics import Tape
 from uncertrack.world import NoiseConfig, corrupt_to_detections, generate_world
 
-from oracles import fd_gradient, msa_direct, rel_err
+from oracles import (best_prev_loop, chains_from, fd_gradient, msa_direct,
+                     rel_err)
 
 
 def _small_config(**kw):
@@ -359,3 +360,31 @@ def test_affinity_parameters_reach_forecast_path():
     for w, ana in zip(params.mlp_aff.block.weights, analytic):
         assert rel_err(ana, fd_gradient(value, w)) < 1e-4
     params.zero_grads()
+
+
+@pytest.mark.parametrize("variant", ["full", "baseline"])
+def test_diagnostics_match_segment_loop_oracle(variant):
+    # best_prev, ages and implicit chains of a pack of seeded windows equal
+    # the one-segment-at-a-time reference
+    windows = []
+    for seed in (40, 41, 42):
+        log = corrupt_to_detections(generate_world(8, 100, seed=seed),
+                                    NoiseConfig(), seed=seed)
+        windows.append(_frames_from_log(log, 30, 12))
+    frames = stack_windows(windows)
+    params = init_model(variant_config(variant, _small_config()), seed=43)
+    enc = encode_sequence(Tape(), params, frames)
+
+    ages = np.zeros(len(frames[0]), dtype=int)
+    best_prevs = []
+    for rec in enc.transitions:
+        n_curr = len(frames[rec.frame])
+        if len(rec.seg):
+            want, ages = best_prev_loop(rec.seg, rec.seg_curr, rec.alphas,
+                                        rec.pairs[rec.selected, 0], ages, n_curr)
+        else:
+            want, ages = {}, np.zeros(n_curr, dtype=int)
+        assert rec.best_prev == want
+        best_prevs.append(want)
+    assert np.array_equal(enc.ages_final, ages)
+    assert implicit_chains(enc) == chains_from(best_prevs, len(frames[-1]))

@@ -1,0 +1,156 @@
+"""Packing windows into one tape pass, the joint loss, and the training loop."""
+
+import numpy as np
+import pytest
+
+from uncertrack.detections import FrameArrays, stack_windows
+from uncertrack.encoder import encode_sequence
+from uncertrack.errors import ConfigError
+from uncertrack.forecaster import (PACK_DETECTIONS, MeanPoolSIM, SequenceSample,
+                                   TrainConfig, augment_sample, build_sample,
+                                   forecast_sequence, pack_ranges,
+                                   pack_samples, sequence_labels, total_loss,
+                                   train)
+from uncertrack.model import ModelConfig, init_model, variant_config
+from uncertrack.numerics import Tape, mlp_forward
+from uncertrack.world import NoiseConfig, corrupt_to_detections, generate_world
+
+SMALL = ModelConfig(det_dim=8, mov_dim=4, field_dim=4, hidden_dim=6,
+                    k_candidates=4)
+
+
+def _world(seed, agents=6, frames=80):
+    return corrupt_to_detections(generate_world(agents, frames, seed=seed),
+                                 NoiseConfig(), seed=seed, num_frames=frames)
+
+
+def _frames(n_dets, steps=4):
+    rng = np.random.default_rng(n_dets)
+    return [FrameArrays(pos=rng.uniform(-5, 5, (n_dets, 2)),
+                        velo=np.zeros((n_dets, 2)), size=np.ones((n_dets, 3)),
+                        heading=np.zeros(n_dets), score=np.full(n_dets, 0.8))
+            for _ in range(steps)]
+
+
+def _samples(config):
+    """Four augmented windows: one with a transition that has no gated pairs
+    (an empty frame), one without a matched target."""
+    rng = np.random.default_rng(0)
+    out = []
+    for seed, t0 in [(1, 10), (2, 25), (3, 5), (4, 30)]:
+        out.append(augment_sample(build_sample(_world(seed), t0, 20, config), rng))
+    out[1].frames[6] = FrameArrays.from_detections([])
+    out[1].true_ids[6] = np.zeros(0, dtype=int)
+    out[2].target_mask[...] = 0.0
+    return out
+
+
+def _loss(params, sample, tape):
+    enc = encode_sequence(tape, params, sample.frames)
+    offsets = mlp_forward(tape, params.mlp_dec, enc.h_mot_final)
+    labels = sequence_labels(enc.transitions, sample.true_ids)
+    return enc, total_loss(tape, offsets, sample, enc.transitions, labels,
+                           lam=0.7, t_obs=20)
+
+
+def test_pack_ranges_keep_order_and_budget():
+    sizes = [17, 15, 20, 17, 16, 18, 17, 14, 200, 60, 70, 3]
+    ranges = pack_ranges([_frames(n) for n in sizes])
+    assert ranges[0][0] == 0 and ranges[-1][1] == len(sizes)
+    assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+    for lo, hi in ranges:
+        load = sum(sizes[lo:hi])
+        assert hi - lo == 1 or load <= PACK_DETECTIONS
+        if hi < len(sizes):  # stopped only because the next window overflows
+            assert load + sizes[hi] > PACK_DETECTIONS
+    assert (8, 9) in ranges  # above the budget: runs alone
+
+
+@pytest.mark.parametrize("variant", ["full", "baseline"])
+def test_packed_loss_and_gradients_equal_per_window_sum(variant):
+    config = variant_config(variant, SMALL)
+    params = init_model(config, seed=5)
+    samples = _samples(config)
+
+    loss_sum, l_traj_sum, l_aff_sum, n_traj_sum = 0.0, 0.0, 0.0, 0
+    for sample in samples:
+        tape = Tape()
+        _, (loss, l_traj, l_aff, n_traj) = _loss(params, sample, tape)
+        tape.backward(loss)
+        loss_sum += loss.value[0, 0]
+        l_traj_sum += l_traj
+        l_aff_sum += l_aff
+        n_traj_sum += n_traj
+    per_window = [g.copy() for b in params.blocks() for g in b.grads]
+    params.zero_grads()
+
+    tape = Tape()
+    enc, (loss, l_traj, l_aff, n_traj) = _loss(params, pack_samples(samples), tape)
+    tape.backward(loss)
+    packed = [g.copy() for b in params.blocks() for g in b.grads]
+    params.zero_grads()
+
+    assert len(enc.transitions[5].pairs) > 0  # other windows still pair there
+    assert abs(loss.value[0, 0] - loss_sum) < 1e-10
+    assert abs(l_traj - l_traj_sum) < 1e-10 and abs(l_aff - l_aff_sum) < 1e-10
+    assert n_traj == n_traj_sum == 3
+    assert max(np.max(np.abs(a - b)) for a, b in zip(per_window, packed)) < 1e-10
+    assert any(np.max(np.abs(g)) > 0 for g in packed)
+
+
+def test_loss_adds_a_fixed_number_of_nodes():
+    # one smooth-L1 and one clamp+BCE, whatever the number of transitions
+    params = init_model(SMALL, seed=6)
+    counts = []
+    for sample in _samples(SMALL)[:1] + [pack_samples(_samples(SMALL))]:
+        tape = Tape()
+        enc = encode_sequence(tape, params, sample.frames)
+        offsets = mlp_forward(tape, params.mlp_dec, enc.h_mot_final)
+        before = len(tape._nodes)
+        total_loss(tape, offsets, sample, enc.transitions,
+                   sequence_labels(enc.transitions, sample.true_ids), 0.7, 20)
+        counts.append(len(tape._nodes) - before)
+    assert counts[0] == counts[1] <= 8
+
+
+def test_degenerate_window_is_rejected():
+    # window 1 has one unmatched detection in its last frame and no pairs
+    lone = FrameArrays(pos=np.zeros((1, 2)), velo=np.zeros((1, 2)),
+                       size=np.ones((1, 3)), heading=np.zeros(1),
+                       score=np.ones(1))
+    degenerate = SequenceSample(
+        frames=[FrameArrays.from_detections([])] * 19 + [lone],
+        true_ids=[np.zeros(0, dtype=int)] * 19 + [np.array([0])],
+        target_offsets=np.zeros((1, 12)), target_mask=np.zeros((1, 12)))
+    pack = pack_samples([_samples(SMALL)[0], degenerate])
+    with pytest.raises(ConfigError, match="degenerate window 1"):
+        _loss(init_model(SMALL, seed=7), pack, Tape())
+
+
+@pytest.mark.parametrize("sim", [None, MeanPoolSIM(radius=10.0)])
+def test_packed_forecasts_equal_each_window_alone(sim):
+    # the windows overlap in space: neither gating nor the SIM may mix them
+    params = init_model(SMALL, seed=8)
+    windows = [s.frames for s in _samples(SMALL)]
+    _, packed = forecast_sequence(params, stack_windows(windows), sim=sim)
+    row = 0
+    for frames in windows:
+        _, alone = forecast_sequence(params, frames, sim=sim)
+        for f in alone:
+            assert np.max(np.abs(packed[row].waypoints - f.waypoints)) < 1e-10
+            row += 1
+    assert row == len(packed)
+
+
+def test_training_is_bitwise_repeatable():
+    cfg = TrainConfig(batch_sequences=4, windows_per_world=3, epochs=2,
+                      hidden_dim=6, det_dim=8, mov_dim=4, k_candidates=4,
+                      seed=3)
+    worlds = [_world(seed, frames=60) for seed in (10, 11, 12)]
+    params_a, stats_a = train(cfg, worlds)
+    params_b, stats_b = train(cfg, worlds)
+    assert stats_a == stats_b
+    assert all(np.isfinite([s.l_traj for s in stats_a] + [s.l_aff for s in stats_a]))
+    for block_a, block_b in zip(params_a.blocks(), params_b.blocks()):
+        for wa, wb in zip(block_a.weights, block_b.weights):
+            assert np.array_equal(wa, wb)

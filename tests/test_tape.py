@@ -1,11 +1,13 @@
 """Finite-difference checks for every primitive on the tape."""
 
+import gc
+
 import numpy as np
 import pytest
 
 from uncertrack.numerics import NumericsError, Tape
 
-from oracles import fd_gradient, rel_err
+from oracles import bce_direct, fd_gradient, rel_err
 
 SIZES = [(2, 3), (4, 5), (7, 2)]
 
@@ -84,6 +86,8 @@ def test_log_logit_clamp(rows, cols):
 def test_concat_gather_scatter(rows, cols):
     _check(lambda t, xs: t.concat([xs[0], xs[1]]),
            [(rows, cols), (rows, cols + 1)], seed=15)
+    _check(lambda t, xs: t.concat([xs[0], xs[1]], axis=0),
+           [(rows, cols), (rows + 1, cols)], seed=24)
     idx = np.random.default_rng(0).integers(0, rows, size=rows + 2)
     _check(lambda t, xs: t.gather_rows(xs[0], idx), [(rows, cols)], seed=16)
     place = np.random.default_rng(1).permutation(rows + 3)[:rows]
@@ -114,6 +118,10 @@ def test_reductions_and_losses(rows, cols):
     labels = np.random.default_rng(5).integers(0, 2, size=(rows, 1)).astype(float)
     _check(lambda t, xs: t.bce(t.clamp(t.sigmoid(xs[0]), 1e-7, 1 - 1e-7), labels),
            [(rows, 1)], seed=23)
+    pair_weights = np.random.default_rng(6).uniform(0.1, 2.0, size=(rows, 1))
+    _check(lambda t, xs: t.bce(t.clamp(t.sigmoid(xs[0]), 1e-7, 1 - 1e-7), labels,
+                               weights=pair_weights),
+           [(rows, 1)], seed=25)
 
 
 def test_forward_determinism():
@@ -159,3 +167,63 @@ def test_no_grad_constants_stay_untouched():
     tape.backward(loss)
     assert c.grad is None
     assert np.array_equal(g, np.ones((2, 2)))
+
+
+def test_weighted_bce_is_weighted_mean_of_oracle_terms():
+    rng = np.random.default_rng(7)
+    scores = rng.uniform(0.05, 0.95, size=(6, 1))
+    labels = rng.integers(0, 2, size=6).astype(float)
+    weights = rng.uniform(0.1, 2.0, size=6)
+    tape = Tape()
+    got = tape.bce(tape.const(scores), labels, weights=weights).value[0, 0]
+    terms = [bce_direct(s, lab) for s, lab in zip(scores[:, 0], labels)]
+    assert abs(got - np.dot(weights, terms) / weights.sum()) < 1e-12
+    with pytest.raises(NumericsError):
+        tape.bce(tape.const(scores), labels, weights=np.zeros(6))
+
+
+def test_scatters_bitwise_equal_np_add_at_with_duplicate_indices():
+    # np.add.at is the reference for the bincount scatters in segment_sum
+    # (forward) and gather_rows (backward)
+    rng = np.random.default_rng(8)
+    seg = np.sort(rng.integers(0, 9, size=40))
+    rows = rng.standard_normal((40, 5))
+    want = np.zeros((9, 5))
+    np.add.at(want, seg, rows)
+    tape = Tape()
+    assert np.array_equal(tape.segment_sum(tape.const(rows), seg, 9).value, want)
+
+    idx = rng.integers(0, 9, size=40)  # unsorted, with repeats
+    src = rng.standard_normal((9, 5))
+    inner = tape.affine(tape.param(src, np.zeros_like(src)), 1.0)
+    gathered = tape.gather_rows(inner, idx)
+    tape.backward(tape.sum(tape.mul(gathered, tape.const(rows))))
+    want = np.zeros((9, 5))
+    np.add.at(want, idx, rows)
+    assert np.array_equal(inner.grad, want)
+
+
+def test_dropped_tapes_leave_no_reference_cycles():
+    rng = np.random.default_rng(9)
+    weights = [rng.standard_normal(s) for s in [(3, 3), (3, 3), (1, 3)] * 3]
+
+    def run(backward: bool):
+        tape = Tape()
+        leaves = [tape.param(w, np.zeros_like(w)) for w in weights]
+        x = tape.gather_rows(leaves[0], np.array([0, 0, 1, 2]))
+        h = tape.gru(x, tape.const(np.zeros((4, 3))), *leaves)
+        y = tape.segment_sum(tape.add(h, x), np.array([0, 0, 1, 1]), 2)
+        loss = tape.sub(tape.sum(tape.relu(y)), tape.mean(tape.sigmoid(h)))
+        if backward:
+            tape.backward(loss)
+
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        run(backward=False)
+        run(backward=True)
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()

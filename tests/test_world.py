@@ -1,5 +1,8 @@
 """Ground-truth generation, the noise channel, labels, and JSONL round trips."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -236,3 +239,39 @@ def test_jsonl_round_trip(tmp_path):
     second = tmp_path / "again.jsonl"
     save_world(back, second)
     assert path.read_bytes() == second.read_bytes()
+
+
+def _saved_lines(tmp_path):
+    log = corrupt_to_detections(generate_world(3, 60, seed=11), NoiseConfig(),
+                                seed=12)
+    path = tmp_path / "world.jsonl"
+    save_world(log, path)
+    return path, path.read_text().splitlines()
+
+
+def _edit_line(lines, kind, edit):
+    """Apply ``edit`` to the first record of ``kind``; returns its line number."""
+    for i, line in enumerate(lines):
+        rec = json.loads(line)
+        if rec["type"] == kind and (kind != "frame" or rec["detections"]):
+            edit(rec)
+            lines[i] = json.dumps(rec)
+            return i + 1
+    raise AssertionError(f"no {kind} line")
+
+
+@pytest.mark.parametrize("kind,edit", [
+    ("world", lambda r: r.pop("frame_rate")),
+    ("frame", lambda r: r.pop("frame")),
+    ("frame", lambda r: r["detections"][0].pop("score")),
+    ("agent", lambda r: r.pop("pos")),
+    ("world", lambda r: r.update(frame_rate=float("nan"))),
+    ("frame", lambda r: r["detections"][0]["pos"].__setitem__(0, float("nan"))),
+    ("agent", lambda r: r["heading"].__setitem__(0, float("inf"))),
+])
+def test_load_world_rejects_missing_fields_and_non_finite(tmp_path, kind, edit):
+    path, lines = _saved_lines(tmp_path)
+    line_no = _edit_line(lines, kind, edit)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=re.escape(f"{path}:{line_no}:")):
+        load_world(path)
