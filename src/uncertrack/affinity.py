@@ -9,66 +9,14 @@ loss and the soft state aggregation downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .detections import Detection, FrameArrays, embed_frame, movement_batch
+from .detections import FrameArrays, movement_batch
 from .errors import ConfigError
 from .model import ModelParams
 from .numerics import Tape, Var, mlp_forward
 
-__all__ = ["AffinityFeature", "CandidateLink", "CandidateSet",
-           "TransitionFeatures", "short_term_feature", "long_term_feature",
-           "gate_candidates", "gate_positions", "pair_features",
-           "score_links", "top_k_select", "select_top_k"]
-
-
-@dataclass
-class AffinityFeature:
-    a_det: np.ndarray  # componentwise |difference| of unary embeddings
-    a_mot: np.ndarray  # long-term motion coherence feature
-    a: np.ndarray      # [a_mot ; a_det]
-
-
-@dataclass
-class CandidateLink:
-    prev_index: int
-    curr_index: int
-    feature: AffinityFeature
-    score: float
-    distance: float
-
-
-@dataclass
-class CandidateSet:
-    curr_index: int
-    links: list[CandidateLink]  # sorted by score desc, distance, prev_index
-
-
-@dataclass
-class TransitionFeatures:
-    """Differentiable per-pair features of one frame transition."""
-
-    pairs: np.ndarray      # (P, 2) int: [prev_index, curr_index]
-    distances: np.ndarray  # (P,)
-    x: Var                 # (P, x_dim) pair input [x_det_curr ; x_mov]
-    a_det: Var             # (P, det_dim)
-    a_mot: Var             # (P, hidden_dim)
-    a: Var                 # (P, aff_dim)
-    scores: Var            # (P, 1), sigmoid output
-
-
-def short_term_feature(tape: Tape, x_det_n, x_det_m) -> Var:
-    """Componentwise absolute difference of two unary embeddings."""
-    n, m = tape.lift(x_det_n), tape.lift(x_det_m)
-    return tape.abs(tape.sub(n, m))
-
-
-def long_term_feature(tape: Tape, params: ModelParams, x_mov, h_mot_prev) -> Var:
-    """Coherence of the proposed movement with the track's motion history."""
-    return mlp_forward(tape, params.mlp_mot,
-                       tape.concat([tape.lift(x_mov), tape.lift(h_mot_prev)]))
+__all__ = ["gate_positions", "pair_features", "select_top_k"]
 
 
 def gate_positions(prev_pos: np.ndarray, curr_pos: np.ndarray, theta_d: float,
@@ -97,18 +45,17 @@ def gate_positions(prev_pos: np.ndarray, curr_pos: np.ndarray, theta_d: float,
     return pairs, np.sqrt(d2[curr_idx[order], prev_idx[order]])
 
 
-def gate_candidates(frame_prev: list[Detection], frame_curr: list[Detection],
-                    theta_d: float) -> tuple[np.ndarray, np.ndarray]:
-    prev = FrameArrays.from_detections(frame_prev)
-    curr = FrameArrays.from_detections(frame_curr)
-    return gate_positions(prev.pos, curr.pos, theta_d)
-
-
 def pair_features(tape: Tape, params: ModelParams, prev: FrameArrays,
                   curr: FrameArrays, x_det_prev: Var, x_det_curr: Var,
-                  h_mot_prev: Var, pairs: np.ndarray,
-                  distances: np.ndarray) -> TransitionFeatures:
-    """Features and affinity scores for already-gated pairs."""
+                  h_mot_prev: Var, pairs: np.ndarray) -> tuple[Var, Var, Var]:
+    """Features and affinity scores for already-gated (prev, curr) pairs.
+
+    Returns ``(x, a, scores)``: the pair input x = [x_det_curr ; x_mov],
+    (P, x_dim); the affinity feature a = [a_mot ; a_det], (P, aff_dim), whose
+    first ``hidden_dim`` columns are the long-term motion coherence a_mot and
+    the rest the componentwise |difference| of unary embeddings a_det; and
+    the sigmoid affinity scores, (P, 1).
+    """
     pi, ci = pairs[:, 0], pairs[:, 1]
     offsets = curr.pos[ci] - prev.pos[pi]
     x_mov = movement_batch(tape, params, offsets)
@@ -119,34 +66,7 @@ def pair_features(tape: Tape, params: ModelParams, prev: FrameArrays,
                         tape.concat([x_mov, tape.gather_rows(h_mot_prev, pi)]))
     a = tape.concat([a_mot, a_det])
     scores = tape.sigmoid(mlp_forward(tape, params.mlp_aff, a))
-    return TransitionFeatures(pairs=pairs, distances=distances, x=x,
-                              a_det=a_det, a_mot=a_mot, a=a, scores=scores)
-
-
-def score_links(tape: Tape, params: ModelParams, frame_prev: list[Detection],
-                frame_curr: list[Detection], h_mot_prev: np.ndarray,
-                theta_d: float | None = None) -> list[CandidateLink]:
-    """Gate and score two frames; h_mot_prev is (M, hidden) for frame t-1."""
-    theta = params.config.theta_d if theta_d is None else theta_d
-    prev = FrameArrays.from_detections(frame_prev)
-    curr = FrameArrays.from_detections(frame_curr)
-    pairs, dists = gate_positions(prev.pos, curr.pos, theta)
-    if len(pairs) == 0:
-        return []
-    x_det_prev = embed_frame(tape, params, prev)
-    x_det_curr = embed_frame(tape, params, curr)
-    feats = pair_features(tape, params, prev, curr, x_det_prev, x_det_curr,
-                          tape.lift(h_mot_prev), pairs, dists)
-    links = []
-    for k, (pi, ci) in enumerate(pairs):
-        feature = AffinityFeature(a_det=feats.a_det.value[k].copy(),
-                                  a_mot=feats.a_mot.value[k].copy(),
-                                  a=feats.a.value[k].copy())
-        links.append(CandidateLink(prev_index=int(pi), curr_index=int(ci),
-                                   feature=feature,
-                                   score=float(feats.scores.value[k, 0]),
-                                   distance=float(dists[k])))
-    return links
+    return x, a, scores
 
 
 def _ranking_order(pairs, distances, score_values):
@@ -177,16 +97,3 @@ def select_top_k(pairs: np.ndarray, distances: np.ndarray,
     seg_curr = curr_sorted[starts]
     return sel, seg, seg_curr
 
-
-def top_k_select(links: list[CandidateLink], k: int) -> list[CandidateSet]:
-    """Group links by current detection and keep the K best per group."""
-    if not links:
-        return []
-    pairs = np.array([[l.prev_index, l.curr_index] for l in links])
-    dists = np.array([l.distance for l in links])
-    scores = np.array([l.score for l in links])
-    sel, seg, seg_curr = select_top_k(pairs, dists, scores, k)
-    sets: list[CandidateSet] = [CandidateSet(int(c), []) for c in seg_curr]
-    for idx, s in zip(sel, seg):
-        sets[s].links.append(links[int(idx)])
-    return sets

@@ -16,9 +16,8 @@ from .errors import ConfigError
 from .model import ModelParams
 from .numerics import Tape, Var, mlp_forward
 
-__all__ = ["Detection", "FrameArrays", "DetEmbedding", "MovementFeature",
-           "embed_detection", "embed_frame", "movement_feature",
-           "movement_batch", "compose_input", "stack_windows"]
+__all__ = ["Detection", "FrameArrays", "embed_frame", "movement_batch",
+           "stack_windows"]
 
 
 @dataclass
@@ -30,8 +29,6 @@ class Detection:
     size: tuple[float, float, float]
     heading: float
     score: float
-    frame: int = 0
-    local_index: int = 0
 
 
 @dataclass
@@ -93,17 +90,6 @@ def stack_windows(windows: list[list[FrameArrays]]) -> list[FrameArrays]:
     return out
 
 
-@dataclass
-class DetEmbedding:
-    x_det: Var  # (1, det_dim)
-
-
-@dataclass
-class MovementFeature:
-    x_mov: Var             # (1, mov_dim)
-    raw_offset: np.ndarray  # (2,) meters
-
-
 def embed_frame(tape: Tape, params: ModelParams, frame: FrameArrays) -> Var:
     """Unary embeddings for a whole frame, (N, det_dim)."""
     head = np.stack([np.cos(frame.heading), np.sin(frame.heading)], axis=1)
@@ -116,27 +102,7 @@ def embed_frame(tape: Tape, params: ModelParams, frame: FrameArrays) -> Var:
     return mlp_forward(tape, params.mlp_fus, tape.concat(parts))
 
 
-def embed_detection(tape: Tape, params: ModelParams, d: Detection) -> DetEmbedding:
-    frame = FrameArrays.from_detections([d])
-    return DetEmbedding(x_det=embed_frame(tape, params, frame))
-
-
 def movement_batch(tape: Tape, params: ModelParams, offsets: np.ndarray) -> Var:
     """Embed position offsets (P, 2) in meters, (P, mov_dim)."""
     return mlp_forward(tape, params.mlp_mov, offsets)
 
-
-def movement_feature(tape: Tape, params: ModelParams, d_prev: Detection,
-                     d_curr: Detection) -> MovementFeature:
-    if d_prev.frame != d_curr.frame - 1:
-        raise ConfigError(f"movement_feature: frames {d_prev.frame} and "
-                          f"{d_curr.frame} are not adjacent")
-    offset = np.array([d_curr.pos[0] - d_prev.pos[0],
-                       d_curr.pos[1] - d_prev.pos[1]])
-    return MovementFeature(x_mov=movement_batch(tape, params, offset[None, :]),
-                           raw_offset=offset)
-
-
-def compose_input(tape: Tape, e: DetEmbedding, m: MovementFeature) -> Var:
-    """Pair input x = [x_det ; x_mov]."""
-    return tape.concat([e.x_det, m.x_mov])

@@ -17,30 +17,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .affinity import TransitionFeatures, gate_positions, pair_features, select_top_k
-from .detections import Detection, FrameArrays, embed_frame
+from .affinity import gate_positions, pair_features, select_top_k
+from .detections import FrameArrays, embed_frame
 from .errors import ConfigError
-from .model import ModelConfig, ModelParams
+from .model import ModelParams
 from .numerics import SCORE_EPS, Tape, Var, gru_step, linear_forward
 
-__all__ = ["TrackState", "TransitionRecord", "SequenceEncoding",
-           "init_track", "asu_update", "msa_aggregate", "encode_sequence",
-           "implicit_chains"]
-
-
-@dataclass
-class TrackState:
-    """Hidden pair carried by one detection: motion state and affinity state."""
-
-    h_mot: np.ndarray
-    h_aff: np.ndarray
-    age: int = 0
-
-
-def init_track(d: Detection, config: ModelConfig) -> TrackState:
-    """Track birth: zero states; first real update happens a frame later."""
-    h = config.hidden_dim
-    return TrackState(h_mot=np.zeros(h), h_aff=np.zeros(h), age=0)
+__all__ = ["TransitionRecord", "SequenceEncoding", "asu_update",
+           "msa_aggregate", "encode_sequence", "implicit_chains"]
 
 
 def asu_update(tape: Tape, params: ModelParams, x, a, prev_mot,
@@ -74,8 +58,8 @@ def msa_aggregate(tape: Tape, params: ModelParams, seg: np.ndarray, n_seg: int,
     sigmoid gates select features before the weighted sum.
     """
     if len(seg) == 0:
-        raise ConfigError("msa_aggregate: empty candidate list (route births "
-                          "through init_track)")
+        raise ConfigError("msa_aggregate: empty candidate list (a detection "
+                          "without candidates is a birth with zero states)")
     if params.gate_mot is None:
         raise ConfigError("MSA enabled but gate parameters are missing")
     clamped = tape.clamp(scores, SCORE_EPS, 1.0 - SCORE_EPS)
@@ -150,16 +134,15 @@ def encode_sequence(tape: Tape, params: ModelParams,
         new_ages = np.zeros(n_curr, dtype=int)
 
         if len(pairs):
-            feats = pair_features(tape, params, prev, curr, x_det_prev,
-                                  x_det_curr, h_mot, pairs, dists)
-            sel, seg, seg_curr = select_top_k(pairs, dists,
-                                              feats.scores.value[:, 0],
+            x, a, scores = pair_features(tape, params, prev, curr, x_det_prev,
+                                         x_det_curr, h_mot, pairs)
+            sel, seg, seg_curr = select_top_k(pairs, dists, scores.value[:, 0],
                                               cfg.k_candidates)
             n_seg = len(seg_curr)
             pi = pairs[sel, 0]
-            x_sel = tape.gather_rows(feats.x, sel)
-            a_sel = tape.gather_rows(feats.a, sel)
-            s_sel = tape.gather_rows(feats.scores, sel)
+            x_sel = tape.gather_rows(x, sel)
+            a_sel = tape.gather_rows(a, sel)
+            s_sel = tape.gather_rows(scores, sel)
             prev_mot = tape.gather_rows(h_mot, pi)
             prev_aff = tape.gather_rows(h_aff, pi)
 
@@ -191,7 +174,7 @@ def encode_sequence(tape: Tape, params: ModelParams,
             best_prev = dict(zip(seg_curr.tolist(), best.tolist()))
 
             transitions.append(TransitionRecord(
-                frame=t, pairs=pairs, distances=dists, scores=feats.scores,
+                frame=t, pairs=pairs, distances=dists, scores=scores,
                 selected=sel, seg=seg, seg_curr=seg_curr, alphas=alpha_vals,
                 best_prev=best_prev))
         else:

@@ -26,7 +26,7 @@ from .rng import substream
 from .world import FP_ID, WorldLog
 
 __all__ = ["Forecast", "TrainConfig", "SequenceSample", "EpochStats",
-           "IdentitySIM", "MeanPoolSIM", "sim_apply", "decode_trajectory",
+           "MeanPoolSIM", "decode_trajectory",
            "total_loss", "lambda_schedule", "lr_schedule", "augment_sample",
            "build_sample", "window_starts", "stride_and_horizon",
            "sequence_labels", "train", "forecast_sequence", "parse_config_file",
@@ -42,13 +42,9 @@ class Forecast:
 
 
 # ---- social interaction plug-in ----------------------------------------------
-
-
-class IdentitySIM:
-    """Default no-op social module: p_n = h_n, bitwise."""
-
-    def __call__(self, tape: Tape, encodings: Var, frame: FrameArrays) -> Var:
-        return encodings
+# A SIM maps the final frame's encodings to the decoder input,
+# ``sim(tape, encodings, final_frame) -> Var``; ``sim=None`` decodes the
+# encodings as they are.
 
 
 class MeanPoolSIM:
@@ -76,14 +72,6 @@ class MeanPoolSIM:
         rows = deg > 0
         weights[rows] = near[rows] / deg[rows, None]
         return tape.sub(encodings, tape.matmul(tape.const(weights), encodings))
-
-
-def sim_apply(tape: Tape, sim, encodings: Var, frame: FrameArrays) -> Var:
-    """Run the configured social-interaction transform (identity when None)
-    over the final frame's encodings."""
-    if sim is None:
-        return encodings
-    return sim(tape, encodings, frame)
 
 
 # ---- decoding ------------------------------------------------------------------
@@ -448,7 +436,9 @@ class EpochStats:
 
 def _sequence_loss(tape, params, sample, lam, t_obs, beta, sim):
     enc = encode_sequence(tape, params, sample.frames)
-    p_n = sim_apply(tape, sim, enc.h_mot_final, sample.frames[-1])
+    p_n = enc.h_mot_final
+    if sim is not None:
+        p_n = sim(tape, p_n, sample.frames[-1])
     offsets = mlp_forward(tape, params.mlp_dec, p_n)
     labels = sequence_labels(enc.transitions, sample.true_ids)
     return total_loss(tape, offsets, sample, enc.transitions, labels, lam,
@@ -534,6 +524,8 @@ def forecast_sequence(params: ModelParams, frames: list[FrameArrays],
     forecasts for every row of its final frame."""
     tape = Tape()
     enc = encode_sequence(tape, params, frames)
-    p_n = sim_apply(tape, sim, enc.h_mot_final, frames[-1])
+    p_n = enc.h_mot_final
+    if sim is not None:
+        p_n = sim(tape, p_n, frames[-1])
     _, forecasts = decode_trajectory(tape, params, p_n, frames[-1].pos)
     return enc, forecasts

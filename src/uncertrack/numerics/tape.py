@@ -15,7 +15,10 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Var", "Tape", "NumericsError"]
+__all__ = ["Var", "Tape", "NumericsError", "SCORE_EPS"]
+
+# scores are pushed into [SCORE_EPS, 1 - SCORE_EPS] before logit/BCE
+SCORE_EPS = 1e-7
 
 
 class NumericsError(RuntimeError):

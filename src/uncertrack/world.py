@@ -19,7 +19,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .affinity import gate_positions
 from .detections import Detection
 from .errors import ConfigError
 from .rng import substream
@@ -27,7 +26,7 @@ from .rng import substream
 __all__ = ["AgentTrack", "NoiseConfig", "WorldLog", "MOTION_CLASSES",
            "DEFAULT_MOTION_MIX", "FP_ID", "generate_world",
            "constant_turn_positions", "corrupt_to_detections",
-           "make_affinity_labels", "save_world", "load_world"]
+           "save_world", "load_world"]
 
 MOTION_CLASSES = ("cv", "ct", "acc", "stopgo")
 DEFAULT_MOTION_MIX = {"cv": 0.4, "ct": 0.3, "acc": 0.15, "stopgo": 0.15}
@@ -278,8 +277,7 @@ def corrupt_to_detections(tracks: list[AgentTrack], noise: NoiseConfig,
             dets.append(Detection(pos=(float(pos[0]), float(pos[1])),
                                   velo=(float(velo[0]), float(velo[1])),
                                   size=tuple(float(s) for s in size),
-                                  heading=heading, score=score, frame=t,
-                                  local_index=len(dets)))
+                                  heading=heading, score=score))
             ids.append(tr.agent_id)
 
         if live and noise.fp_rate > 0:
@@ -298,35 +296,13 @@ def corrupt_to_detections(tracks: list[AgentTrack], noise: NoiseConfig,
                 dets.append(Detection(pos=(float(pos[0]), float(pos[1])),
                                       velo=(float(velo[0]), float(velo[1])),
                                       size=tuple(float(s) for s in size),
-                                      heading=heading, score=score, frame=t,
-                                      local_index=len(dets)))
+                                      heading=heading, score=score))
                 ids.append(FP_ID)
 
         frames.append(dets)
         true_ids.append(np.array(ids, dtype=int))
     return WorldLog(frame_rate=frame_rate, tracks=tracks, frames=frames,
                     true_ids=true_ids, rng_seed=seed)
-
-
-def make_affinity_labels(log: WorldLog, t: int,
-                         theta_d: float) -> tuple[np.ndarray, np.ndarray]:
-    """Binary same-identity labels over the gated pairs of frames t-1 and t.
-
-    A pair is positive iff both detections are true positives of the same
-    agent; false positives never match anything, including each other.
-    """
-    if t < 1 or t >= log.num_frames:
-        raise ConfigError(f"make_affinity_labels: need frames {t - 1} and {t}")
-    prev_pos = np.array([d.pos for d in log.frames[t - 1]]).reshape(-1, 2)
-    curr_pos = np.array([d.pos for d in log.frames[t]]).reshape(-1, 2)
-    pairs, _ = gate_positions(prev_pos, curr_pos, theta_d)
-    ids_prev = log.true_ids[t - 1]
-    ids_curr = log.true_ids[t]
-    labels = np.zeros(len(pairs))
-    for k, (m, n) in enumerate(pairs):
-        if ids_prev[m] != FP_ID and ids_prev[m] == ids_curr[n]:
-            labels[k] = 1.0
-    return pairs, labels
 
 
 # ---- JSONL serialization -----------------------------------------------------
@@ -404,13 +380,12 @@ def load_world(path) -> WorldLog:
                 elif kind == "frame":
                     t = int(rec["frame"])
                     dets, ids = [], []
-                    for i, r in enumerate(rec["detections"]):
+                    for r in rec["detections"]:
                         dets.append(Detection(pos=tuple(r["pos"]),
                                               velo=tuple(r["velo"]),
                                               size=tuple(r["size"]),
                                               heading=float(r["heading"]),
-                                              score=float(r["score"]),
-                                              frame=t, local_index=i))
+                                              score=float(r["score"])))
                         tid = r.get("true_id", "FP")
                         ids.append(FP_ID if tid == "FP" else int(tid))
                     frame_map[t] = dets

@@ -3,11 +3,8 @@
 import numpy as np
 import pytest
 
-from uncertrack.affinity import (gate_candidates, gate_positions,
-                                 long_term_feature, score_links,
-                                 short_term_feature, top_k_select,
-                                 select_top_k, CandidateLink, AffinityFeature)
-from uncertrack.detections import Detection
+from uncertrack.affinity import gate_positions, pair_features, select_top_k
+from uncertrack.detections import Detection, FrameArrays, embed_frame
 from uncertrack.errors import ConfigError
 from uncertrack.model import ModelConfig, init_model
 from uncertrack.numerics import Tape
@@ -15,9 +12,29 @@ from uncertrack.numerics import Tape
 from oracles import fd_gradient, gate_brute_force, rel_err, topk_brute_force
 
 
-def _det(pos, frame=0):
-    return Detection(pos=pos, velo=(1.0, 0.0), size=(4.0, 2.0, 1.5),
-                     heading=0.0, score=0.7, frame=frame)
+def _frame(positions):
+    return FrameArrays.from_detections([
+        Detection(pos=tuple(p), velo=(1.0, 0.0), size=(4.0, 2.0, 1.5),
+                  heading=0.0, score=0.7) for p in positions])
+
+
+def _features(tape, params, prev, curr, h_mot_prev):
+    """Gate two frames and run ``pair_features`` on the gated pairs."""
+    pairs, _ = gate_positions(prev.pos, curr.pos, params.config.theta_d)
+    x, a, scores = pair_features(tape, params, prev, curr,
+                                 embed_frame(tape, params, prev),
+                                 embed_frame(tape, params, curr),
+                                 tape.lift(h_mot_prev), pairs)
+    return pairs, a, scores
+
+
+def _long_term(tape, params, h_mot_prev):
+    """``a`` of two fixed frames (all four pairs gated), and where its a_mot
+    columns end."""
+    prev = _frame([(0.0, 0.0), (3.0, 1.0)])
+    curr = _frame([(0.8, 0.1), (3.5, 1.5)])
+    _, a, _ = _features(tape, params, prev, curr, h_mot_prev)
+    return a, params.config.hidden_dim
 
 
 @pytest.fixture(scope="module")
@@ -26,42 +43,51 @@ def params():
 
 
 def test_short_term_feature_basics():
-    tape = Tape()
+    # a = [a_mot ; a_det] with a_det = |x_det_curr - x_det_prev|
+    params = init_model(ModelConfig(det_dim=2, mov_dim=4, field_dim=4,
+                                    hidden_dim=6), seed=31)
+    frame = _frame([(0.0, 0.0)])
+    pairs = np.array([[0, 0]])
+
+    def a_det(u, v):
+        tape = Tape()
+        _, a, _ = pair_features(tape, params, frame, frame, tape.const(u),
+                                tape.const(v), tape.const(np.zeros((1, 6))),
+                                pairs)
+        return a.value[:, 6:]
+
     u = np.array([1.0, -2.0])
     v = np.array([-1.0, 1.0])
-    assert np.array_equal(short_term_feature(tape, u, v).value,
-                          np.array([[2.0, 3.0]]))
-    assert np.array_equal(short_term_feature(tape, u, u).value,
-                          np.zeros((1, 2)))
-    assert np.array_equal(short_term_feature(tape, u, v).value,
-                          short_term_feature(tape, v, u).value)
+    assert np.array_equal(a_det(u, v), np.array([[2.0, 3.0]]))
+    assert np.array_equal(a_det(u, u), np.zeros((1, 2)))
+    assert np.array_equal(a_det(u, v), a_det(v, u))
 
 
 def test_long_term_feature_zero_weights(params):
     zeroed = init_model(ModelConfig(), seed=31)
     for w in zeroed.mlp_mot.block.weights:
         w[...] = 0.0
-    out = long_term_feature(Tape(), zeroed, np.zeros(32), np.zeros(64))
-    assert np.array_equal(out.value, np.zeros((1, 64)))
+    a, hidden = _long_term(Tape(), zeroed, np.zeros((2, 64)))
+    assert np.array_equal(a.value[:, :hidden], np.zeros((len(a.value), 64)))
 
 
 def test_long_term_feature_birth_state_defined(params):
-    x_mov = np.random.default_rng(1).standard_normal(32)
-    out = long_term_feature(Tape(), params, x_mov, np.zeros(64))
-    assert out.value.shape == (1, 64)
-    assert np.all(np.isfinite(out.value))
+    a, hidden = _long_term(Tape(), params, np.zeros((2, 64)))
+    assert a.value[:, :hidden].shape == (4, 64)
+    assert np.all(np.isfinite(a.value[:, :hidden]))
 
 
 def test_long_term_feature_gradient_wrt_history(params):
     rng = np.random.default_rng(2)
-    x_mov = rng.standard_normal((1, 32))
-    h = rng.standard_normal((1, 64)) * 0.5
+    h = rng.standard_normal((2, 64)) * 0.5
     gh = np.zeros_like(h)
+    mask = np.zeros((1, params.config.aff_dim))
+    mask[:, :params.config.hidden_dim] = 1.0  # keep the a_mot columns
 
     def forward():
         tape = Tape()
-        vh = tape.param(h, gh)
-        return tape, tape.sum(long_term_feature(tape, params, x_mov, vh))
+        a, _ = _long_term(tape, params, tape.param(h, gh))
+        return tape, tape.sum(tape.mul(a, tape.const(mask)))
 
     gh[...] = 0.0
     tape, loss = forward()
@@ -75,12 +101,10 @@ def test_long_term_feature_gradient_wrt_history(params):
 
 
 def test_gating_boundary_inclusive():
-    prev = [_det((0.0, 0.0))]
-    inside = [_det((0.0, 10.0), frame=1)]
-    outside = [_det((0.0, 10.01), frame=1)]
-    pairs, dists = gate_candidates(prev, inside, 10.0)
+    prev = np.array([[0.0, 0.0]])
+    pairs, dists = gate_positions(prev, np.array([[0.0, 10.0]]), 10.0)
     assert len(pairs) == 1 and dists[0] == 10.0
-    pairs, _ = gate_candidates(prev, outside, 10.0)
+    pairs, _ = gate_positions(prev, np.array([[0.0, 10.01]]), 10.0)
     assert len(pairs) == 0
 
 
@@ -107,11 +131,11 @@ def test_zero_affinity_net_scores_half(params):
     zeroed = init_model(ModelConfig(), seed=31)
     for w in zeroed.mlp_aff.block.weights:
         w[...] = 0.0
-    prev = [_det((0.0, 0.0)), _det((5.0, 0.0))]
-    curr = [_det((0.5, 0.0), frame=1), _det((5.5, 0.0), frame=1)]
-    links = score_links(Tape(), zeroed, prev, curr, np.zeros((2, 64)))
-    assert len(links) == 4
-    assert all(l.score == 0.5 for l in links)
+    prev = _frame([(0.0, 0.0), (5.0, 0.0)])
+    curr = _frame([(0.5, 0.0), (5.5, 0.0)])
+    pairs, _, scores = _features(Tape(), zeroed, prev, curr, np.zeros((2, 64)))
+    assert len(pairs) == 4
+    assert np.all(scores.value == 0.5)
 
 
 def test_scores_invariant_under_translation(params):
@@ -119,65 +143,64 @@ def test_scores_invariant_under_translation(params):
     for _ in range(100):
         n = int(rng.integers(1, 5))
         m = int(rng.integers(1, 5))
-        prev = [_det(tuple(p)) for p in rng.uniform(-10, 10, (m, 2))]
-        curr = [_det(tuple(p), frame=1) for p in rng.uniform(-10, 10, (n, 2))]
+        prev_pos = rng.uniform(-10, 10, (m, 2))
+        curr_pos = rng.uniform(-10, 10, (n, 2))
         h = rng.standard_normal((m, 64)) * 0.3
         shift = rng.uniform(-40, 40, 2)
-        prev2 = [_det((d.pos[0] + shift[0], d.pos[1] + shift[1])) for d in prev]
-        curr2 = [_det((d.pos[0] + shift[0], d.pos[1] + shift[1]), frame=1)
-                 for d in curr]
-        a = score_links(Tape(), params, prev, curr, h)
-        b = score_links(Tape(), params, prev2, curr2, h)
-        assert len(a) == len(b)
-        for la, lb in zip(a, b):
-            # offsets (p+s)-(q+s) round differently from p-q, so allow 1e-9
-            assert abs(la.score - lb.score) < 1e-9
+        pa, _, a = _features(Tape(), params, _frame(prev_pos), _frame(curr_pos), h)
+        pb, _, b = _features(Tape(), params, _frame(prev_pos + shift),
+                             _frame(curr_pos + shift), h)
+        assert len(pa) == len(pb)
+        # offsets (p+s)-(q+s) round differently from p-q, so allow 1e-9
+        assert np.all(np.abs(a.value - b.value) < 1e-9)
 
 
 def test_scores_strictly_inside_unit_interval(params):
     rng = np.random.default_rng(5)
-    prev = [_det(tuple(p)) for p in rng.uniform(-10, 10, (6, 2))]
-    curr = [_det(tuple(p), frame=1) for p in rng.uniform(-10, 10, (6, 2))]
-    links = score_links(Tape(), params, prev, curr,
-                        rng.standard_normal((6, 64)) * 0.2)
-    assert links and all(0.0 < l.score < 1.0 for l in links)
+    prev = _frame(rng.uniform(-10, 10, (6, 2)))
+    curr = _frame(rng.uniform(-10, 10, (6, 2)))
+    pairs, _, scores = _features(Tape(), params, prev, curr,
+                                 rng.standard_normal((6, 64)) * 0.2)
+    assert len(pairs) and np.all((scores.value > 0.0) & (scores.value < 1.0))
 
 
-def _mk_link(prev_index, curr_index, score, distance):
-    feat = AffinityFeature(a_det=np.zeros(1), a_mot=np.zeros(1), a=np.zeros(2))
-    return CandidateLink(prev_index=prev_index, curr_index=curr_index,
-                         feature=feat, score=score, distance=distance)
+def _links(entries):
+    """(prev, curr, score, distance) tuples as select_top_k's arrays."""
+    pairs = np.array([[p, c] for p, c, _, _ in entries]).reshape(-1, 2)
+    scores = np.array([s for _, _, s, _ in entries])
+    dists = np.array([d for _, _, _, d in entries])
+    return pairs, dists, scores
 
 
 def test_top_k_keeps_all_when_fewer():
-    links = [_mk_link(i, 0, 0.5 + 0.1 * i, 1.0) for i in range(3)]
-    sets = top_k_select(links, 10)
-    assert len(sets) == 1 and len(sets[0].links) == 3
-    assert [l.prev_index for l in sets[0].links] == [2, 1, 0]
+    pairs, dists, scores = _links([(i, 0, 0.5 + 0.1 * i, 1.0) for i in range(3)])
+    sel, seg, seg_curr = select_top_k(pairs, dists, scores, 10)
+    assert list(seg_curr) == [0] and list(seg) == [0, 0, 0]
+    assert list(pairs[sel, 0]) == [2, 1, 0]
 
 
 def test_top_k_tie_broken_by_distance():
-    links = [_mk_link(0, 0, 0.5, 2.0), _mk_link(1, 0, 0.5, 1.0)]
-    sets = top_k_select(links, 1)
-    assert sets[0].links[0].prev_index == 1
+    pairs, dists, scores = _links([(0, 0, 0.5, 2.0), (1, 0, 0.5, 1.0)])
+    sel, _, _ = select_top_k(pairs, dists, scores, 1)
+    assert list(pairs[sel, 0]) == [1]
 
 
 def test_top_k_matches_brute_force():
     rng = np.random.default_rng(6)
     for _ in range(100):
         n_links = int(rng.integers(1, 26))
-        links = [_mk_link(int(rng.integers(0, 12)), int(rng.integers(0, 3)),
-                          float(rng.random()), float(rng.uniform(0, 10)))
-                 for _ in range(n_links)]
-        sets = top_k_select(links, 10)
+        entries = [(int(rng.integers(0, 12)), int(rng.integers(0, 3)),
+                    float(rng.random()), float(rng.uniform(0, 10)))
+                   for _ in range(n_links)]
+        pairs, dists, scores = _links(entries)
+        sel, seg, seg_curr = select_top_k(pairs, dists, scores, 10)
         by_curr = {}
-        for l in links:
-            by_curr.setdefault(l.curr_index, []).append(
-                (l.score, l.distance, l.prev_index))
-        assert sorted(s.curr_index for s in sets) == sorted(by_curr)
-        for s in sets:
-            want = topk_brute_force(by_curr[s.curr_index], 10)
-            got = [(l.score, l.distance, l.prev_index) for l in s.links]
+        for p, c, s, d in entries:
+            by_curr.setdefault(c, []).append((s, d, p))
+        assert sorted(seg_curr.tolist()) == sorted(by_curr)
+        for s, c in enumerate(seg_curr):
+            want = topk_brute_force(by_curr[int(c)], 10)
+            got = [(scores[i], dists[i], pairs[i, 0]) for i in sel[seg == s]]
             assert got == want
 
 

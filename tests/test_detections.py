@@ -3,20 +3,36 @@
 import numpy as np
 import pytest
 
-from uncertrack.detections import (Detection, FrameArrays, compose_input,
-                                   embed_detection, embed_frame,
-                                   movement_feature)
-from uncertrack.errors import ConfigError
+from uncertrack.affinity import pair_features
+from uncertrack.detections import (Detection, FrameArrays, embed_frame,
+                                   movement_batch)
 from uncertrack.model import ModelConfig, init_model
-from uncertrack.numerics import Tape
+from uncertrack.numerics import Tape, mlp_forward
 
 from oracles import fd_gradient, rel_err
 
 
 def _det(pos=(0.0, 0.0), velo=(1.0, 0.5), size=(4.2, 1.8, 1.5),
-         heading=0.3, score=0.8, frame=0):
+         heading=0.3, score=0.8):
     return Detection(pos=pos, velo=velo, size=size, heading=heading,
-                     score=score, frame=frame)
+                     score=score)
+
+
+def _frame(*positions):
+    return FrameArrays.from_detections([_det(pos=p) for p in positions])
+
+
+def _pair_input(params, prev_pos, curr_positions):
+    """Pair input x of one previous detection against each current one."""
+    tape = Tape()
+    prev, curr = _frame(prev_pos), _frame(*curr_positions)
+    pairs = np.array([[0, n] for n in range(len(curr))])
+    hidden = params.config.hidden_dim
+    x, _, _ = pair_features(tape, params, prev, curr,
+                            embed_frame(tape, params, prev),
+                            embed_frame(tape, params, curr),
+                            tape.const(np.zeros((1, hidden))), pairs)
+    return x.value
 
 
 @pytest.fixture(scope="module")
@@ -25,10 +41,10 @@ def params():
 
 
 def test_embedding_ignores_position(params):
-    a = embed_detection(Tape(), params, _det(pos=(0.0, 0.0)))
-    b = embed_detection(Tape(), params, _det(pos=(123.4, -55.0)))
-    assert np.array_equal(a.x_det.value, b.x_det.value)
-    assert a.x_det.value.shape == (1, 64)
+    a = embed_frame(Tape(), params, _frame((0.0, 0.0)))
+    b = embed_frame(Tape(), params, _frame((123.4, -55.0)))
+    assert np.array_equal(a.value, b.value)
+    assert a.value.shape == (1, 64)
 
 
 def test_zero_weights_give_zero_embedding(params):
@@ -36,17 +52,16 @@ def test_zero_weights_give_zero_embedding(params):
     for block in zeroed.blocks():
         for w in block.weights:
             w[...] = 0.0
-    out = embed_detection(Tape(), zeroed, _det())
-    assert np.array_equal(out.x_det.value, np.zeros((1, 64)))
+    out = embed_frame(Tape(), zeroed, _frame((0.0, 0.0)))
+    assert np.array_equal(out.value, np.zeros((1, 64)))
 
 
 def test_embedding_gradient_wrt_fusion_weights(params):
-    d = _det()
+    frame = _frame((0.0, 0.0))
 
     def forward():
         tape = Tape()
-        out = embed_detection(tape, params, d)
-        return tape, tape.sum(out.x_det)
+        return tape, tape.sum(embed_frame(tape, params, frame))
 
     params.zero_grads()
     tape, loss = forward()
@@ -62,48 +77,32 @@ def test_embedding_gradient_wrt_fusion_weights(params):
 
 
 def test_movement_zero_offset(params):
-    prev = _det(pos=(3.0, 4.0), frame=0)
-    curr = _det(pos=(3.0, 4.0), frame=1)
-    m = movement_feature(Tape(), params, prev, curr)
-    assert np.array_equal(m.raw_offset, np.zeros(2))
+    x = _pair_input(params, (3.0, 4.0), [(3.0, 4.0)])
     tape = Tape()
     zero_in = tape.const(np.zeros((1, 2)))
-    from uncertrack.numerics import mlp_forward
     want = mlp_forward(tape, params.mlp_mov, zero_in).value
-    assert np.array_equal(m.x_mov.value, want)
+    assert np.array_equal(x[:, 64:], want)
 
 
 def test_movement_translation_invariance(params):
-    prev = _det(pos=(1.0, 2.0), frame=0)
-    curr = _det(pos=(2.5, 1.0), frame=1)
-    m1 = movement_feature(Tape(), params, prev, curr)
-    prev2 = _det(pos=(6.0, 7.0), frame=0)
-    curr2 = _det(pos=(7.5, 6.0), frame=1)
-    m2 = movement_feature(Tape(), params, prev2, curr2)
-    assert np.array_equal(m1.x_mov.value, m2.x_mov.value)
+    a = _pair_input(params, (1.0, 2.0), [(2.5, 1.0)])
+    b = _pair_input(params, (6.0, 7.0), [(7.5, 6.0)])
+    assert np.array_equal(a[:, 64:], b[:, 64:])
 
 
 def test_movement_distinct_offsets_distinct_features(params):
-    prev = _det(pos=(0.0, 0.0), frame=0)
-    a = movement_feature(Tape(), params, prev, _det(pos=(1.0, 0.0), frame=1))
-    b = movement_feature(Tape(), params, prev, _det(pos=(0.0, 1.0), frame=1))
-    assert not np.array_equal(a.x_mov.value, b.x_mov.value)
-
-
-def test_movement_frame_mismatch(params):
-    with pytest.raises(ConfigError):
-        movement_feature(Tape(), params, _det(frame=0), _det(frame=2))
+    x = _pair_input(params, (0.0, 0.0), [(1.0, 0.0), (0.0, 1.0)])
+    assert not np.array_equal(x[0, 64:], x[1, 64:])
 
 
 def test_compose_concatenates_and_round_trips(params):
+    x = _pair_input(params, (0.0, 0.0), [(0.4, -0.2)])
     tape = Tape()
-    e = embed_detection(tape, params, _det())
-    m = movement_feature(tape, params, _det(pos=(0.0, 0.0), frame=0),
-                         _det(pos=(0.4, -0.2), frame=1))
-    x = compose_input(tape, e, m)
-    assert x.value.shape == (1, 96)
-    assert np.array_equal(x.value[:, :64], e.x_det.value)
-    assert np.array_equal(x.value[:, 64:], m.x_mov.value)
+    x_det = embed_frame(tape, params, _frame((0.4, -0.2))).value
+    x_mov = movement_batch(tape, params, np.array([[0.4, -0.2]])).value
+    assert x.shape == (1, 96)
+    assert np.array_equal(x[:, :64], x_det)
+    assert np.array_equal(x[:, 64:], x_mov)
 
 
 def test_scene_translation_invariance_many_cases(params):

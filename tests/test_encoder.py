@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from uncertrack.detections import Detection, FrameArrays, stack_windows
-from uncertrack.encoder import (SequenceEncoding, TrackState, asu_update,
-                                encode_sequence, implicit_chains, init_track,
+from uncertrack.encoder import (asu_update, encode_sequence, implicit_chains,
                                 msa_aggregate)
 from uncertrack.errors import ConfigError
 from uncertrack.model import ModelConfig, init_model, variant_config
@@ -28,14 +27,25 @@ def _frames_from_log(log, start, length):
             for t in range(start, start + length)]
 
 
-def test_init_track_is_zero():
-    cfg = ModelConfig()
-    d = Detection(pos=(0, 0), velo=(0, 0), size=(4, 2, 1.5), heading=0.0,
-                  score=0.9)
-    state = init_track(d, cfg)
-    assert np.array_equal(state.h_mot, np.zeros(64))
-    assert np.array_equal(state.h_aff, np.zeros(64))
-    assert state.age == 0
+def test_birth_state_is_zero():
+    # a detection with no gated predecessor starts from zero states and age
+    # 0, exactly like a detection of the window's first frame
+    def frame(x):
+        return FrameArrays.from_detections([Detection(
+            pos=(x, 0.0), velo=(8.0, 0.0), size=(4, 2, 1.5), heading=0.0,
+            score=0.9)])
+
+    params = init_model(ModelConfig(), seed=9)
+    born = encode_sequence(Tape(), params, [frame(0.0), frame(50.0)])
+    assert [len(r.pairs) for r in born.transitions] == [0]
+    assert np.array_equal(born.h_mot_final.value, np.zeros((1, 64)))
+    assert born.ages_final[0] == 0
+    # the affinity state of a birth reaches the next update through ASU
+    later = encode_sequence(Tape(), params,
+                            [frame(0.0), frame(50.0), frame(50.8)])
+    first = encode_sequence(Tape(), params, [frame(50.0), frame(50.8)])
+    assert np.array_equal(later.h_mot_final.value, first.h_mot_final.value)
+    assert later.ages_final[0] == first.ages_final[0] == 1
 
 
 def test_asu_zero_params_zero_outputs():
@@ -261,11 +271,10 @@ def test_gating_isolation_between_far_agents():
         frames = []
         for t in range(6):
             dets = []
-            for k, off in enumerate(offsets):
+            for off in offsets:
                 dets.append(Detection(pos=(off + 0.8 * t, 0.0),
                                       velo=(8.0, 0.0), size=(4, 2, 1.5),
-                                      heading=0.0, score=0.9, frame=t,
-                                      local_index=k))
+                                      heading=0.0, score=0.9))
             frames.append(FrameArrays.from_detections(dets))
         return frames
 
@@ -283,15 +292,10 @@ def test_gating_isolation_between_far_agents():
 def test_dropped_frame_births_new_state():
     # agent static at origin; frame 2 empty; its reappearance at frame 3 has
     # no gated candidate (gap frame had no detections), so it is a birth.
-    def det(t):
-        return Detection(pos=(0.0, 0.0), velo=(0.0, 0.0), size=(4, 2, 1.5),
-                         heading=0.0, score=0.9, frame=t)
-
-    frames = [FrameArrays.from_detections([det(0)]),
-              FrameArrays.from_detections([det(1)]),
-              FrameArrays.from_detections([]),
-              FrameArrays.from_detections([det(3)]),
-              FrameArrays.from_detections([det(4)])]
+    det = Detection(pos=(0.0, 0.0), velo=(0.0, 0.0), size=(4, 2, 1.5),
+                    heading=0.0, score=0.9)
+    frames = [FrameArrays.from_detections(dets)
+              for dets in ([det], [det], [], [det], [det])]
     params = init_model(ModelConfig(), seed=23)
     enc = encode_sequence(Tape(), params, frames)
     # hand-traced schedule: transitions have 1, 0, 0, 1 candidates
@@ -302,13 +306,9 @@ def test_dropped_frame_births_new_state():
 
 
 def test_empty_final_frame_gives_empty_encoding():
-    def det(t):
-        return Detection(pos=(0.0, 0.0), velo=(0.0, 0.0), size=(4, 2, 1.5),
-                         heading=0.0, score=0.9, frame=t)
-
-    frames = [FrameArrays.from_detections([det(0)]),
-              FrameArrays.from_detections([det(1)]),
-              FrameArrays.from_detections([])]
+    det = Detection(pos=(0.0, 0.0), velo=(0.0, 0.0), size=(4, 2, 1.5),
+                    heading=0.0, score=0.9)
+    frames = [FrameArrays.from_detections(dets) for dets in ([det], [det], [])]
     params = init_model(ModelConfig(), seed=24)
     enc = encode_sequence(Tape(), params, frames)
     assert enc.h_mot_final.value.shape == (0, 64)

@@ -1,4 +1,4 @@
-"""Squashing functions, masked softmax, and the two losses."""
+"""Squashing functions, segment softmax, and the two losses, as tape ops."""
 
 import math
 
@@ -6,71 +6,102 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from uncertrack.numerics import (NumericsError, bce, logit, masked_softmax,
-                                 sigmoid, smooth_l1)
+from uncertrack.numerics import SCORE_EPS, NumericsError, Tape
 
 from oracles import bce_direct, smooth_l1_direct, softmax_direct
 
 
+def _value(var) -> float:
+    return float(var.value[0, 0])
+
+
+def _sigmoid(x) -> float:
+    tape = Tape()
+    return _value(tape.sigmoid(tape.const(x)))
+
+
+def _logit(y) -> float:
+    tape = Tape()
+    return _value(tape.logit(tape.const(y)))
+
+
+def _softmax(scores, seg, n_seg) -> np.ndarray:
+    tape = Tape()
+    column = tape.const(np.asarray(scores, dtype=float)[:, None])
+    return tape.segment_softmax(column, np.asarray(seg), n_seg).value[:, 0]
+
+
+def _smooth_l1(pred, target, beta=1.0) -> float:
+    tape = Tape()
+    return _value(tape.smooth_l1(tape.const(pred), np.asarray(target)[None, :],
+                                 beta))
+
+
+def _bce(score, label) -> float:
+    tape = Tape()
+    clamped = tape.clamp(tape.const(score), SCORE_EPS, 1.0 - SCORE_EPS)
+    return _value(tape.bce(clamped, label))
+
+
 def test_sigmoid_midpoint():
-    assert sigmoid(0.0) == 0.5
-    assert logit(0.5) == 0.0
+    assert _sigmoid(0.0) == 0.5
+    assert _logit(0.5) == 0.0
 
 
 @given(st.floats(min_value=-9.0, max_value=9.0))
 def test_logit_sigmoid_round_trip(x):
-    assert abs(logit(sigmoid(x)) - x) < 1e-9
+    tape = Tape()
+    back = tape.logit(tape.sigmoid(tape.const(x)))
+    assert abs(_value(back) - x) < 1e-9
 
 
 def test_logit_domain():
     for bad in (0.0, 1.0, -0.2, 1.3):
         with pytest.raises(NumericsError):
-            logit(bad)
+            _logit(bad)
 
 
-def test_masked_softmax_uniform_and_singleton():
-    out = masked_softmax([3.7, 3.7, 3.7], [True, True, True])
+def test_segment_softmax_uniform_and_singleton():
+    out = _softmax([3.7, 3.7, 3.7], [0, 0, 0], 1)
     assert np.allclose(out, [1 / 3, 1 / 3, 1 / 3])
-    out = masked_softmax([5.0, 1.0], [True, False])
-    assert np.array_equal(out, [1.0, 0.0])
+    out = _softmax([5.0, 1.0], [0, 1], 2)
+    assert np.array_equal(out, [1.0, 1.0])
 
 
-def test_masked_softmax_two_active():
-    out = masked_softmax([1.0, 2.0], [True, True])
+def test_segment_softmax_two_members():
+    out = _softmax([1.0, 2.0], [0, 0], 1)
     e = math.e
     assert np.allclose(out, [e / (e + e * e), e * e / (e + e * e)], atol=1e-12)
     assert abs(out[0] - 0.2689) < 1e-4 and abs(out[1] - 0.7311) < 1e-4
 
 
-def test_masked_softmax_empty_mask():
-    with pytest.raises(NumericsError):
-        masked_softmax([1.0], [False])
-
-
 @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=2 ** 31))
-def test_masked_softmax_properties(n, seed):
+def test_segment_softmax_properties(n, seed):
     rng = np.random.default_rng(seed)
     scores = rng.standard_normal(n) * 3
-    mask = rng.random(n) < 0.7
-    if not mask.any():
-        mask[int(rng.integers(n))] = True
-    out = masked_softmax(scores, mask)
-    assert abs(out.sum() - 1.0) < 1e-9
-    assert np.all(out[~mask] == 0.0)
-    assert np.all(out[mask] > 0.0)
-    active = np.where(mask)[0]
-    assert active[np.argmax(out[active])] == active[np.argmax(scores[active])]
-    # invariance to a constant shift of the active scores
-    shifted = masked_softmax(scores + 4.2, mask)
-    assert np.allclose(out, shifted, atol=1e-12)
-    # agreement with the direct exp-normalize oracle
-    assert np.allclose(out[active], softmax_direct(scores[active]), atol=1e-12)
+    # sorted segment ids, every segment nonempty, as select_top_k lays them out
+    starts = np.r_[True, rng.random(n - 1) < 0.4]
+    seg = np.cumsum(starts) - 1
+    n_seg = int(seg[-1]) + 1
+    out = _softmax(scores, seg, n_seg)
+    assert np.all(out > 0.0)
+    shift = rng.uniform(-5, 5, n_seg)
+    shifted = _softmax(scores + shift[seg], seg, n_seg)
+    for s in range(n_seg):
+        members = np.flatnonzero(seg == s)
+        assert abs(out[members].sum() - 1.0) < 1e-9
+        assert np.argmax(out[members]) == np.argmax(scores[members])
+        # invariance to a constant shift of one segment's scores
+        assert np.allclose(out[members], shifted[members], atol=1e-12)
+        # agreement with the direct exp-normalize oracle
+        assert np.allclose(out[members], softmax_direct(scores[members]),
+                           atol=1e-12)
 
 
 def test_smooth_l1_values():
-    assert smooth_l1([1.0, 2.0], [1.0, 2.0]) == 0.0
-    assert abs(smooth_l1([0.5], [0.0], beta=1.0) - 0.125) < 1e-12
-    assert abs(smooth_l1([2.0], [0.0], beta=1.0) - 1.5) < 1e-12
+    assert _smooth_l1([1.0, 2.0], [1.0, 2.0]) == 0.0
+    assert abs(_smooth_l1([0.5], [0.0], beta=1.0) - 0.125) < 1e-12
+    assert abs(_smooth_l1([2.0], [0.0], beta=1.0) - 1.5) < 1e-12
 
 
 @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=2 ** 31))
@@ -78,27 +109,27 @@ def test_smooth_l1_matches_piecewise_oracle(n, seed):
     rng = np.random.default_rng(seed)
     pred = rng.standard_normal(n) * 2
     target = rng.standard_normal(n) * 2
-    got = smooth_l1(pred, target, beta=1.0)
+    got = _smooth_l1(pred, target, beta=1.0)
     assert got >= 0.0
     assert abs(got - smooth_l1_direct(pred, target)) < 1e-12
 
 
 def test_smooth_l1_errors():
     with pytest.raises(NumericsError):
-        smooth_l1([1.0], [1.0, 2.0])
+        _smooth_l1([1.0], [1.0, 2.0])
     with pytest.raises(NumericsError):
-        smooth_l1([1.0], [1.0], beta=0.0)
+        _smooth_l1([1.0], [1.0], beta=0.0)
 
 
 def test_bce_values():
-    assert abs(bce(0.5, 1) - math.log(2)) < 1e-12
-    assert abs(bce(0.5, 0) - math.log(2)) < 1e-12
-    assert bce(1 - 1e-7, 1) < 1.1e-7
-    assert abs(bce(0.9, 0) - (-math.log(0.1))) < 1e-9
+    assert abs(_bce(0.5, 1) - math.log(2)) < 1e-12
+    assert abs(_bce(0.5, 0) - math.log(2)) < 1e-12
+    assert _bce(1 - 1e-7, 1) < 1.1e-7
+    assert abs(_bce(0.9, 0) - (-math.log(0.1))) < 1e-9
 
 
 @given(st.floats(min_value=0.0, max_value=1.0), st.integers(min_value=0, max_value=1))
 def test_bce_nonnegative_and_matches_oracle(score, label):
-    got = bce(score, label)
+    got = _bce(score, label)
     assert got >= 0.0
     assert abs(got - bce_direct(score, label)) < 1e-12

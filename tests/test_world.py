@@ -6,11 +6,16 @@ import re
 import numpy as np
 import pytest
 
+from uncertrack.detections import FrameArrays
+from uncertrack.encoder import encode_sequence
 from uncertrack.errors import ConfigError
+from uncertrack.forecaster import sequence_labels
+from uncertrack.model import ModelConfig, init_model
+from uncertrack.numerics import Tape
 from uncertrack.world import (DEFAULT_MOTION_MIX, FP_ID, AgentTrack,
                               NoiseConfig, constant_turn_positions,
                               corrupt_to_detections, generate_world,
-                              load_world, make_affinity_labels, save_world)
+                              load_world, save_world)
 
 from oracles import circle_positions, gate_brute_force, linear_fit_residual
 
@@ -165,11 +170,20 @@ def test_bursts_inflate_position_noise():
     assert spread(bursty) > 1.5 * spread(base)
 
 
+def _affinity_labels(log, t):
+    """Gated pairs of frames t-1 and t (theta_d = 10 m) and their
+    same-identity labels, as training computes them."""
+    frames = [FrameArrays.from_detections(log.frames[f]) for f in (t - 1, t)]
+    enc = encode_sequence(Tape(), init_model(ModelConfig(), seed=0), frames)
+    ids = [log.true_ids[t - 1], log.true_ids[t]]
+    return enc.transitions[0].pairs, sequence_labels(enc.transitions, ids)[0]
+
+
 def test_single_agent_label():
     tracks = generate_world(1, 60, motion_mix={"cv": 1.0}, seed=2)
     log = corrupt_to_detections(tracks, NoiseConfig.zero(), seed=0)
     t = tracks[0].birth_frame + 1
-    pairs, labels = make_affinity_labels(log, t, theta_d=10.0)
+    pairs, labels = _affinity_labels(log, t)
     assert len(pairs) == 1 and labels[0] == 1.0
 
 
@@ -179,7 +193,7 @@ def test_fp_pairs_are_negative():
                         fp_cluster_sigma=1.0, burst_prob=0.0)
     log = corrupt_to_detections(tracks, noise, seed=4)
     t = tracks[0].birth_frame + 1
-    pairs, labels = make_affinity_labels(log, t, theta_d=10.0)
+    pairs, labels = _affinity_labels(log, t)
     ids_curr = log.true_ids[t]
     for (m, n), lab in zip(pairs, labels):
         if ids_curr[n] == FP_ID:
@@ -192,7 +206,7 @@ def test_labels_match_brute_force():
                         burst_prob=0.0)
     log = corrupt_to_detections(tracks, noise, seed=7)
     for t in range(40, 45):
-        pairs, labels = make_affinity_labels(log, t, theta_d=10.0)
+        pairs, labels = _affinity_labels(log, t)
         prev_pos = [d.pos for d in log.frames[t - 1]]
         curr_pos = [d.pos for d in log.frames[t]]
         want_pairs = gate_brute_force(prev_pos, curr_pos, 10.0)
