@@ -382,8 +382,19 @@ class TrainConfig:
         return cls(batch_sequences=128, epochs=20)
 
 
+# counts and scales a config file must set above zero (lr_num_decays may be
+# 0, meaning no decay; seed is any integer)
+_POSITIVE = ("batch_sequences", "max_detections", "t_obs", "k_candidates",
+             "theta_d", "hidden_dim", "det_dim", "mov_dim", "lr", "epochs",
+             "windows_per_world", "smooth_l1_beta")
+
+
 def parse_config_file(path) -> TrainConfig:
-    """key=value lines, '#' comments; keys match TrainConfig field names."""
+    """key=value lines, '#' comments; keys match TrainConfig field names.
+
+    A malformed line, an unknown key, a non-finite number or a count or
+    scale that is not positive raises ``ConfigError`` naming ``path:line``.
+    """
     spec = {f.name: f.type for f in fields(TrainConfig)}
     values = {}
     with open(path) as f:
@@ -398,6 +409,9 @@ def parse_config_file(path) -> TrainConfig:
             if key not in spec:
                 raise ConfigError(f"{path}:{line_no}: unknown key '{key}'")
             values[key] = _coerce(key, val, spec[key], path, line_no)
+            if key in _POSITIVE and values[key] <= 0:
+                raise ConfigError(f"{path}:{line_no}: '{key}' must be "
+                                  f"positive, got {val!r}")
     return TrainConfig(**values)
 
 
@@ -406,7 +420,10 @@ def _coerce(key, val, typ, path, line_no):
         if typ in ("int", int):
             return int(val)
         if typ in ("float", float):
-            return float(val)
+            number = float(val)
+            if not math.isfinite(number):
+                raise ValueError(val)
+            return number
         if typ in ("bool", bool):
             if val.lower() in ("true", "1", "yes", "on"):
                 return True

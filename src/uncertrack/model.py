@@ -127,24 +127,30 @@ def save_model(path, params: ModelParams) -> None:
 
 
 def load_model(path, config: ModelConfig, seed: int = 0) -> ModelParams:
-    """Rebuild a model from a weight file, verifying shapes against config."""
+    """Rebuild a model from a weight file, verifying it against config.
+
+    Block names are compared before shapes, so a file of another variant is
+    reported by the blocks it has too many or too few.
+    """
     params = init_model(config, seed)
     stored = {b.name: b for b in load_weights(path)}
+    unexpected = sorted(set(stored) - {b.name for b in params.blocks()})
+    if unexpected:
+        raise ConfigError(f"{path}: weight file holds unexpected blocks: "
+                          f"{unexpected} (wrong variant?)")
     for block in params.blocks():
         if block.name not in stored:
-            raise ConfigError(f"weight file is missing block '{block.name}' "
-                              f"required by the configuration")
-        src = stored.pop(block.name)
+            raise ConfigError(f"{path}: weight file is missing block "
+                              f"'{block.name}' required by the configuration")
+        src = stored[block.name]
         if len(src.weights) != len(block.weights):
-            raise ConfigError(f"block '{block.name}': file holds "
+            raise ConfigError(f"{path}: block '{block.name}': file holds "
                               f"{len(src.weights)} tensors, config expects "
                               f"{len(block.weights)}")
         for i, (a, b) in enumerate(zip(block.weights, src.weights)):
             if a.shape != b.shape:
-                raise ConfigError(f"block '{block.name}' tensor {i}: file shape "
-                                  f"{b.shape} vs configured shape {a.shape}")
+                raise ConfigError(f"{path}: block '{block.name}' tensor {i}: "
+                                  f"file shape {b.shape} vs configured shape "
+                                  f"{a.shape}")
             a[...] = b
-    if stored:
-        raise ConfigError(f"weight file holds unexpected blocks: "
-                          f"{sorted(stored)} (wrong variant?)")
     return params

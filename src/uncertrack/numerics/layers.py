@@ -68,7 +68,9 @@ def make_mlp(name: str, dims: list[int], activations: list[str],
     for a, b in zip(dims[:-1], dims[1:]):
         shapes.append((a, b))
         shapes.append((1, b))
-    return MlpParams(block=make_block(name, shapes, rng), activations=list(activations))
+    return MlpParams(block=make_block(name, shapes, rng,
+                                      biases=range(1, len(shapes), 2)),
+                     activations=list(activations))
 
 
 def make_gru(name: str, input_dim: int, hidden_dim: int,
@@ -78,13 +80,14 @@ def make_gru(name: str, input_dim: int, hidden_dim: int,
         shapes.append((input_dim, hidden_dim))
         shapes.append((hidden_dim, hidden_dim))
         shapes.append((1, hidden_dim))
-    return GruParams(block=make_block(name, shapes, rng),
+    return GruParams(block=make_block(name, shapes, rng, biases=(2, 5, 8)),
                      input_dim=input_dim, hidden_dim=hidden_dim)
 
 
 def make_linear(name: str, in_dim: int, out_dim: int,
                 rng: np.random.Generator) -> LinearParams:
-    return LinearParams(block=make_block(name, [(in_dim, out_dim), (1, out_dim)], rng))
+    return LinearParams(block=make_block(name, [(in_dim, out_dim), (1, out_dim)],
+                                         rng, biases=(1,)))
 
 
 def _bind(tape: Tape, block: ParamBlock) -> list[Var]:

@@ -43,15 +43,19 @@ class ParamBlock:
 
 
 def make_block(name: str, shapes: list[tuple[int, int]],
-               rng: np.random.Generator, fan_in: list[int] | None = None) -> ParamBlock:
-    """Uniform +-sqrt(1/fan_in) weights, zero biases (rows of shape (1, n))."""
+               rng: np.random.Generator, biases=()) -> ParamBlock:
+    """Zero tensors at the indices in ``biases``; every other tensor is
+    uniform in +-sqrt(1/fan_in), its fan-in being its row count.
+
+    Biases are named rather than told by shape: a weight with one input row,
+    such as the score embedding's (1, n), has a bias's shape.
+    """
     weights = []
     for i, shape in enumerate(shapes):
-        if shape[0] == 1:  # bias row
+        if i in biases:
             weights.append(np.zeros(shape))
         else:
-            fi = shape[0] if fan_in is None else fan_in[i]
-            bound = np.sqrt(1.0 / fi)
+            bound = np.sqrt(1.0 / shape[0])
             weights.append(rng.uniform(-bound, bound, size=shape))
     return ParamBlock(name=name, weights=weights)
 

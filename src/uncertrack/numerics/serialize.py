@@ -56,10 +56,14 @@ def load_weights(path) -> list[ParamBlock]:
             name = _read_exact(f, name_len, "block name").decode("utf-8")
             (count,) = _U64.unpack(_read_exact(f, _U64.size, "tensor count"))
             weights = []
-            for _ in range(count):
+            for i in range(count):
                 (rows,) = _U64.unpack(_read_exact(f, _U64.size, "rows"))
                 (cols,) = _U64.unpack(_read_exact(f, _U64.size, "cols"))
                 raw = _read_exact(f, rows * cols * 8, f"values of '{name}'")
-                weights.append(np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy())
+                w = np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy()
+                if not np.all(np.isfinite(w)):
+                    raise NumericsError(f"{path}: block '{name}' tensor {i} "
+                                        f"holds a non-finite value")
+                weights.append(w)
             blocks.append(ParamBlock(name=name, weights=weights))
     return blocks

@@ -9,10 +9,10 @@ from uncertrack.errors import ConfigError
 from uncertrack.forecaster import (PACK_DETECTIONS, MeanPoolSIM, SequenceSample,
                                    TrainConfig, augment_sample, build_sample,
                                    forecast_sequence, pack_ranges,
-                                   pack_samples, sequence_labels, total_loss,
-                                   train)
-from uncertrack.model import ModelConfig, init_model, variant_config
-from uncertrack.numerics import Tape, mlp_forward
+                                   pack_samples, parse_config_file,
+                                   sequence_labels, total_loss, train)
+from uncertrack.model import VARIANTS, ModelConfig, init_model, variant_config
+from uncertrack.numerics import Tape, grad_check, mlp_forward
 from uncertrack.world import NoiseConfig, corrupt_to_detections, generate_world
 
 SMALL = ModelConfig(det_dim=8, mov_dim=4, field_dim=4, hidden_dim=6,
@@ -45,12 +45,12 @@ def _samples(config):
     return out
 
 
-def _loss(params, sample, tape):
+def _loss(params, sample, tape, t_obs=20):
     enc = encode_sequence(tape, params, sample.frames)
     offsets = mlp_forward(tape, params.mlp_dec, enc.h_mot_final)
     labels = sequence_labels(enc.transitions, sample.true_ids)
     return enc, total_loss(tape, offsets, sample, enc.transitions, labels,
-                           lam=0.7, t_obs=20)
+                           lam=0.7, t_obs=t_obs)
 
 
 def test_pack_ranges_keep_order_and_budget():
@@ -96,6 +96,25 @@ def test_packed_loss_and_gradients_equal_per_window_sum(variant):
     assert n_traj == n_traj_sum == 3
     assert max(np.max(np.abs(a - b)) for a, b in zip(per_window, packed)) < 1e-10
     assert any(np.max(np.abs(g)) > 0 for g in packed)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_end_to_end_gradients_match_finite_differences(variant):
+    # encoder, decoder and joint loss together, at full model size
+    config = variant_config(variant)
+    params = init_model(config, seed=0)
+    log = corrupt_to_detections(generate_world(4, 60, seed=5), NoiseConfig(),
+                                seed=5)
+    sample = build_sample(log, 10, 4, config)
+
+    def loss_fn():
+        tape = Tape()
+        _, (loss, _, _, _) = _loss(params, sample, tape, t_obs=4)
+        tape.backward(loss)
+        return float(loss.value[0, 0])
+
+    report = grad_check(loss_fn, params.blocks(), samples=100)
+    assert report.passed(), report.summary()
 
 
 def test_loss_adds_a_fixed_number_of_nodes():
@@ -154,3 +173,33 @@ def test_training_is_bitwise_repeatable():
     for block_a, block_b in zip(params_a.blocks(), params_b.blocks()):
         for wa, wb in zip(block_a.weights, block_b.weights):
             assert np.array_equal(wa, wb)
+
+
+def test_config_file_parses(tmp_path):
+    path = tmp_path / "train.cfg"
+    path.write_text("# desk run\nepochs = 3\nlr=0.01  # faster\n\n"
+                    "augmentation = off\nseed = -2\nlr_num_decays = 0\n")
+    cfg = parse_config_file(path)
+    assert (cfg.epochs, cfg.lr, cfg.augmentation, cfg.seed,
+            cfg.lr_num_decays) == (3, 0.01, False, -2, 0)
+
+
+@pytest.mark.parametrize("line", ["lr = nan", "theta_d = inf",
+                                  "lambda_end = -Infinity"])
+def test_config_file_rejects_non_finite(tmp_path, line):
+    path = tmp_path / "train.cfg"
+    path.write_text(f"epochs = 2\n{line}\n")
+    key = line.split("=")[0].strip()
+    with pytest.raises(ConfigError, match=f"train.cfg:2: bad value for '{key}'"):
+        parse_config_file(path)
+
+
+@pytest.mark.parametrize("line", ["epochs = -3", "batch_sequences = 0",
+                                  "lr = 0", "theta_d = -1.5",
+                                  "smooth_l1_beta = 0.0"])
+def test_config_file_rejects_non_positive(tmp_path, line):
+    path = tmp_path / "train.cfg"
+    path.write_text(f"# counts\n{line}\n")
+    key = line.split("=")[0].strip()
+    with pytest.raises(ConfigError, match=f"train.cfg:2: '{key}' must be positive"):
+        parse_config_file(path)

@@ -55,3 +55,15 @@ def test_truncated_file_rejected(tmp_path):
     path.write_bytes(data[:-9])
     with pytest.raises(NumericsError, match="truncated"):
         load_weights(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_tensor_rejected(tmp_path, bad):
+    blocks = _blocks()
+    blocks[1].weights[0][1, 0] = bad
+    path = tmp_path / "w.bin"
+    save_weights(path, blocks)
+    with pytest.raises(NumericsError,
+                       match=r"w\.bin: block 'beta_gate' tensor 0 holds a "
+                             r"non-finite value"):
+        load_weights(path)
