@@ -21,7 +21,7 @@ def _frame(positions):
 def _features(tape, params, prev, curr, h_mot_prev):
     """Gate two frames and run ``pair_features`` on the gated pairs."""
     pairs, _ = gate_positions(prev.pos, curr.pos, params.config.theta_d)
-    x, a, scores = pair_features(tape, params, prev, curr,
+    _, a, scores = pair_features(tape, params, prev, curr,
                                  embed_frame(tape, params, prev),
                                  embed_frame(tape, params, curr),
                                  tape.lift(h_mot_prev), pairs)
