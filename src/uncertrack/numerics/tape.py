@@ -300,12 +300,18 @@ class Tape:
         """Softmax of a (P, 1) score column within each segment.
 
         The per-segment max is treated as a constant shift (softmax is
-        invariant to it), so the gradient stays exact.
+        invariant to it), so the gradient stays exact.  A score of -inf masks
+        its member out (weight 0); a segment whose members are all masked, or
+        a NaN/+inf score, has no defined softmax and is refused.
         """
         s = scores.value[:, 0]
         smax = np.full(n_seg, -np.inf)
         np.maximum.at(smax, seg, s)
-        e = np.exp(s - smax[seg])
+        shift = smax[seg]
+        if not np.isfinite(shift).all():
+            raise NumericsError("segment_softmax: a segment has no unmasked "
+                                "member or a non-finite score")
+        e = np.exp(s - shift)
         denom = np.zeros(n_seg)
         np.add.at(denom, seg, e)
         alpha = (e / denom[seg])[:, None]

@@ -75,6 +75,19 @@ def test_segment_softmax_two_members():
     assert abs(out[0] - 0.2689) < 1e-4 and abs(out[1] - 0.7311) < 1e-4
 
 
+def test_masked_softmax_empty_mask():
+    # a -inf score masks its member out; a segment with every member masked
+    # has an empty mask and no defined softmax
+    out = _softmax([1.0, -np.inf, 0.5], [0, 0, 1], 2)
+    assert np.array_equal(out, [1.0, 0.0, 1.0])
+    with pytest.raises(NumericsError):
+        _softmax([-np.inf], [0], 1)
+    with pytest.raises(NumericsError):
+        _softmax([0.5, -np.inf, -np.inf], [0, 1, 1], 2)
+    with pytest.raises(NumericsError):
+        _softmax([0.5, np.nan], [0, 0], 1)
+
+
 @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=2 ** 31))
 def test_segment_softmax_properties(n, seed):
     rng = np.random.default_rng(seed)
