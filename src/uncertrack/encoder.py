@@ -81,7 +81,6 @@ class TransitionRecord:
 
     frame: int                      # index of the current frame
     pairs: np.ndarray               # (P, 2) gated [prev, curr]
-    distances: np.ndarray           # (P,)
     scores: Var                     # (P, 1)
     selected: np.ndarray            # indices into pairs, (curr, rank) order
     seg: np.ndarray                 # segment id per selected pair
@@ -174,13 +173,12 @@ def encode_sequence(tape: Tape, params: ModelParams,
             best_prev = dict(zip(seg_curr.tolist(), best.tolist()))
 
             transitions.append(TransitionRecord(
-                frame=t, pairs=pairs, distances=dists, scores=scores,
+                frame=t, pairs=pairs, scores=scores,
                 selected=sel, seg=seg, seg_curr=seg_curr, alphas=alpha_vals,
                 best_prev=best_prev))
         else:
             transitions.append(TransitionRecord(
-                frame=t, pairs=pairs, distances=dists,
-                scores=tape.const(np.zeros((0, 1))),
+                frame=t, pairs=pairs, scores=tape.const(np.zeros((0, 1))),
                 selected=np.zeros(0, dtype=int), seg=np.zeros(0, dtype=int),
                 seg_curr=np.zeros(0, dtype=int), alphas=np.zeros(0)))
 

@@ -1,4 +1,5 @@
-"""Final-displacement metrics, nonlinearity selection, and the ablation harness.
+"""Final-displacement metrics, nonlinearity selection, kinematic baselines,
+and the ablation harness.
 
 fde@3s is the mean distance (reported in centimeters) between the last
 forecast waypoint and the ground-truth position three seconds ahead, over
@@ -22,9 +23,9 @@ from .forecaster import (forecast_sequence, pack_ranges, stride_and_horizon,
 from .model import ModelParams
 from .world import WorldLog
 
-__all__ = ["EvalReport", "VariantResult", "match_for_eval", "fde",
+__all__ = ["EvalReport", "match_for_eval", "fde",
            "nonlinearity_residual", "gt_future", "evaluate_model",
-           "ablation_run", "stand_still_fde"]
+           "ablation_run", "stand_still_fde", "constant_velocity_fde"]
 
 NL_RESIDUAL_THRESHOLD = 0.1
 MATCH_THRESHOLD_M = 2.0
@@ -87,14 +88,6 @@ def gt_future(log: WorldLog, agent_id: int, frame: int, steps: int,
         return None
     idx = [track.index_at(frame + stride * (i + 1)) for i in range(steps)]
     return track.pos[idx]
-
-
-@dataclass
-class VariantResult:
-    fde_cm: float
-    nl_fde_cm: float
-    num_matched: int
-    num_nonlinear: int
 
 
 @dataclass
@@ -218,22 +211,48 @@ def evaluate_model(params: ModelParams, worlds: list[WorldLog], t_obs: int = 20,
         nl_threshold=nl_threshold)
 
 
+def _baseline_fde(worlds: list[WorldLog], forecast, t_obs: int,
+                  window_stride: int, pred_steps: int, step_seconds: float,
+                  match_threshold: float) -> float | None:
+    """fde@3s of ``forecast(pos, velo, seconds) -> final waypoints`` from the
+    final frame's detections alone, on the windows ``evaluate_model`` uses."""
+    errors = []
+    for log in worlds:
+        _, horizon = stride_and_horizon(log, pred_steps, step_seconds)
+        seconds = horizon / log.frame_rate
+        starts = window_starts(log, t_obs, pred_steps, step_seconds)
+        for t0 in range(0, starts, window_stride):
+            t_final = t0 + t_obs - 1
+            dets = log.frames[t_final]
+            det_pos = np.array([d.pos for d in dets]).reshape(-1, 2)
+            det_velo = np.array([d.velo for d in dets]).reshape(-1, 2)
+            errors.extend(err for err, _ in _matched_errors(
+                log, t_final, horizon, det_pos,
+                forecast(det_pos, det_velo, seconds), pred_steps,
+                step_seconds, match_threshold))
+    return float(np.mean(errors) * 100.0) if errors else None
+
+
 def stand_still_fde(worlds: list[WorldLog], t_obs: int = 20,
                     window_stride: int = 5, pred_steps: int = 6,
                     step_seconds: float = 0.5,
                     match_threshold: float = MATCH_THRESHOLD_M) -> float | None:
     """Independent baseline: forecast = stay at the detected position."""
-    errors = []
-    for log in worlds:
-        _, horizon = stride_and_horizon(log, pred_steps, step_seconds)
-        starts = window_starts(log, t_obs, pred_steps, step_seconds)
-        for t0 in range(0, starts, window_stride):
-            t_final = t0 + t_obs - 1
-            det_pos = np.array([d.pos for d in log.frames[t_final]]).reshape(-1, 2)
-            errors.extend(err for err, _ in _matched_errors(
-                log, t_final, horizon, det_pos, det_pos, pred_steps,
-                step_seconds, match_threshold))
-    return float(np.mean(errors) * 100.0) if errors else None
+    return _baseline_fde(worlds, lambda pos, velo, seconds: pos, t_obs,
+                         window_stride, pred_steps, step_seconds,
+                         match_threshold)
+
+
+def constant_velocity_fde(worlds: list[WorldLog], t_obs: int = 20,
+                          window_stride: int = 5, pred_steps: int = 6,
+                          step_seconds: float = 0.5,
+                          match_threshold: float = MATCH_THRESHOLD_M
+                          ) -> float | None:
+    """Independent baseline: forecast = detected position plus detected
+    velocity times the horizon."""
+    return _baseline_fde(worlds, lambda pos, velo, seconds: pos + velo * seconds,
+                         t_obs, window_stride, pred_steps, step_seconds,
+                         match_threshold)
 
 
 def ablation_run(train_fn, eval_worlds: list[WorldLog], seeds: list[int],

@@ -356,16 +356,16 @@ def augment_sample(sample: SequenceSample, rng: np.random.Generator) -> Sequence
 
 @dataclass
 class TrainConfig:
-    """Desk-scale defaults; ``paper_preset`` restores the reference settings."""
+    """Training settings; the model's sizes and gate default to ModelConfig's."""
 
     batch_sequences: int = 16
     max_detections: int = 100
     t_obs: int = 20
-    k_candidates: int = 10
-    theta_d: float = 10.0
-    hidden_dim: int = 64
-    det_dim: int = 64
-    mov_dim: int = 32
+    k_candidates: int = ModelConfig.k_candidates
+    theta_d: float = ModelConfig.theta_d
+    hidden_dim: int = ModelConfig.hidden_dim
+    det_dim: int = ModelConfig.det_dim
+    mov_dim: int = ModelConfig.mov_dim
     lr: float = 0.003
     lr_decay: float = 0.6
     lr_num_decays: int = 6
@@ -376,10 +376,6 @@ class TrainConfig:
     augmentation: bool = True
     windows_per_world: int = 4
     smooth_l1_beta: float = 1.0
-
-    @classmethod
-    def paper_preset(cls) -> "TrainConfig":
-        return cls(batch_sequences=128, epochs=20)
 
 
 # counts and scales a config file must set above zero (lr_num_decays may be

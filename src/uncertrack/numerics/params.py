@@ -33,10 +33,6 @@ class ParamBlock:
             if not (w.shape == g.shape == m.shape == v.shape):
                 raise NumericsError(f"block {self.name}: buffer shapes disagree")
 
-    @property
-    def num_params(self) -> int:
-        return sum(w.size for w in self.weights)
-
     def zero_grads(self) -> None:
         for g in self.grads:
             g[...] = 0.0

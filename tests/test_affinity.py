@@ -8,6 +8,8 @@ from uncertrack.detections import Detection, FrameArrays, embed_frame
 from uncertrack.errors import ConfigError
 from uncertrack.model import ModelConfig, init_model
 from uncertrack.numerics import Tape
+from uncertrack.world import (FP_ID, NoiseConfig, corrupt_to_detections,
+                              generate_world)
 
 from oracles import fd_gradient, gate_brute_force, rel_err, topk_brute_force
 
@@ -127,12 +129,46 @@ def test_gating_rejects_nonpositive_theta():
         gate_positions(np.zeros((1, 2)), np.zeros((1, 2)), 0.0)
 
 
+def _predecessor_recall(worlds):
+    """Share of (true predecessor, detection) pairs that the default gate
+    keeps, over every transition of the worlds."""
+    theta_d = ModelConfig().theta_d
+    kept = total = 0
+    for log in worlds:
+        for t in range(1, log.num_frames):
+            prev = FrameArrays.from_detections(log.frames[t - 1])
+            curr = FrameArrays.from_detections(log.frames[t])
+            ids_prev, ids_curr = log.true_ids[t - 1], log.true_ids[t]
+            m, n = np.nonzero((ids_prev[:, None] == ids_curr[None, :])
+                              & (ids_curr[None, :] != FP_ID))
+            pairs, _ = gate_positions(prev.pos, curr.pos, theta_d)
+            gated = pairs[:, 0] * len(curr) + pairs[:, 1]
+            kept += int(np.isin(m * len(curr) + n, gated).sum())
+            total += len(m)
+    return kept / total
+
+
+@pytest.mark.parametrize("agents, frames, frame_rate, seeds", [
+    pytest.param(24, 120, 10.0, range(4), id="sparse"),    # ~17 dets/frame
+    pytest.param(100, 120, 10.0, range(4), id="dense"),    # ~69 dets/frame
+    pytest.param(24, 200, 20.0, range(8), id="sparse-20hz"),
+])
+def test_default_gate_keeps_true_predecessors(agents, frames, frame_rate, seeds):
+    # detector noise, not the frame interval, sets the reach of a true
+    # predecessor: 5 m keeps >= 0.999 of them at 10 and 20 Hz (4.5 m does not)
+    worlds = [corrupt_to_detections(
+        generate_world(agents, frames, frame_rate=frame_rate, seed=s),
+        NoiseConfig(), seed=s, num_frames=frames, frame_rate=frame_rate)
+        for s in seeds]
+    assert _predecessor_recall(worlds) >= 0.999
+
+
 def test_zero_affinity_net_scores_half(params):
     zeroed = init_model(ModelConfig(), seed=31)
     for w in zeroed.mlp_aff.block.weights:
         w[...] = 0.0
-    prev = _frame([(0.0, 0.0), (5.0, 0.0)])
-    curr = _frame([(0.5, 0.0), (5.5, 0.0)])
+    prev = _frame([(0.0, 0.0), (3.0, 0.0)])
+    curr = _frame([(0.5, 0.0), (3.5, 0.0)])
     pairs, _, scores = _features(Tape(), zeroed, prev, curr, np.zeros((2, 64)))
     assert len(pairs) == 4
     assert np.all(scores.value == 0.5)

@@ -1,8 +1,9 @@
-"""Evaluation windows, packed forecasting, and the stand-still baseline."""
+"""Evaluation windows, packed forecasting, and the kinematic baselines."""
 
 import numpy as np
 
-from uncertrack.evaluation import evaluate_model, stand_still_fde
+from uncertrack.evaluation import (constant_velocity_fde, evaluate_model,
+                                   stand_still_fde)
 from uncertrack.model import ModelConfig, init_model
 from uncertrack.world import NoiseConfig, corrupt_to_detections, generate_world
 
@@ -37,3 +38,16 @@ def test_mixed_frame_rates_evaluate_as_each_world_alone():
     combined = sum(r.fde_cm * r.num_matched for r in alone) / both.num_matched
     assert abs(both.fde_cm - combined) < 1e-9 * combined
     assert stand_still_fde([w10, w20]) is not None
+
+
+def test_kinematic_baselines_on_one_noiseless_cv_agent():
+    # one constant-velocity agent seen without noise: constant velocity
+    # forecasts it exactly, and standing still misses by speed x 3 s
+    tracks = generate_world(1, 80, motion_mix={"cv": 1.0}, seed=7)
+    world = corrupt_to_detections(tracks, NoiseConfig.zero(), seed=7,
+                                  num_frames=80)
+    speed = float(np.hypot(*tracks[0].velo[0]))
+    assert np.allclose(np.hypot(tracks[0].velo[:, 0], tracks[0].velo[:, 1]),
+                       speed)
+    assert constant_velocity_fde([world]) < 1e-6
+    assert abs(stand_still_fde([world]) - speed * 3.0 * 100.0) < 1e-6

@@ -45,9 +45,12 @@ def _samples(config):
     return out
 
 
-def _loss(params, sample, tape, t_obs=20):
+def _loss(params, sample, tape, t_obs=20, sim=None):
     enc = encode_sequence(tape, params, sample.frames)
-    offsets = mlp_forward(tape, params.mlp_dec, enc.h_mot_final)
+    p_n = enc.h_mot_final
+    if sim is not None:
+        p_n = sim(tape, p_n, sample.frames[-1])
+    offsets = mlp_forward(tape, params.mlp_dec, p_n)
     labels = sequence_labels(enc.transitions, sample.true_ids)
     return enc, total_loss(tape, offsets, sample, enc.transitions, labels,
                            lam=0.7, t_obs=t_obs)
@@ -98,18 +101,24 @@ def test_packed_loss_and_gradients_equal_per_window_sum(variant):
     assert any(np.max(np.abs(g)) > 0 for g in packed)
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_end_to_end_gradients_match_finite_differences(variant):
-    # encoder, decoder and joint loss together, at full model size
+@pytest.mark.parametrize("variant, sim", [
+    *(pytest.param(v, None, id=v) for v in VARIANTS),
+    pytest.param("full", MeanPoolSIM(), id="full-meanpool")])
+def test_end_to_end_gradients_match_finite_differences(variant, sim):
+    # encoder, (SIM,) decoder and joint loss together, at full model size
     config = variant_config(variant)
     params = init_model(config, seed=0)
     log = corrupt_to_detections(generate_world(4, 60, seed=5), NoiseConfig(),
                                 seed=5)
     sample = build_sample(log, 10, 4, config)
+    if sim is not None:  # the SIM must mix some encodings to be checked
+        tape = Tape()
+        p_n = encode_sequence(tape, params, sample.frames).h_mot_final
+        assert np.any(sim(tape, p_n, sample.frames[-1]).value != p_n.value)
 
     def loss_fn():
         tape = Tape()
-        _, (loss, _, _, _) = _loss(params, sample, tape, t_obs=4)
+        _, (loss, _, _, _) = _loss(params, sample, tape, t_obs=4, sim=sim)
         tape.backward(loss)
         return float(loss.value[0, 0])
 

@@ -7,7 +7,9 @@ import pytest
 
 from uncertrack.encoder import encode_sequence
 from uncertrack.errors import ConfigError
-from uncertrack.forecaster import build_sample, sequence_labels, total_loss
+from uncertrack.forecaster import (TrainConfig, build_sample,
+                                   model_config_from_train, sequence_labels,
+                                   total_loss)
 from uncertrack.model import (VARIANTS, ModelConfig, ModelParams, init_model,
                               load_model, save_model, variant_config)
 from uncertrack.numerics import GruParams, Tape, mlp_forward
@@ -26,6 +28,11 @@ def _non_bias_tensors(params: ModelParams):
             weights = weights[0::2]
         for i, w in enumerate(weights):
             yield f"{f.name}[{i}]", w
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_train_config_defaults_are_the_model_defaults(variant):
+    assert model_config_from_train(TrainConfig(), variant) == variant_config(variant)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

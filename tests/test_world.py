@@ -171,8 +171,9 @@ def test_bursts_inflate_position_noise():
 
 
 def _affinity_labels(log, t):
-    """Gated pairs of frames t-1 and t (theta_d = 10 m) and their
-    same-identity labels, as training computes them."""
+    """Gated pairs of frames t-1 and t (the default gate,
+    ``ModelConfig().theta_d``) and their same-identity labels, as training
+    computes them."""
     frames = [FrameArrays.from_detections(log.frames[f]) for f in (t - 1, t)]
     enc = encode_sequence(Tape(), init_model(ModelConfig(), seed=0), frames)
     ids = [log.true_ids[t - 1], log.true_ids[t]]
