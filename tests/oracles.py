@@ -188,6 +188,45 @@ def match_brute_force(det_pos, gt_pos, threshold):
     return sorted(out)
 
 
+def evaluate_direct(worlds, forecast, t_obs, window_stride, pred_steps,
+                    step_seconds, threshold, nl_threshold):
+    """fde@3s bookkeeping one window and one agent at a time.
+
+    ``forecast(dets_per_frame, seconds)`` gets a window's detection lists
+    and the horizon in seconds, and returns one final waypoint per detection
+    of the last frame.  Ground truth is read track by track with
+    ``index_at``, and matching is :func:`match_brute_force`.
+    """
+    errors, nonlinear, num_windows = [], [], 0
+    for log in worlds:
+        stride = int(round(log.frame_rate * step_seconds))
+        horizon = pred_steps * stride
+        seconds = horizon / log.frame_rate
+        for t0 in range(0, log.num_frames - t_obs - horizon + 1, window_stride):
+            num_windows += 1
+            t_final = t0 + t_obs - 1
+            dets = log.frames[t_final]
+            if not dets:
+                continue
+            final = forecast(log.frames[t0: t_final + 1], seconds)
+            live = [tr for tr in log.tracks
+                    if tr.birth_frame <= t_final
+                    and t_final + horizon <= tr.death_frame]
+            gt_pos = [tr.pos[tr.index_at(t_final)] for tr in live]
+            for i, j, _ in match_brute_force([d.pos for d in dets], gt_pos,
+                                             threshold):
+                tr = live[j]
+                future = np.array([tr.pos[tr.index_at(t_final + stride * s)]
+                                   for s in range(1, pred_steps + 1)])
+                errors.append(float(np.hypot(*(final[i] - future[-1]))))
+                nonlinear.append(linear_fit_residual(future) > nl_threshold)
+    nl_errors = [e for e, nl in zip(errors, nonlinear) if nl]
+    return {"fde_cm": 100.0 * float(np.mean(errors)) if errors else None,
+            "nl_fde_cm": 100.0 * float(np.mean(nl_errors)) if nl_errors else None,
+            "num_matched": len(errors), "num_nonlinear": len(nl_errors),
+            "num_windows": num_windows}
+
+
 def linear_fit_residual(points) -> float:
     """Degree-1 least squares on x(t), y(t) via explicit normal equations."""
     pts = np.asarray(points, dtype=float)

@@ -1,9 +1,14 @@
 """Evaluation windows, packed forecasting, and the kinematic baselines."""
 
 import numpy as np
+import pytest
 
-from uncertrack.evaluation import (constant_velocity_fde, evaluate_model,
+from oracles import evaluate_direct
+from uncertrack.detections import FrameArrays
+from uncertrack.evaluation import (MATCH_THRESHOLD_M, NL_RESIDUAL_THRESHOLD,
+                                   constant_velocity_fde, evaluate_model,
                                    stand_still_fde)
+from uncertrack.forecaster import forecast_sequence
 from uncertrack.model import ModelConfig, init_model
 from uncertrack.world import NoiseConfig, corrupt_to_detections, generate_world
 
@@ -51,3 +56,68 @@ def test_kinematic_baselines_on_one_noiseless_cv_agent():
                        speed)
     assert constant_velocity_fde([world]) < 1e-6
     assert abs(stand_still_fde([world]) - speed * 3.0 * 100.0) < 1e-6
+
+
+def _direct_frame(dets):
+    """FrameArrays of a detection list, built without ``from_detections``."""
+    return FrameArrays(pos=np.array([d.pos for d in dets]).reshape(-1, 2),
+                       velo=np.array([d.velo for d in dets]).reshape(-1, 2),
+                       size=np.array([d.size for d in dets]).reshape(-1, 3),
+                       heading=np.array([d.heading for d in dets]),
+                       score=np.array([d.score for d in dets]))
+
+
+def _model_forecast(params):
+    def forecast(dets_per_frame, seconds):
+        _, out = forecast_sequence(params, [_direct_frame(d)
+                                            for d in dets_per_frame])
+        return np.array([f.waypoints[-1] for f in out])
+    return forecast
+
+
+def _stand_still(dets_per_frame, seconds):
+    return np.array([d.pos for d in dets_per_frame[-1]])
+
+
+def _constant_velocity(dets_per_frame, seconds):
+    return np.array([np.array(d.pos) + np.array(d.velo) * seconds
+                     for d in dets_per_frame[-1]])
+
+
+@pytest.fixture(scope="module")
+def oracle_worlds():
+    # 10 Hz, 20 Hz, and a dense world above 100 detections per frame
+    dense = corrupt_to_detections(generate_world(150, 60, seed=7),
+                                  NoiseConfig(), seed=7, num_frames=60)
+    assert max(len(f) for f in dense.frames) > 100
+    return [_world(2), _world(6, frame_rate=20.0, frames=140), dense]
+
+
+@pytest.mark.parametrize("scorer", ["zero-decoder", "init", "stand-still",
+                                    "constant-velocity"])
+def test_evaluation_matches_per_window_oracle(scorer, oracle_worlds):
+    params = init_model(SMALL, seed=3)
+    if scorer == "zero-decoder":
+        for w in params.mlp_dec.block.weights:
+            w[...] = 0.0
+    forecast = {"stand-still": _stand_still,
+                "constant-velocity": _constant_velocity}.get(
+                    scorer, _model_forecast(params))
+    want = evaluate_direct(oracle_worlds, forecast, t_obs=20, window_stride=5,
+                           pred_steps=SMALL.pred_steps,
+                           step_seconds=SMALL.step_seconds,
+                           threshold=MATCH_THRESHOLD_M,
+                           nl_threshold=NL_RESIDUAL_THRESHOLD)
+    assert want["num_matched"] > 0 and want["num_nonlinear"] > 0
+    if scorer == "stand-still":
+        got = {"fde_cm": stand_still_fde(oracle_worlds)}
+    elif scorer == "constant-velocity":
+        got = {"fde_cm": constant_velocity_fde(oracle_worlds)}
+    else:
+        got = vars(evaluate_model(params, oracle_worlds))
+    for key in ("num_matched", "num_nonlinear", "num_windows"):
+        if key in got:
+            assert got[key] == want[key], key
+    for key in ("fde_cm", "nl_fde_cm"):
+        if key in got:
+            assert abs(got[key] - want[key]) <= 1e-9 * want[key], key
