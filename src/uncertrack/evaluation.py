@@ -1,5 +1,5 @@
-"""Final-displacement metrics, nonlinearity selection, kinematic baselines,
-and the ablation harness.
+"""Final-displacement metrics, the shared window scoring loop, the kinematic
+baselines, and the ablation harness.
 
 fde@3s is the mean distance (reported in centimeters) between the last
 forecast waypoint and the ground-truth position three seconds ahead, over
@@ -7,6 +7,12 @@ matched true-positive detections with a full future.  nl_fde@3s restricts the
 mean to samples whose future deviates from a degree-1 least-squares fit by
 more than a residual threshold (0.1 by default; configurable since its exact
 selection differs between fitting conventions).
+
+The model and the kinematic baselines are scored by one loop: every window is
+cut by :func:`~uncertrack.forecaster.cut_window` (the training cut, without
+the detection cap), ground truth comes from
+:func:`~uncertrack.forecaster.gt_future`, and only the forecast of the final
+waypoints differs between them.
 """
 
 from __future__ import annotations
@@ -16,15 +22,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detections import FrameArrays, stack_windows
+from .detections import stack_windows
 from .errors import ConfigError
-from .forecaster import (forecast_sequence, pack_ranges, stride_and_horizon,
-                         window_starts)
-from .model import ModelParams
+from .forecaster import (cut_window, forecast_sequence, gt_future, pack_ranges,
+                         stride_and_horizon, window_starts)
+from .model import ModelConfig, ModelParams
 from .world import WorldLog
 
 __all__ = ["EvalReport", "match_for_eval", "fde",
-           "nonlinearity_residual", "gt_future", "evaluate_model",
+           "nonlinearity_residual", "evaluate_model",
            "ablation_run", "stand_still_fde", "constant_velocity_fde"]
 
 NL_RESIDUAL_THRESHOLD = 0.1
@@ -79,17 +85,6 @@ def nonlinearity_residual(points: np.ndarray) -> float:
     return float(res.sum())
 
 
-def gt_future(log: WorldLog, agent_id: int, frame: int, steps: int,
-              step_seconds: float) -> np.ndarray | None:
-    """GT positions at the forecast instants, or None without a full future."""
-    stride, horizon = stride_and_horizon(log, steps, step_seconds)
-    track = next((t for t in log.tracks if t.agent_id == agent_id), None)
-    if track is None or frame + horizon > track.death_frame:
-        return None
-    idx = [track.index_at(frame + stride * (i + 1)) for i in range(steps)]
-    return track.pos[idx]
-
-
 @dataclass
 class EvalReport:
     fde_cm: float | None
@@ -135,69 +130,47 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def _matched_errors(log: WorldLog, t_final: int, horizon: int,
-                    det_pos: np.ndarray, final_waypoints, pred_steps: int,
-                    step_seconds: float, match_threshold: float):
-    """(final-waypoint error, GT future) per detection matched to an agent
-    that is alive at ``t_final`` and for the whole horizon."""
-    live = [tr for tr in log.tracks
-            if tr.alive(t_final) and t_final + horizon <= tr.death_frame]
-    if not live or len(det_pos) == 0:
-        return
-    gt_pos = np.stack([tr.pos[tr.index_at(t_final)] for tr in live])
-    for det_i, gt_j, _ in match_for_eval(det_pos, gt_pos, match_threshold):
-        future = gt_future(log, live[gt_j].agent_id, t_final, pred_steps,
-                           step_seconds)
-        if future is None:
-            continue
-        yield float(np.hypot(*(final_waypoints[det_i] - future[-1]))), future
-
-
-def evaluate_model(params: ModelParams, worlds: list[WorldLog], t_obs: int = 20,
-                   window_stride: int = 5, sim=None,
-                   nl_threshold: float = NL_RESIDUAL_THRESHOLD,
-                   match_threshold: float = MATCH_THRESHOLD_M,
-                   min_score: float | None = None) -> EvalReport:
+def _score_windows(worlds: list[WorldLog], forecast, t_obs: int,
+                   window_stride: int, config: ModelConfig,
+                   nl_threshold: float) -> EvalReport:
     """Slide evaluation windows over worlds and accumulate displacement errors.
 
-    Each world's windows are forecast in packs (:func:`pack_ranges`), with
-    stride and horizon taken from that world's frame rate.  ``min_score``
-    optionally drops low-confidence detections first (the score-threshold
-    mode standing in for recall-matched TP sets).
+    ``forecast(stacked_frames, seconds)`` returns the final waypoint of every
+    row of a pack's last frame; ``seconds`` is the horizon at the world's
+    frame rate.  Each world's windows are packed by :func:`pack_ranges`, with
+    stride and horizon taken from that world's frame rate.  A detection is
+    scored when it matches an agent alive for the whole horizon.
     """
-    cfg = params.config
+    steps = config.pred_steps
     errors: list[float] = []
     nonlinear: list[bool] = []
     num_windows = 0
     for log in worlds:
-        _, horizon = stride_and_horizon(log, cfg.pred_steps, cfg.step_seconds)
-        starts = window_starts(log, t_obs, cfg.pred_steps, cfg.step_seconds)
+        _, horizon = stride_and_horizon(log, steps, config.step_seconds)
+        seconds = horizon / log.frame_rate
+        agents = [tr.agent_id for tr in log.tracks]
         windows = []
-        for t0 in range(0, starts, window_stride):
-            frames = []
-            for t in range(t0, t0 + t_obs):
-                dets = log.frames[t]
-                if min_score is not None:
-                    dets = [d for d in dets if d.score >= min_score]
-                frames.append(FrameArrays.from_detections(dets))
+        for t0 in range(0, window_starts(log, t_obs, steps, config.step_seconds),
+                        window_stride):
             num_windows += 1
+            frames, _ = cut_window(log, t0, t_obs)
             if len(frames[-1]):
                 windows.append((t0, frames))
 
         for lo, hi in pack_ranges([frames for _, frames in windows]):
             pack = windows[lo:hi]
-            _, forecasts = forecast_sequence(
-                params, stack_windows([frames for _, frames in pack]), sim=sim)
+            final = forecast(stack_windows([frames for _, frames in pack]),
+                             seconds)
             row = 0
             for t0, frames in pack:
-                final = frames[-1]
-                waypoints = [f.waypoints[-1] for f in forecasts[row: row + len(final)]]
-                row += len(final)
-                for err, future in _matched_errors(
-                        log, t0 + t_obs - 1, horizon, final.pos, waypoints,
-                        cfg.pred_steps, cfg.step_seconds, match_threshold):
-                    errors.append(err)
-                    nonlinear.append(nonlinearity_residual(future) > nl_threshold)
+                gt, alive = gt_future(log, agents, t0 + t_obs - 1, steps,
+                                      config.step_seconds)
+                gt = gt[alive.all(axis=1)]
+                for i, j, _ in match_for_eval(frames[-1].pos, gt[:, 0]):
+                    errors.append(float(np.hypot(*(final[row + i] - gt[j, -1]))))
+                    nonlinear.append(nonlinearity_residual(gt[j, 1:])
+                                     > nl_threshold)
+                row += len(frames[-1])
 
     errors_arr = np.asarray(errors)
     nl_arr = np.asarray(nonlinear, dtype=bool)
@@ -211,48 +184,36 @@ def evaluate_model(params: ModelParams, worlds: list[WorldLog], t_obs: int = 20,
         nl_threshold=nl_threshold)
 
 
-def _baseline_fde(worlds: list[WorldLog], forecast, t_obs: int,
-                  window_stride: int, pred_steps: int, step_seconds: float,
-                  match_threshold: float) -> float | None:
-    """fde@3s of ``forecast(pos, velo, seconds) -> final waypoints`` from the
-    final frame's detections alone, on the windows ``evaluate_model`` uses."""
-    errors = []
-    for log in worlds:
-        _, horizon = stride_and_horizon(log, pred_steps, step_seconds)
-        seconds = horizon / log.frame_rate
-        starts = window_starts(log, t_obs, pred_steps, step_seconds)
-        for t0 in range(0, starts, window_stride):
-            t_final = t0 + t_obs - 1
-            dets = log.frames[t_final]
-            det_pos = np.array([d.pos for d in dets]).reshape(-1, 2)
-            det_velo = np.array([d.velo for d in dets]).reshape(-1, 2)
-            errors.extend(err for err, _ in _matched_errors(
-                log, t_final, horizon, det_pos,
-                forecast(det_pos, det_velo, seconds), pred_steps,
-                step_seconds, match_threshold))
-    return float(np.mean(errors) * 100.0) if errors else None
+def evaluate_model(params: ModelParams, worlds: list[WorldLog], t_obs: int = 20,
+                   window_stride: int = 5, sim=None,
+                   nl_threshold: float = NL_RESIDUAL_THRESHOLD) -> EvalReport:
+    """fde@3s and nl_fde@3s of the model's forecasts."""
+    def final_waypoints(frames, seconds):
+        _, forecasts = forecast_sequence(params, frames, sim=sim)
+        return np.array([f.waypoints[-1] for f in forecasts])
+
+    return _score_windows(worlds, final_waypoints, t_obs, window_stride,
+                          params.config, nl_threshold)
 
 
 def stand_still_fde(worlds: list[WorldLog], t_obs: int = 20,
-                    window_stride: int = 5, pred_steps: int = 6,
-                    step_seconds: float = 0.5,
-                    match_threshold: float = MATCH_THRESHOLD_M) -> float | None:
+                    window_stride: int = 5,
+                    config: ModelConfig = ModelConfig()) -> EvalReport:
     """Independent baseline: forecast = stay at the detected position."""
-    return _baseline_fde(worlds, lambda pos, velo, seconds: pos, t_obs,
-                         window_stride, pred_steps, step_seconds,
-                         match_threshold)
+    return _score_windows(worlds, lambda frames, seconds: frames[-1].pos,
+                          t_obs, window_stride, config, NL_RESIDUAL_THRESHOLD)
 
 
 def constant_velocity_fde(worlds: list[WorldLog], t_obs: int = 20,
-                          window_stride: int = 5, pred_steps: int = 6,
-                          step_seconds: float = 0.5,
-                          match_threshold: float = MATCH_THRESHOLD_M
-                          ) -> float | None:
+                          window_stride: int = 5,
+                          config: ModelConfig = ModelConfig()) -> EvalReport:
     """Independent baseline: forecast = detected position plus detected
     velocity times the horizon."""
-    return _baseline_fde(worlds, lambda pos, velo, seconds: pos + velo * seconds,
-                         t_obs, window_stride, pred_steps, step_seconds,
-                         match_threshold)
+    def final_waypoints(frames, seconds):
+        return frames[-1].pos + frames[-1].velo * seconds
+
+    return _score_windows(worlds, final_waypoints, t_obs, window_stride,
+                          config, NL_RESIDUAL_THRESHOLD)
 
 
 def ablation_run(train_fn, eval_worlds: list[WorldLog], seeds: list[int],

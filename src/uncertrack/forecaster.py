@@ -28,10 +28,10 @@ from .world import FP_ID, WorldLog
 __all__ = ["Forecast", "TrainConfig", "SequenceSample", "EpochStats",
            "MeanPoolSIM", "decode_trajectory",
            "total_loss", "lambda_schedule", "lr_schedule", "augment_sample",
-           "build_sample", "window_starts", "stride_and_horizon",
-           "sequence_labels", "train", "forecast_sequence", "parse_config_file",
-           "model_config_from_train", "PACK_DETECTIONS", "pack_ranges",
-           "pack_samples"]
+           "build_sample", "cut_window", "gt_future", "window_starts",
+           "stride_and_horizon", "sequence_labels", "train", "forecast_sequence",
+           "parse_config_file", "model_config_from_train", "PACK_DETECTIONS",
+           "pack_ranges", "pack_samples"]
 
 
 @dataclass
@@ -225,42 +225,67 @@ def window_starts(log: WorldLog, t_obs: int, pred_steps: int,
     return max(0, log.num_frames - t_obs - horizon + 1)
 
 
-def build_sample(log: WorldLog, t0: int, t_obs: int, config: ModelConfig,
-                 max_detections: int = 100) -> SequenceSample:
-    """Cut one observation window and its forecasting targets from a world."""
-    stride, _ = stride_and_horizon(log, config.pred_steps, config.step_seconds)
+def cut_window(log: WorldLog, t0: int, t_obs: int,
+               max_detections: int | None = None
+               ) -> tuple[list[FrameArrays], list[np.ndarray]]:
+    """Frames ``t0 .. t0 + t_obs - 1`` of a world as arrays, with every
+    row's hidden identity.
+
+    ``max_detections`` keeps only a frame's most confident detections, in
+    their original order; it bounds training memory, so evaluation leaves
+    it unset and scores every detection.
+    """
     frames, ids = [], []
     for t in range(t0, t0 + t_obs):
         dets = log.frames[t]
         tid = log.true_ids[t]
-        if len(dets) > max_detections:  # keep the detector's most confident
+        if max_detections is not None and len(dets) > max_detections:
             order = np.argsort([-d.score for d in dets])[:max_detections]
             order.sort()
             dets = [dets[i] for i in order]
             tid = tid[order]
         frames.append(FrameArrays.from_detections(dets))
         ids.append(tid)
+    return frames, ids
 
-    t_final = t0 + t_obs - 1
-    n_final = len(frames[-1])
-    steps = config.pred_steps
-    offsets = np.zeros((n_final, 2 * steps))
-    mask = np.zeros((n_final, 2 * steps))
+
+def gt_future(log: WorldLog, agent_ids: list[int] | np.ndarray, frame: int,
+              steps: int, step_seconds: float) -> tuple[np.ndarray, np.ndarray]:
+    """Ground-truth positions of agents at ``frame`` (column 0) and at the
+    ``steps`` forecast instants after it, (N, steps + 1, 2), and whether
+    each agent is alive then, (N, steps + 1).  ``FP_ID`` is never alive."""
+    stride, _ = stride_and_horizon(log, steps, step_seconds)
+    instants = frame + stride * np.arange(steps + 1)
+    pos = np.zeros((len(agent_ids), steps + 1, 2))
+    alive = np.zeros((len(agent_ids), steps + 1), dtype=bool)
     by_id = {tr.agent_id: tr for tr in log.tracks}
-    for n in range(n_final):
-        tid = int(ids[-1][n])
-        if tid == FP_ID:
+    for n, agent in enumerate(agent_ids):
+        if agent == FP_ID:
             continue
-        tr = by_id[tid]
-        for i in range(steps):
-            f = t_final + stride * (i + 1)
-            if f > tr.death_frame:
-                break  # shorter ground truth: supervise the valid fragment
-            gt = tr.pos[tr.index_at(f)]
-            offsets[n, 2 * i: 2 * i + 2] = gt - frames[-1].pos[n]
-            mask[n, 2 * i: 2 * i + 2] = 1.0
-    return SequenceSample(frames=frames, true_ids=ids, target_offsets=offsets,
-                          target_mask=mask)
+        track = by_id[int(agent)]
+        alive[n] = ((instants >= track.birth_frame)
+                    & (instants <= track.death_frame))
+        pos[n, alive[n]] = track.pos[instants[alive[n]] - track.birth_frame]
+    return pos, alive
+
+
+def build_sample(log: WorldLog, t0: int, t_obs: int, config: ModelConfig,
+                 max_detections: int = 100) -> SequenceSample:
+    """Cut one observation window and its forecasting targets from a world.
+
+    Targets are the final-frame detections' ground-truth offsets; an agent
+    whose ground truth ends early is supervised on the valid fragment.
+    """
+    frames, ids = cut_window(log, t0, t_obs, max_detections)
+    pos, alive = gt_future(log, ids[-1], t0 + t_obs - 1, config.pred_steps,
+                           config.step_seconds)
+    future = alive[:, 1:]
+    offsets = np.where(future[:, :, None],
+                       pos[:, 1:] - frames[-1].pos[:, None, :], 0.0)
+    return SequenceSample(
+        frames=frames, true_ids=ids,
+        target_offsets=offsets.reshape(-1, 2 * config.pred_steps),
+        target_mask=np.repeat(future, 2, axis=1).astype(float))
 
 
 # A pack stops growing before its windows' summed detections per frame pass
@@ -310,41 +335,26 @@ def pack_samples(samples: list[SequenceSample]) -> SequenceSample:
         num_windows=len(samples))
 
 
-def _rotate_frames(frames, angle):
-    c, s = np.cos(angle), np.sin(angle)
-    rot = np.array([[c, s], [-s, c]])  # row vectors: p @ rot = R p
-    out = []
-    for f in frames:
-        out.append(FrameArrays(pos=f.pos @ rot, velo=f.velo @ rot,
-                               size=f.size.copy(),
-                               heading=np.mod(f.heading + angle + np.pi,
-                                              2 * np.pi) - np.pi,
-                               score=f.score.copy(), window=f.window))
-    return out
-
-
-def _flip_frames(frames):
-    out = []
-    for f in frames:
-        out.append(FrameArrays(pos=f.pos * np.array([1.0, -1.0]),
-                               velo=f.velo * np.array([1.0, -1.0]),
-                               size=f.size.copy(), heading=-f.heading,
-                               score=f.score.copy(), window=f.window))
-    return out
-
-
 def augment_sample(sample: SequenceSample, rng: np.random.Generator) -> SequenceSample:
     """One random rotation plus an independent 50% flip across the x axis."""
     angle = float(rng.uniform(0.0, 2 * np.pi))
     do_flip = bool(rng.random() < 0.5)
-    frames = _rotate_frames(sample.frames, angle)
-    steps = sample.target_offsets.shape[1] // 2
     c, s = np.cos(angle), np.sin(angle)
-    rot = np.array([[c, s], [-s, c]])
+    rot = np.array([[c, s], [-s, c]])  # row vectors: p @ rot = R p
+    flip = np.array([1.0, -1.0])
+    frames = []
+    for f in sample.frames:
+        pos, velo = f.pos @ rot, f.velo @ rot
+        heading = np.mod(f.heading + angle + np.pi, 2 * np.pi) - np.pi
+        if do_flip:
+            pos, velo, heading = pos * flip, velo * flip, -heading
+        frames.append(FrameArrays(pos=pos, velo=velo, size=f.size.copy(),
+                                  heading=heading, score=f.score.copy(),
+                                  window=f.window))
+    steps = sample.target_offsets.shape[1] // 2
     off = sample.target_offsets.reshape(-1, steps, 2) @ rot
     if do_flip:
-        frames = _flip_frames(frames)
-        off = off * np.array([1.0, -1.0])
+        off = off * flip
     return SequenceSample(frames=frames, true_ids=sample.true_ids,
                           target_offsets=off.reshape(-1, 2 * steps),
                           target_mask=sample.target_mask.copy(),

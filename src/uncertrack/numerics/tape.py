@@ -219,22 +219,6 @@ class Tape:
 
         return self._node(val, (a,), backward)
 
-    def tanh(self, a: Var) -> Var:
-        val = np.tanh(a.value)
-
-        def backward(g):
-            _acc_own(a, g * (1.0 - val * val))
-
-        return self._node(val, (a,), backward)
-
-    def log(self, a: Var) -> Var:
-        val = np.log(a.value)
-
-        def backward(g):
-            _acc_own(a, g / a.value)
-
-        return self._node(val, (a,), backward)
-
     def clamp(self, a: Var, lo: float, hi: float) -> Var:
         val = np.clip(a.value, lo, hi)
         inside = (a.value > lo) & (a.value < hi)
@@ -306,7 +290,8 @@ class Tape:
         """
         s = scores.value[:, 0]
         smax = np.full(n_seg, -np.inf)
-        np.maximum.at(smax, seg, s)
+        with np.errstate(invalid="ignore"):  # NaN is refused just below
+            np.maximum.at(smax, seg, s)
         shift = smax[seg]
         if not np.isfinite(shift).all():
             raise NumericsError("segment_softmax: a segment has no unmasked "

@@ -29,7 +29,7 @@ def test_zero_decoder_equals_stand_still_exactly():
     worlds = [_world(2), _world(3, agents=20)]
     report = evaluate_model(params, worlds)
     assert report.num_matched > 0
-    assert report.fde_cm == stand_still_fde(worlds)
+    assert report == stand_still_fde(worlds, config=params.config)
 
 
 def test_mixed_frame_rates_evaluate_as_each_world_alone():
@@ -42,7 +42,7 @@ def test_mixed_frame_rates_evaluate_as_each_world_alone():
     assert both.num_nonlinear == sum(r.num_nonlinear for r in alone)
     combined = sum(r.fde_cm * r.num_matched for r in alone) / both.num_matched
     assert abs(both.fde_cm - combined) < 1e-9 * combined
-    assert stand_still_fde([w10, w20]) is not None
+    assert stand_still_fde([w10, w20]).fde_cm is not None
 
 
 def test_kinematic_baselines_on_one_noiseless_cv_agent():
@@ -54,8 +54,8 @@ def test_kinematic_baselines_on_one_noiseless_cv_agent():
     speed = float(np.hypot(*tracks[0].velo[0]))
     assert np.allclose(np.hypot(tracks[0].velo[:, 0], tracks[0].velo[:, 1]),
                        speed)
-    assert constant_velocity_fde([world]) < 1e-6
-    assert abs(stand_still_fde([world]) - speed * 3.0 * 100.0) < 1e-6
+    assert constant_velocity_fde([world]).fde_cm < 1e-6
+    assert abs(stand_still_fde([world]).fde_cm - speed * 3.0 * 100.0) < 1e-6
 
 
 def _direct_frame(dets):
@@ -110,14 +110,12 @@ def test_evaluation_matches_per_window_oracle(scorer, oracle_worlds):
                            nl_threshold=NL_RESIDUAL_THRESHOLD)
     assert want["num_matched"] > 0 and want["num_nonlinear"] > 0
     if scorer == "stand-still":
-        got = {"fde_cm": stand_still_fde(oracle_worlds)}
+        got = stand_still_fde(oracle_worlds, config=SMALL)
     elif scorer == "constant-velocity":
-        got = {"fde_cm": constant_velocity_fde(oracle_worlds)}
+        got = constant_velocity_fde(oracle_worlds, config=SMALL)
     else:
-        got = vars(evaluate_model(params, oracle_worlds))
+        got = evaluate_model(params, oracle_worlds)
     for key in ("num_matched", "num_nonlinear", "num_windows"):
-        if key in got:
-            assert got[key] == want[key], key
+        assert getattr(got, key) == want[key], key
     for key in ("fde_cm", "nl_fde_cm"):
-        if key in got:
-            assert abs(got[key] - want[key]) <= 1e-9 * want[key], key
+        assert abs(getattr(got, key) - want[key]) <= 1e-9 * want[key], key

@@ -13,7 +13,8 @@ from uncertrack.forecaster import (PACK_DETECTIONS, MeanPoolSIM, SequenceSample,
                                    sequence_labels, total_loss, train)
 from uncertrack.model import VARIANTS, ModelConfig, init_model, variant_config
 from uncertrack.numerics import Tape, grad_check, mlp_forward
-from uncertrack.world import NoiseConfig, corrupt_to_detections, generate_world
+from uncertrack.world import (FP_ID, NoiseConfig, corrupt_to_detections,
+                              generate_world)
 
 SMALL = ModelConfig(det_dim=8, mov_dim=4, field_dim=4, hidden_dim=6,
                     k_candidates=4)
@@ -30,6 +31,42 @@ def _frames(n_dets, steps=4):
                         velo=np.zeros((n_dets, 2)), size=np.ones((n_dets, 3)),
                         heading=np.zeros(n_dets), score=np.full(n_dets, 0.8))
             for _ in range(steps)]
+
+
+def test_build_sample_matches_per_agent_loop():
+    # the cap keeps a frame's most confident detections in their order, and
+    # each target is ground truth minus the detection, step by step, until
+    # the agent's track ends
+    log = _world(9, agents=30, frames=120)
+    config = ModelConfig()
+    stride = int(round(log.frame_rate * config.step_seconds))
+    tracks = {tr.agent_id: tr for tr in log.tracks}
+    capped = cut_short = 0
+    for t0 in range(0, 70, 3):
+        sample = build_sample(log, t0, 20, config, max_detections=12)
+        for t, frame in enumerate(sample.frames):
+            dets = log.frames[t0 + t]
+            keep = sorted(sorted(range(len(dets)),
+                                 key=lambda i: -dets[i].score)[:12])
+            capped += len(keep) < len(dets)
+            assert np.array_equal(frame.pos, [dets[i].pos for i in keep])
+            assert np.array_equal(sample.true_ids[t], log.true_ids[t0 + t][keep])
+        t_final = t0 + 19
+        for n, agent in enumerate(sample.true_ids[-1]):
+            for k in range(config.pred_steps):
+                f = t_final + stride * (k + 1)
+                cols = slice(2 * k, 2 * k + 2)
+                if agent == FP_ID or f > tracks[agent].death_frame:
+                    cut_short += agent != FP_ID
+                    assert not sample.target_mask[n, cols].any()
+                    assert not sample.target_offsets[n, cols].any()
+                    continue
+                tr = tracks[agent]
+                assert np.array_equal(sample.target_mask[n, cols], [1.0, 1.0])
+                assert np.array_equal(sample.target_offsets[n, cols],
+                                      tr.pos[tr.index_at(f)]
+                                      - sample.frames[-1].pos[n])
+    assert capped and cut_short
 
 
 def _samples(config):

@@ -99,7 +99,7 @@ def test_grad_check_through_tape_loss():
         tape = Tape()
         w = tape.param(b.weights[0], b.grads[0])
         bias = tape.param(b.weights[1], b.grads[1])
-        out = tape.tanh(tape.add(tape.matmul(tape.const(x), w), bias))
+        out = tape.sigmoid(tape.add(tape.matmul(tape.const(x), w), bias))
         val = tape.mean(tape.mul(out, out))
         tape.backward(val)
         return float(val.value[0, 0])

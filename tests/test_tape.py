@@ -71,13 +71,10 @@ def test_elementwise_nonlinearities(rows, cols):
     _check(lambda t, xs: t.abs(xs[0]), [(rows, cols)], seed=9)
     _check(lambda t, xs: t.relu(xs[0]), [(rows, cols)], seed=10)
     _check(lambda t, xs: t.sigmoid(xs[0]), [(rows, cols)], seed=11)
-    _check(lambda t, xs: t.tanh(xs[0]), [(rows, cols)], seed=12)
 
 
 @pytest.mark.parametrize("rows,cols", SIZES)
 def test_log_logit_clamp(rows, cols):
-    _check(lambda t, xs: t.log(t.affine(t.sigmoid(xs[0]), 1.0, 0.5)),
-           [(rows, cols)], seed=13)
     _check(lambda t, xs: t.logit(t.clamp(t.sigmoid(xs[0]), 1e-7, 1 - 1e-7)),
            [(rows, cols)], seed=14)
 
