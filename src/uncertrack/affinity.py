@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .detections import FrameArrays, movement_batch
+from .detections import FrameArrays
 from .errors import ConfigError
 from .model import ModelParams
 from .numerics import Tape, Var, mlp_forward
@@ -57,8 +57,7 @@ def pair_features(tape: Tape, params: ModelParams, prev: FrameArrays,
     the sigmoid affinity scores, (P, 1).
     """
     pi, ci = pairs[:, 0], pairs[:, 1]
-    offsets = curr.pos[ci] - prev.pos[pi]
-    x_mov = movement_batch(tape, params, offsets)
+    x_mov = mlp_forward(tape, params.mlp_mov, curr.pos[ci] - prev.pos[pi])
     det_curr = tape.gather_rows(x_det_curr, ci)
     x = tape.concat([det_curr, x_mov])
     a_det = tape.abs(tape.sub(det_curr, tape.gather_rows(x_det_prev, pi)))

@@ -16,8 +16,7 @@ from .errors import ConfigError
 from .model import ModelParams
 from .numerics import Tape, Var, mlp_forward
 
-__all__ = ["Detection", "FrameArrays", "embed_frame", "movement_batch",
-           "stack_windows"]
+__all__ = ["Detection", "FrameArrays", "embed_frame", "stack_windows"]
 
 
 @dataclass
@@ -100,9 +99,4 @@ def embed_frame(tape: Tape, params: ModelParams, frame: FrameArrays) -> Var:
         mlp_forward(tape, params.mlp_score, frame.score[:, None]),
     ]
     return mlp_forward(tape, params.mlp_fus, tape.concat(parts))
-
-
-def movement_batch(tape: Tape, params: ModelParams, offsets: np.ndarray) -> Var:
-    """Embed position offsets (P, 2) in meters, (P, mov_dim)."""
-    return mlp_forward(tape, params.mlp_mov, offsets)
 

@@ -93,7 +93,6 @@ class TransitionRecord:
 class SequenceEncoding:
     transitions: list[TransitionRecord]
     h_mot_final: Var                # (N_T, hidden)
-    final_frame: FrameArrays
     ages_final: np.ndarray          # (N_T,)
 
 
@@ -186,7 +185,7 @@ def encode_sequence(tape: Tape, params: ModelParams,
         x_det_prev = x_det_curr
 
     return SequenceEncoding(transitions=transitions, h_mot_final=h_mot,
-                            final_frame=frames[-1], ages_final=ages)
+                            ages_final=ages)
 
 
 def implicit_chains(encoding: SequenceEncoding) -> list[list[int | None]]:
@@ -195,7 +194,7 @@ def implicit_chains(encoding: SequenceEncoding) -> list[list[int | None]]:
     Entry ``chains[n]`` starts at detection n of the final frame and lists one
     detection index per earlier frame (None once the chain breaks at a birth).
     """
-    n_final = len(encoding.final_frame)
+    n_final = encoding.h_mot_final.value.shape[0]
     chains = []
     for n in range(n_final):
         chain: list[int | None] = [n]

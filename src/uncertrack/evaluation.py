@@ -25,13 +25,14 @@ import numpy as np
 from .detections import stack_windows
 from .errors import ConfigError
 from .forecaster import (cut_window, forecast_sequence, gt_future, pack_ranges,
-                         stride_and_horizon, window_starts)
-from .model import ModelConfig, ModelParams
+                         window_starts)
+from .model import (EVAL_STRIDE, T_OBS, ModelConfig, ModelParams,
+                    stride_and_horizon)
 from .world import WorldLog
 
-__all__ = ["EvalReport", "match_for_eval", "fde",
-           "nonlinearity_residual", "evaluate_model",
-           "ablation_run", "stand_still_fde", "constant_velocity_fde"]
+__all__ = ["EvalReport", "match_for_eval", "nonlinearity_residual",
+           "evaluate_model", "ablation_run", "stand_still_fde",
+           "constant_velocity_fde"]
 
 NL_RESIDUAL_THRESHOLD = 0.1
 MATCH_THRESHOLD_M = 2.0
@@ -59,19 +60,6 @@ def match_for_eval(det_pos: np.ndarray, gt_pos: np.ndarray,
         used_det[i] = used_gt[j] = True
         matches.append((i, j, float(dist[i, j])))
     return sorted(matches)
-
-
-def fde(pred_final: np.ndarray, gt_final: np.ndarray) -> float:
-    """Mean final displacement in centimeters."""
-    pred_final = np.asarray(pred_final, dtype=float).reshape(-1, 2)
-    gt_final = np.asarray(gt_final, dtype=float).reshape(-1, 2)
-    if pred_final.shape != gt_final.shape:
-        raise ConfigError("fde: prediction/target shape mismatch")
-    if len(pred_final) == 0:
-        raise ConfigError("fde: empty sample set (report as absent instead)")
-    d = np.hypot(pred_final[:, 0] - gt_final[:, 0],
-                 pred_final[:, 1] - gt_final[:, 1])
-    return float(d.mean() * 100.0)
 
 
 def nonlinearity_residual(points: np.ndarray) -> float:
@@ -141,17 +129,15 @@ def _score_windows(worlds: list[WorldLog], forecast, t_obs: int,
     stride and horizon taken from that world's frame rate.  A detection is
     scored when it matches an agent alive for the whole horizon.
     """
-    steps = config.pred_steps
     errors: list[float] = []
     nonlinear: list[bool] = []
     num_windows = 0
     for log in worlds:
-        _, horizon = stride_and_horizon(log, steps, config.step_seconds)
+        _, horizon = stride_and_horizon(log.frame_rate, config)
         seconds = horizon / log.frame_rate
         agents = [tr.agent_id for tr in log.tracks]
         windows = []
-        for t0 in range(0, window_starts(log, t_obs, steps, config.step_seconds),
-                        window_stride):
+        for t0 in range(0, window_starts(log, t_obs, config), window_stride):
             num_windows += 1
             frames, _ = cut_window(log, t0, t_obs)
             if len(frames[-1]):
@@ -163,8 +149,7 @@ def _score_windows(worlds: list[WorldLog], forecast, t_obs: int,
                              seconds)
             row = 0
             for t0, frames in pack:
-                gt, alive = gt_future(log, agents, t0 + t_obs - 1, steps,
-                                      config.step_seconds)
+                gt, alive = gt_future(log, agents, t0 + t_obs - 1, config)
                 gt = gt[alive.all(axis=1)]
                 for i, j, _ in match_for_eval(frames[-1].pos, gt[:, 0]):
                     errors.append(float(np.hypot(*(final[row + i] - gt[j, -1]))))
@@ -184,8 +169,8 @@ def _score_windows(worlds: list[WorldLog], forecast, t_obs: int,
         nl_threshold=nl_threshold)
 
 
-def evaluate_model(params: ModelParams, worlds: list[WorldLog], t_obs: int = 20,
-                   window_stride: int = 5, sim=None,
+def evaluate_model(params: ModelParams, worlds: list[WorldLog],
+                   t_obs: int = T_OBS, window_stride: int = EVAL_STRIDE, sim=None,
                    nl_threshold: float = NL_RESIDUAL_THRESHOLD) -> EvalReport:
     """fde@3s and nl_fde@3s of the model's forecasts."""
     def final_waypoints(frames, seconds):
@@ -196,16 +181,16 @@ def evaluate_model(params: ModelParams, worlds: list[WorldLog], t_obs: int = 20,
                           params.config, nl_threshold)
 
 
-def stand_still_fde(worlds: list[WorldLog], t_obs: int = 20,
-                    window_stride: int = 5,
+def stand_still_fde(worlds: list[WorldLog], t_obs: int = T_OBS,
+                    window_stride: int = EVAL_STRIDE,
                     config: ModelConfig = ModelConfig()) -> EvalReport:
     """Independent baseline: forecast = stay at the detected position."""
     return _score_windows(worlds, lambda frames, seconds: frames[-1].pos,
                           t_obs, window_stride, config, NL_RESIDUAL_THRESHOLD)
 
 
-def constant_velocity_fde(worlds: list[WorldLog], t_obs: int = 20,
-                          window_stride: int = 5,
+def constant_velocity_fde(worlds: list[WorldLog], t_obs: int = T_OBS,
+                          window_stride: int = EVAL_STRIDE,
                           config: ModelConfig = ModelConfig()) -> EvalReport:
     """Independent baseline: forecast = detected position plus detected
     velocity times the horizon."""
@@ -218,7 +203,7 @@ def constant_velocity_fde(worlds: list[WorldLog], t_obs: int = 20,
 
 def ablation_run(train_fn, eval_worlds: list[WorldLog], seeds: list[int],
                  variants: tuple[str, ...] = ("baseline", "asu", "msa", "full"),
-                 t_obs: int = 20, window_stride: int = 5,
+                 t_obs: int = T_OBS, window_stride: int = EVAL_STRIDE,
                  nl_threshold: float = NL_RESIDUAL_THRESHOLD,
                  progress=None) -> EvalReport:
     """Train each variant per seed (via ``train_fn(variant, seed)``) and

@@ -20,7 +20,8 @@ import numpy as np
 from .detections import FrameArrays, stack_windows
 from .encoder import SequenceEncoding, encode_sequence
 from .errors import ConfigError
-from .model import (ModelConfig, ModelParams, init_model, variant_config)
+from .model import (MAX_DETECTIONS, T_OBS, ModelConfig, ModelParams,
+                    init_model, stride_and_horizon, variant_config)
 from .numerics import SCORE_EPS, NumericsError, Tape, Var, adam_step, mlp_forward
 from .rng import substream
 from .world import FP_ID, WorldLog
@@ -29,16 +30,14 @@ __all__ = ["Forecast", "TrainConfig", "SequenceSample", "EpochStats",
            "MeanPoolSIM", "decode_trajectory",
            "total_loss", "lambda_schedule", "lr_schedule", "augment_sample",
            "build_sample", "cut_window", "gt_future", "window_starts",
-           "stride_and_horizon", "sequence_labels", "train", "forecast_sequence",
+           "sequence_labels", "train", "forecast_sequence",
            "parse_config_file", "model_config_from_train", "PACK_DETECTIONS",
            "pack_ranges", "pack_samples"]
 
 
 @dataclass
 class Forecast:
-    curr_index: int
     waypoints: np.ndarray   # (pred_steps, 2) absolute positions, meters
-    frame_interval: float   # seconds between waypoints
 
 
 # ---- social interaction plug-in ----------------------------------------------
@@ -82,11 +81,9 @@ def decode_trajectory(tape: Tape, params: ModelParams, p_n: Var,
     """Decode per-step offsets and assemble absolute waypoint forecasts."""
     offsets = mlp_forward(tape, params.mlp_dec, p_n)
     steps = params.config.pred_steps
-    forecasts = []
-    for n in range(positions.shape[0]):
-        way = positions[n][None, :] + offsets.value[n].reshape(steps, 2)
-        forecasts.append(Forecast(curr_index=n, waypoints=way,
-                                  frame_interval=params.config.step_seconds))
+    forecasts = [Forecast(waypoints=positions[n][None, :]
+                          + offsets.value[n].reshape(steps, 2))
+                 for n in range(positions.shape[0])]
     return offsets, forecasts
 
 
@@ -109,20 +106,22 @@ def sequence_labels(transitions, true_ids) -> list[np.ndarray]:
 
 
 def total_loss(tape: Tape, pred_offsets: Var, sample: SequenceSample,
-               transitions, labels: list[np.ndarray], lam: float, t_obs: int,
-               beta: float = 1.0):
+               transitions, lam: float, beta: float = 1.0):
     """Joint matching/forecasting loss, summed over the windows of a pack.
 
     A window's loss is its masked smooth-L1 over the final-frame targets plus
     ``lam`` times its affinity loss: the per-transition mean BCE over gated
-    pairs, summed over transitions that have pairs and divided by
-    ``t_obs - 1``.  Per-window normalisation is carried by the weights, so one
-    smooth-L1 and one clamp+BCE cover the whole pack.
+    pairs (labelled by :func:`sequence_labels`), summed over transitions that
+    have pairs and divided by the window's ``t_obs - 1`` transitions.
+    Per-window normalisation is carried by the weights, so one smooth-L1 and
+    one clamp+BCE cover the whole pack.
 
     Returns (loss Var, summed l_traj, summed l_aff, windows with targets).
     Raises when a window has neither supervised forecasts nor gated pairs.
     """
     n_win = sample.num_windows
+    n_trans = len(sample.frames) - 1
+    labels = sequence_labels(transitions, sample.true_ids)
     row_window = sample.frames[-1].window
     terms = []
     row_mask = sample.target_mask.sum(axis=1)
@@ -160,8 +159,8 @@ def total_loss(tape: Tape, pred_offsets: Var, sample: SequenceSample,
                        weights=np.concatenate(aff_weights))
         # the weights sum to n_scored, so the weighted mean times n_scored
         # sums every window's per-transition means
-        l_aff_val = float(bce.value[0, 0]) * n_scored / (t_obs - 1)
-        terms.append(tape.affine(bce, lam * n_scored / (t_obs - 1)))
+        l_aff_val = float(bce.value[0, 0]) * n_scored / n_trans
+        terms.append(tape.affine(bce, lam * n_scored / n_trans))
 
     empty = np.flatnonzero((win_mask == 0) & ~win_scored)
     if len(empty):
@@ -176,24 +175,24 @@ def total_loss(tape: Tape, pred_offsets: Var, sample: SequenceSample,
 # ---- schedules -----------------------------------------------------------------
 
 
-def lambda_schedule(epoch: int, total_epochs: int, lambda_start: float = 1.0,
-                    lambda_end: float = 0.1) -> float:
-    """Linear decay over the first half of training, then constant."""
-    if not 0 <= epoch < total_epochs:
-        raise ConfigError(f"epoch {epoch} outside [0, {total_epochs})")
-    half = math.ceil(total_epochs / 2)
+def lambda_schedule(epoch: int, cfg: TrainConfig) -> float:
+    """``lambda_start`` decayed linearly to ``lambda_end`` over the first half
+    of training, then constant."""
+    if not 0 <= epoch < cfg.epochs:
+        raise ConfigError(f"epoch {epoch} outside [0, {cfg.epochs})")
+    half = math.ceil(cfg.epochs / 2)
     if epoch >= half:
-        return lambda_end
-    return lambda_start + (lambda_end - lambda_start) * epoch / half
+        return cfg.lambda_end
+    return cfg.lambda_start + (cfg.lambda_end - cfg.lambda_start) * epoch / half
 
 
-def lr_schedule(epoch: int, total_epochs: int, base_lr: float = 0.003,
-                decay: float = 0.6, num_decays: int = 6) -> float:
-    """Step decay at evenly spaced epoch boundaries."""
-    boundaries = [math.ceil(total_epochs * i / (num_decays + 1))
-                  for i in range(1, num_decays + 1)]
+def lr_schedule(epoch: int, cfg: TrainConfig) -> float:
+    """``lr`` times ``lr_decay`` once per evenly spaced epoch boundary, at
+    ``lr_num_decays`` boundaries."""
+    boundaries = [math.ceil(cfg.epochs * i / (cfg.lr_num_decays + 1))
+                  for i in range(1, cfg.lr_num_decays + 1)]
     k = sum(epoch >= b for b in boundaries)
-    return base_lr * decay ** k
+    return cfg.lr * cfg.lr_decay ** k
 
 
 # ---- samples and augmentation ----------------------------------------------------
@@ -210,18 +209,9 @@ class SequenceSample:
     num_windows: int = 1
 
 
-def stride_and_horizon(log: WorldLog, pred_steps: int,
-                       step_seconds: float) -> tuple[int, int]:
-    """Frames between forecast waypoints, and frames to the last waypoint,
-    at this world's own frame rate."""
-    stride = int(round(log.frame_rate * step_seconds))
-    return stride, pred_steps * stride
-
-
-def window_starts(log: WorldLog, t_obs: int, pred_steps: int,
-                  step_seconds: float) -> int:
+def window_starts(log: WorldLog, t_obs: int, config: ModelConfig) -> int:
     """Number of admissible window start frames (full horizon in-world)."""
-    _, horizon = stride_and_horizon(log, pred_steps, step_seconds)
+    _, horizon = stride_and_horizon(log.frame_rate, config)
     return max(0, log.num_frames - t_obs - horizon + 1)
 
 
@@ -250,11 +240,13 @@ def cut_window(log: WorldLog, t0: int, t_obs: int,
 
 
 def gt_future(log: WorldLog, agent_ids: list[int] | np.ndarray, frame: int,
-              steps: int, step_seconds: float) -> tuple[np.ndarray, np.ndarray]:
+              config: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
     """Ground-truth positions of agents at ``frame`` (column 0) and at the
-    ``steps`` forecast instants after it, (N, steps + 1, 2), and whether
-    each agent is alive then, (N, steps + 1).  ``FP_ID`` is never alive."""
-    stride, _ = stride_and_horizon(log, steps, step_seconds)
+    ``config.pred_steps`` forecast instants after it, (N, steps + 1, 2), and
+    whether each agent is alive then, (N, steps + 1).  ``FP_ID`` is never
+    alive."""
+    steps = config.pred_steps
+    stride, _ = stride_and_horizon(log.frame_rate, config)
     instants = frame + stride * np.arange(steps + 1)
     pos = np.zeros((len(agent_ids), steps + 1, 2))
     alive = np.zeros((len(agent_ids), steps + 1), dtype=bool)
@@ -270,15 +262,14 @@ def gt_future(log: WorldLog, agent_ids: list[int] | np.ndarray, frame: int,
 
 
 def build_sample(log: WorldLog, t0: int, t_obs: int, config: ModelConfig,
-                 max_detections: int = 100) -> SequenceSample:
+                 max_detections: int = MAX_DETECTIONS) -> SequenceSample:
     """Cut one observation window and its forecasting targets from a world.
 
     Targets are the final-frame detections' ground-truth offsets; an agent
     whose ground truth ends early is supervised on the valid fragment.
     """
     frames, ids = cut_window(log, t0, t_obs, max_detections)
-    pos, alive = gt_future(log, ids[-1], t0 + t_obs - 1, config.pred_steps,
-                           config.step_seconds)
+    pos, alive = gt_future(log, ids[-1], t0 + t_obs - 1, config)
     future = alive[:, 1:]
     offsets = np.where(future[:, :, None],
                        pos[:, 1:] - frames[-1].pos[:, None, :], 0.0)
@@ -369,8 +360,8 @@ class TrainConfig:
     """Training settings; the model's sizes and gate default to ModelConfig's."""
 
     batch_sequences: int = 16
-    max_detections: int = 100
-    t_obs: int = 20
+    max_detections: int = MAX_DETECTIONS
+    t_obs: int = T_OBS
     k_candidates: int = ModelConfig.k_candidates
     theta_d: float = ModelConfig.theta_d
     hidden_dim: int = ModelConfig.hidden_dim
@@ -457,27 +448,24 @@ class EpochStats:
     lr: float
 
 
-def _sequence_loss(tape, params, sample, lam, t_obs, beta, sim):
+def _sequence_loss(tape, params, sample, lam, beta, sim):
     enc = encode_sequence(tape, params, sample.frames)
     p_n = enc.h_mot_final
     if sim is not None:
         p_n = sim(tape, p_n, sample.frames[-1])
     offsets = mlp_forward(tape, params.mlp_dec, p_n)
-    labels = sequence_labels(enc.transitions, sample.true_ids)
-    return total_loss(tape, offsets, sample, enc.transitions, labels, lam,
-                      t_obs, beta)
+    return total_loss(tape, offsets, sample, enc.transitions, lam, beta)
 
 
 def train(cfg: TrainConfig, worlds: list[WorldLog], variant: str = "full",
-          sim=None, progress=None) -> tuple[ModelParams, list[EpochStats]]:
+          sim=None) -> tuple[ModelParams, list[EpochStats]]:
     """Full training loop; deterministic for a fixed (cfg, worlds, variant).
 
     Each Adam batch is cut into packs by :func:`pack_ranges` and every pack
     is one tape pass; the gradient is that of the mean window loss.
     """
     model_cfg = model_config_from_train(cfg, variant)
-    starts_per_world = [window_starts(w, cfg.t_obs, model_cfg.pred_steps,
-                                      model_cfg.step_seconds) for w in worlds]
+    starts_per_world = [window_starts(w, cfg.t_obs, model_cfg) for w in worlds]
     total_windows = sum(cfg.windows_per_world for s in starts_per_world if s > 0)
     if total_windows < cfg.batch_sequences:
         raise ConfigError(f"training needs at least {cfg.batch_sequences} "
@@ -490,9 +478,8 @@ def train(cfg: TrainConfig, worlds: list[WorldLog], variant: str = "full",
     history: list[EpochStats] = []
     step = 0
     for epoch in range(cfg.epochs):
-        lam = lambda_schedule(epoch, cfg.epochs, cfg.lambda_start, cfg.lambda_end)
-        lr = lr_schedule(epoch, cfg.epochs, cfg.lr, cfg.lr_decay,
-                         cfg.lr_num_decays)
+        lam = lambda_schedule(epoch, cfg)
+        lr = lr_schedule(epoch, cfg)
         windows = []
         for wi, n_starts in enumerate(starts_per_world):
             if n_starts <= 0:
@@ -516,7 +503,7 @@ def train(cfg: TrainConfig, worlds: list[WorldLog], variant: str = "full",
                 tape = Tape()
                 loss, l_traj, l_aff, n_traj = _sequence_loss(
                     tape, params, pack_samples(samples[p_lo:p_hi]), lam,
-                    cfg.t_obs, cfg.smooth_l1_beta, sim)
+                    cfg.smooth_l1_beta, sim)
                 value = float(loss.value[0, 0])
                 if not np.isfinite(value):
                     raise NumericsError(
@@ -531,13 +518,10 @@ def train(cfg: TrainConfig, worlds: list[WorldLog], variant: str = "full",
             step += 1
             adam_step(params.blocks(), lr=lr, step=step)
 
-        stats = EpochStats(epoch=epoch,
-                           l_traj=traj_sum / traj_n if traj_n else 0.0,
-                           l_aff=aff_sum / aff_n if aff_n else 0.0,
-                           lam=lam, lr=lr)
-        history.append(stats)
-        if progress is not None:
-            progress(stats)
+        history.append(EpochStats(epoch=epoch,
+                                  l_traj=traj_sum / traj_n if traj_n else 0.0,
+                                  l_aff=aff_sum / aff_n if aff_n else 0.0,
+                                  lam=lam, lr=lr))
     return params, history
 
 

@@ -16,10 +16,16 @@ from .numerics import (GruParams, LinearParams, MlpParams, ParamBlock,
                        save_weights)
 from .rng import substream
 
-__all__ = ["ModelConfig", "ModelParams", "VARIANTS", "variant_config",
+__all__ = ["ModelConfig", "ModelParams", "VARIANTS", "T_OBS", "EVAL_STRIDE",
+           "MAX_DETECTIONS", "stride_and_horizon", "variant_config",
            "init_model", "save_model", "load_model"]
 
 VARIANTS = ("baseline", "asu", "msa", "full")
+
+# Window settings shared by world generation, training and evaluation
+T_OBS = 20            # observed frames per window
+EVAL_STRIDE = 5       # frames between evaluation window starts
+MAX_DETECTIONS = 100  # most confident detections a training frame keeps
 
 
 @dataclass(frozen=True)
@@ -55,6 +61,23 @@ class ModelConfig:
     @property
     def gru_mot_in(self) -> int:
         return self.x_dim + (self.hidden_dim if self.use_asu else 0)
+
+
+def stride_and_horizon(frame_rate: float,
+                       config: ModelConfig) -> tuple[int, int]:
+    """Frames between forecast waypoints, and frames to the last waypoint,
+    at a world's frame rate.
+
+    A forecast step that is not a whole positive number of frames is
+    refused: rounding it would move every target and the fde horizon.
+    """
+    frames = frame_rate * config.step_seconds
+    stride = round(frames)
+    if stride < 1 or abs(frames - stride) > 1e-9:
+        raise ConfigError(f"a forecast step of {config.step_seconds} s at "
+                          f"{frame_rate} Hz is {frames} frames, not a whole "
+                          "positive number")
+    return stride, config.pred_steps * stride
 
 
 def variant_config(name: str, base: ModelConfig | None = None) -> ModelConfig:

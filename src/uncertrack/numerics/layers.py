@@ -18,7 +18,7 @@ __all__ = ["MlpParams", "GruParams", "LinearParams",
            "make_mlp", "make_gru", "make_linear",
            "mlp_forward", "gru_step", "linear_forward"]
 
-_ACTIVATIONS = ("relu", "sigmoid", "identity")
+_ACTIVATIONS = ("relu", "identity")
 
 
 @dataclass
@@ -113,8 +113,6 @@ def mlp_forward(tape: Tape, params: MlpParams, x) -> Var:
         h = tape.linear(h, bound[2 * layer], bound[2 * layer + 1])
         if act == "relu":
             h = tape.relu(h)
-        elif act == "sigmoid":
-            h = tape.sigmoid(h)
     return h
 
 

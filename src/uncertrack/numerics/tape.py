@@ -184,8 +184,9 @@ class Tape:
 
         return self._node(val, (a, b), backward)
 
-    def affine(self, a: Var, scale: float, shift: float = 0.0) -> Var:
-        val = scale * a.value + shift
+    def affine(self, a: Var, scale: float) -> Var:
+        """``scale * a``; scales a loss term by a constant."""
+        val = scale * a.value
 
         def backward(g):
             _acc_own(a, scale * g)
@@ -370,8 +371,9 @@ class Tape:
         return self._node(val, (a,), backward)
 
     def smooth_l1(self, pred: Var, target: np.ndarray, beta: float,
-                  weights: np.ndarray | None = None) -> Var:
-        """Mean (optionally weighted) smooth-L1 over all components."""
+                  weights: np.ndarray) -> Var:
+        """Weighted mean smooth-L1 over all components; ``weights`` has the
+        shape of ``pred``."""
         if beta <= 0.0:
             raise NumericsError("smooth_l1 beta must be positive")
         target = np.asarray(target, dtype=np.float64)
@@ -381,46 +383,33 @@ class Tape:
         d = pred.value - target
         ad = np.abs(d)
         per = np.where(ad < beta, 0.5 * d * d / beta, ad - 0.5 * beta)
-        if weights is None:
-            denom = float(per.size)
-            val = np.array([[per.sum() / denom]])
-        else:
-            denom = float(weights.sum())
-            if denom <= 0.0:
-                raise NumericsError("smooth_l1 weights sum to zero")
-            val = np.array([[(per * weights).sum() / denom]])
+        denom = float(weights.sum())
+        if denom <= 0.0:
+            raise NumericsError("smooth_l1 weights sum to zero")
+        val = np.array([[(per * weights).sum() / denom]])
 
         def backward(g):
             g = g[0, 0] / denom
-            dd = np.where(ad < beta, d / beta, np.sign(d))
-            if weights is not None:
-                dd = dd * weights
+            dd = np.where(ad < beta, d / beta, np.sign(d)) * weights
             _acc_own(pred, g * dd)
 
         return self._node(val, (pred,), backward)
 
-    def bce(self, scores: Var, labels: np.ndarray,
-            weights: np.ndarray | None = None) -> Var:
-        """Mean (optionally weighted) binary cross entropy; scores must be
-        pre-clamped into (0, 1)."""
+    def bce(self, scores: Var, labels: np.ndarray, weights: np.ndarray) -> Var:
+        """Weighted mean binary cross entropy; scores must be pre-clamped
+        into (0, 1), and labels and weights hold one entry per score."""
         labels = np.asarray(labels, dtype=np.float64).reshape(scores.value.shape)
         s = scores.value
         per = -(labels * np.log(s) + (1.0 - labels) * np.log(1.0 - s))
-        if weights is None:
-            denom = float(per.size)
-            val = np.array([[per.sum() / denom]])
-        else:
-            weights = np.asarray(weights, dtype=np.float64).reshape(s.shape)
-            denom = float(weights.sum())
-            if denom <= 0.0:
-                raise NumericsError("bce weights sum to zero")
-            val = np.array([[(per * weights).sum() / denom]])
+        weights = np.asarray(weights, dtype=np.float64).reshape(s.shape)
+        denom = float(weights.sum())
+        if denom <= 0.0:
+            raise NumericsError("bce weights sum to zero")
+        val = np.array([[(per * weights).sum() / denom]])
 
         def backward(g):
             g = g[0, 0] / denom
-            ds = (1.0 - labels) / (1.0 - s) - labels / s
-            if weights is not None:
-                ds = ds * weights
+            ds = ((1.0 - labels) / (1.0 - s) - labels / s) * weights
             _acc_own(scores, g * ds)
 
         return self._node(val, (scores,), backward)

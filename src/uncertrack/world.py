@@ -21,6 +21,7 @@ import numpy as np
 
 from .detections import Detection
 from .errors import ConfigError
+from .model import T_OBS, ModelConfig, stride_and_horizon
 from .rng import substream
 
 __all__ = ["AgentTrack", "NoiseConfig", "WorldLog", "MOTION_CLASSES",
@@ -104,9 +105,6 @@ class WorldLog:
     def num_frames(self) -> int:
         return len(self.frames)
 
-    def live_agents(self, frame: int) -> list[AgentTrack]:
-        return [t for t in self.tracks if t.alive(frame)]
-
 
 # ---- trajectory generation ---------------------------------------------------
 
@@ -171,9 +169,10 @@ def _make_velocities(cls: str, length: int, speed: float, direction: np.ndarray,
 
 def generate_world(num_agents: int, num_frames: int, frame_rate: float = 10.0,
                    motion_mix: dict[str, float] | None = None, seed: int = 0,
-                   area: float = 60.0, t_obs: int = 20, pred_steps: int = 6,
-                   step_seconds: float = 0.5) -> list[AgentTrack]:
-    """Spawn agents with random life windows long enough to train on."""
+                   area: float = 60.0) -> list[AgentTrack]:
+    """Spawn agents with random life windows long enough to train on: every
+    agent lives for at least one window of ``T_OBS`` observed frames plus the
+    default model's forecast horizon."""
     if num_agents < 1:
         raise ConfigError("generate_world: num_agents must be >= 1")
     mix = dict(DEFAULT_MOTION_MIX if motion_mix is None else motion_mix)
@@ -185,7 +184,7 @@ def generate_world(num_agents: int, num_frames: int, frame_rate: float = 10.0,
         raise ConfigError("motion_mix weights must sum to a positive value")
     weights /= weights.sum()
 
-    min_life = t_obs + int(round(pred_steps * frame_rate * step_seconds))
+    min_life = T_OBS + stride_and_horizon(frame_rate, ModelConfig())[1]
     if num_frames < min_life:
         raise ConfigError(f"infeasible window constraints: num_frames "
                           f"{num_frames} < minimum life {min_life}")
@@ -244,6 +243,26 @@ def _burst_masks(tracks, noise, rng) -> dict[int, np.ndarray]:
     return masks
 
 
+def _detect(rng: np.random.Generator, noise: NoiseConfig, track: AgentTrack,
+            i: int, pos_sigma: float, score_mean: float) -> Detection:
+    """Perturb the state at row ``i`` of a track into one detection; the
+    draws are pos, velo, heading, size, score, in that order."""
+    pos = track.pos[i] + rng.normal(0.0, pos_sigma, size=2)
+    velo = track.velo[i] + rng.normal(0.0, noise.velo_sigma, size=2)
+    dh = rng.normal(0.0, noise.heading_sigma)
+    heading = track.heading[i]
+    # skip the wrap when unperturbed so zero noise is exactly transparent
+    heading = float(_wrap_angle(heading + dh) if dh else heading)
+    size = np.maximum(track.size[i] + rng.normal(0.0, noise.size_sigma, size=3),
+                      0.2)
+    score = float(np.clip(rng.normal(score_mean, noise.score_sigma),
+                          1e-4, 1.0 - 1e-4))
+    return Detection(pos=(float(pos[0]), float(pos[1])),
+                     velo=(float(velo[0]), float(velo[1])),
+                     size=tuple(float(s) for s in size), heading=heading,
+                     score=score)
+
+
 def corrupt_to_detections(tracks: list[AgentTrack], noise: NoiseConfig,
                           seed: int = 0, num_frames: int | None = None,
                           frame_rate: float = 10.0) -> WorldLog:
@@ -265,38 +284,14 @@ def corrupt_to_detections(tracks: list[AgentTrack], noise: NoiseConfig,
                 continue
             pos_sigma = noise.pos_sigma * (_BURST_POS_FACTOR
                                            if bursts[tr.agent_id][i] else 1.0)
-            pos = tr.pos[i] + rng.normal(0.0, pos_sigma, size=2)
-            velo = tr.velo[i] + rng.normal(0.0, noise.velo_sigma, size=2)
-            dh = rng.normal(0.0, noise.heading_sigma)
-            # skip the wrap when unperturbed so zero noise is exactly transparent
-            heading = float(_wrap_angle(tr.heading[i] + dh)) if dh else float(tr.heading[i])
-            size = np.maximum(tr.size[i] + rng.normal(0.0, noise.size_sigma, size=3),
-                              0.2)
-            score = float(np.clip(rng.normal(noise.score_tp_mean, noise.score_sigma),
-                                  1e-4, 1.0 - 1e-4))
-            dets.append(Detection(pos=(float(pos[0]), float(pos[1])),
-                                  velo=(float(velo[0]), float(velo[1])),
-                                  size=tuple(float(s) for s in size),
-                                  heading=heading, score=score))
+            dets.append(_detect(rng, noise, tr, i, pos_sigma, noise.score_tp_mean))
             ids.append(tr.agent_id)
 
         if live and noise.fp_rate > 0:
             for _ in range(int(rng.poisson(noise.fp_rate))):
                 host = live[int(rng.integers(len(live)))]
-                i = host.index_at(t)
-                pos = host.pos[i] + rng.normal(0.0, noise.fp_cluster_sigma, size=2)
-                velo = host.velo[i] + rng.normal(0.0, noise.velo_sigma, size=2)
-                heading = float(_wrap_angle(host.heading[i]
-                                            + rng.normal(0.0, noise.heading_sigma)))
-                size = np.maximum(host.size[i]
-                                  + rng.normal(0.0, noise.size_sigma, size=3), 0.2)
-                score = float(np.clip(rng.normal(noise.score_fp_mean,
-                                                 noise.score_sigma),
-                                      1e-4, 1.0 - 1e-4))
-                dets.append(Detection(pos=(float(pos[0]), float(pos[1])),
-                                      velo=(float(velo[0]), float(velo[1])),
-                                      size=tuple(float(s) for s in size),
-                                      heading=heading, score=score))
+                dets.append(_detect(rng, noise, host, host.index_at(t),
+                                    noise.fp_cluster_sigma, noise.score_fp_mean))
                 ids.append(FP_ID)
 
         frames.append(dets)
@@ -349,13 +344,16 @@ def load_world(path) -> WorldLog:
     """Read a world written by :func:`save_world`.
 
     A malformed line (bad JSON, a NaN or infinite number, a missing or
-    ill-typed field) raises ``ConfigError`` naming ``path:line``.
+    ill-typed field, a non-positive frame rate, agent arrays whose length is
+    not the agent's life, a frame outside the world, a ``true_id`` that names
+    no agent) raises ``ConfigError`` naming ``path:line``.
     """
     path = Path(path)
     frame_rate, rng_seed, num_frames = 10.0, 0, None
     tracks: list[AgentTrack] = []
     frame_map: dict[int, list[Detection]] = {}
     ids_map: dict[int, np.ndarray] = {}
+    frame_line: dict[int, int] = {}
     with open(path) as f:
         for line_no, line in enumerate(f, 1):
             line = line.strip()
@@ -368,15 +366,29 @@ def load_world(path) -> WorldLog:
                     frame_rate = float(rec["frame_rate"])
                     rng_seed = int(rec.get("rng_seed", 0))
                     num_frames = rec.get("num_frames")
+                    if frame_rate <= 0:
+                        raise ConfigError(f"{path}:{line_no}: frame_rate must "
+                                          f"be positive, got {frame_rate}")
+                    if num_frames is not None and (type(num_frames) is not int
+                                                   or num_frames < 0):
+                        raise ConfigError(f"{path}:{line_no}: num_frames must be "
+                                          f"a count, got {num_frames!r}")
                 elif kind == "agent":
-                    tracks.append(AgentTrack(
+                    track = AgentTrack(
                         agent_id=int(rec["agent_id"]),
                         birth_frame=int(rec["birth_frame"]),
                         death_frame=int(rec["death_frame"]),
                         pos=np.array(rec["pos"], dtype=float),
                         velo=np.array(rec["velo"], dtype=float),
                         heading=np.array(rec["heading"], dtype=float),
-                        size=np.array(rec["size"], dtype=float)))
+                        size=np.array(rec["size"], dtype=float))
+                    n = track.length
+                    if (track.pos.shape, track.velo.shape, track.heading.shape,
+                            track.size.shape) != ((n, 2), (n, 2), (n,), (n, 3)):
+                        raise ConfigError(
+                            f"{path}:{line_no}: agent {track.agent_id}: pos, "
+                            f"velo, heading and size must hold its {n} frames")
+                    tracks.append(track)
                 elif kind == "frame":
                     t = int(rec["frame"])
                     dets, ids = [], []
@@ -390,6 +402,7 @@ def load_world(path) -> WorldLog:
                         ids.append(FP_ID if tid == "FP" else int(tid))
                     frame_map[t] = dets
                     ids_map[t] = np.array(ids, dtype=int)
+                    frame_line[t] = line_no
                 else:
                     raise ConfigError(f"{path}:{line_no}: unknown line type {kind!r}")
             except KeyError as e:
@@ -399,6 +412,15 @@ def load_world(path) -> WorldLog:
                 raise ConfigError(f"{path}:{line_no}: bad line ({e})") from e
     if num_frames is None:
         num_frames = max(frame_map) + 1 if frame_map else 0
+    agents = {tr.agent_id for tr in tracks} | {FP_ID}
+    for t, line_no in frame_line.items():
+        if not 0 <= t < num_frames:
+            raise ConfigError(f"{path}:{line_no}: frame {t} is outside the "
+                              f"world's {num_frames} frames")
+        unknown = set(ids_map[t].tolist()) - agents
+        if unknown:
+            raise ConfigError(f"{path}:{line_no}: true_id {min(unknown)} "
+                              "names no agent")
     frames = [frame_map.get(t, []) for t in range(num_frames)]
     true_ids = [ids_map.get(t, np.zeros(0, dtype=int)) for t in range(num_frames)]
     return WorldLog(frame_rate=frame_rate, tracks=tracks, frames=frames,

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from uncertrack.affinity import pair_features
-from uncertrack.detections import (Detection, FrameArrays, embed_frame,
-                                   movement_batch)
+from uncertrack.detections import Detection, FrameArrays, embed_frame
 from uncertrack.model import ModelConfig, init_model
 from uncertrack.numerics import Tape, mlp_forward
 
@@ -99,7 +98,7 @@ def test_compose_concatenates_and_round_trips(params):
     x = _pair_input(params, (0.0, 0.0), [(0.4, -0.2)])
     tape = Tape()
     x_det = embed_frame(tape, params, _frame((0.4, -0.2))).value
-    x_mov = movement_batch(tape, params, np.array([[0.4, -0.2]])).value
+    x_mov = mlp_forward(tape, params.mlp_mov, np.array([[0.4, -0.2]])).value
     assert x.shape == (1, 96)
     assert np.array_equal(x[:, :64], x_det)
     assert np.array_equal(x[:, 64:], x_mov)

@@ -1,4 +1,7 @@
-"""Evaluation windows, packed forecasting, and the kinematic baselines."""
+"""Evaluation windows, packed forecasting, the kinematic baselines and the
+ablation harness."""
+
+import json
 
 import numpy as np
 import pytest
@@ -6,10 +9,10 @@ import pytest
 from oracles import evaluate_direct
 from uncertrack.detections import FrameArrays
 from uncertrack.evaluation import (MATCH_THRESHOLD_M, NL_RESIDUAL_THRESHOLD,
-                                   constant_velocity_fde, evaluate_model,
-                                   stand_still_fde)
+                                   ablation_run, constant_velocity_fde,
+                                   evaluate_model, stand_still_fde)
 from uncertrack.forecaster import forecast_sequence
-from uncertrack.model import ModelConfig, init_model
+from uncertrack.model import VARIANTS, ModelConfig, init_model, variant_config
 from uncertrack.world import NoiseConfig, corrupt_to_detections, generate_world
 
 SMALL = ModelConfig(det_dim=8, mov_dim=4, field_dim=4, hidden_dim=6,
@@ -119,3 +122,25 @@ def test_evaluation_matches_per_window_oracle(scorer, oracle_worlds):
         assert getattr(got, key) == want[key], key
     for key in ("fde_cm", "nl_fde_cm"):
         assert abs(getattr(got, key) - want[key]) <= 1e-9 * want[key], key
+
+
+def test_ablation_run_evaluates_every_variant_and_seed():
+    world = _world(8, agents=12)
+    seeds = [0, 1]
+
+    def train_fn(variant, seed):
+        return init_model(variant_config(variant, SMALL), seed)
+
+    report = ablation_run(train_fn, [world], seeds)
+    assert list(report.variants) == list(VARIANTS)
+    for variant in VARIANTS:
+        row = report.variants[variant]
+        for i, seed in enumerate(seeds):
+            want = evaluate_model(train_fn(variant, seed), [world])
+            assert want.num_nonlinear > 0
+            assert [row[k][i] for k in ("fde_cm", "nl_fde_cm", "num_matched",
+                                        "num_nonlinear")] == [
+                want.fde_cm, want.nl_fde_cm, want.num_matched, want.num_nonlinear]
+    assert json.loads(report.to_json())["variants"] == report.variants
+    text = report.to_text()
+    assert all(variant in text for variant in VARIANTS)

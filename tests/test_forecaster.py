@@ -10,7 +10,7 @@ from uncertrack.forecaster import (PACK_DETECTIONS, MeanPoolSIM, SequenceSample,
                                    TrainConfig, augment_sample, build_sample,
                                    forecast_sequence, pack_ranges,
                                    pack_samples, parse_config_file,
-                                   sequence_labels, total_loss, train)
+                                   total_loss, train)
 from uncertrack.model import VARIANTS, ModelConfig, init_model, variant_config
 from uncertrack.numerics import Tape, grad_check, mlp_forward
 from uncertrack.world import (FP_ID, NoiseConfig, corrupt_to_detections,
@@ -82,15 +82,13 @@ def _samples(config):
     return out
 
 
-def _loss(params, sample, tape, t_obs=20, sim=None):
+def _loss(params, sample, tape, sim=None):
     enc = encode_sequence(tape, params, sample.frames)
     p_n = enc.h_mot_final
     if sim is not None:
         p_n = sim(tape, p_n, sample.frames[-1])
     offsets = mlp_forward(tape, params.mlp_dec, p_n)
-    labels = sequence_labels(enc.transitions, sample.true_ids)
-    return enc, total_loss(tape, offsets, sample, enc.transitions, labels,
-                           lam=0.7, t_obs=t_obs)
+    return enc, total_loss(tape, offsets, sample, enc.transitions, lam=0.7)
 
 
 def test_pack_ranges_keep_order_and_budget():
@@ -155,7 +153,7 @@ def test_end_to_end_gradients_match_finite_differences(variant, sim):
 
     def loss_fn():
         tape = Tape()
-        _, (loss, _, _, _) = _loss(params, sample, tape, t_obs=4, sim=sim)
+        _, (loss, _, _, _) = _loss(params, sample, tape, sim=sim)
         tape.backward(loss)
         return float(loss.value[0, 0])
 
@@ -172,8 +170,7 @@ def test_loss_adds_a_fixed_number_of_nodes():
         enc = encode_sequence(tape, params, sample.frames)
         offsets = mlp_forward(tape, params.mlp_dec, enc.h_mot_final)
         before = len(tape._nodes)
-        total_loss(tape, offsets, sample, enc.transitions,
-                   sequence_labels(enc.transitions, sample.true_ids), 0.7, 20)
+        total_loss(tape, offsets, sample, enc.transitions, 0.7)
         counts.append(len(tape._nodes) - before)
     assert counts[0] == counts[1] <= 8
 

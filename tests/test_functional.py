@@ -33,14 +33,15 @@ def _softmax(scores, seg, n_seg) -> np.ndarray:
 
 def _smooth_l1(pred, target, beta=1.0) -> float:
     tape = Tape()
-    return _value(tape.smooth_l1(tape.const(pred), np.asarray(target)[None, :],
-                                 beta))
+    target = np.asarray(target)[None, :]
+    return _value(tape.smooth_l1(tape.const(pred), target, beta,
+                                 np.ones(target.shape)))
 
 
 def _bce(score, label) -> float:
     tape = Tape()
     clamped = tape.clamp(tape.const(score), SCORE_EPS, 1.0 - SCORE_EPS)
-    return _value(tape.bce(clamped, label))
+    return _value(tape.bce(clamped, label, np.ones(1)))
 
 
 def test_sigmoid_midpoint():

@@ -9,8 +9,9 @@ import pytest
 from uncertrack.detections import FrameArrays
 from uncertrack.encoder import encode_sequence
 from uncertrack.errors import ConfigError
-from uncertrack.forecaster import sequence_labels
-from uncertrack.model import ModelConfig, init_model
+from uncertrack.evaluation import evaluate_model
+from uncertrack.forecaster import build_sample, sequence_labels
+from uncertrack.model import ModelConfig, init_model, stride_and_horizon
 from uncertrack.numerics import Tape
 from uncertrack.world import (DEFAULT_MOTION_MIX, FP_ID, AgentTrack,
                               NoiseConfig, constant_turn_positions,
@@ -98,12 +99,37 @@ def test_generate_world_rejects_bad_inputs():
         generate_world(3, 100, motion_mix={"warp": 1.0})
 
 
+@pytest.mark.parametrize("frame_rate", [5.0, 15.0])
+def test_forecast_step_of_a_fraction_of_frames_is_refused(frame_rate):
+    # 0.5 s is 2.5 or 7.5 frames here: rounding would score "fde@3s" at
+    # 2.4 s, or leave a world without a single window
+    message = f"0.5 s at {frame_rate} Hz"
+    with pytest.raises(ConfigError, match=message):
+        generate_world(3, 200, frame_rate=frame_rate)
+    log = corrupt_to_detections(generate_world(3, 100, seed=1), NoiseConfig(),
+                                seed=1, frame_rate=frame_rate)
+    with pytest.raises(ConfigError, match=message):
+        build_sample(log, 0, 20, ModelConfig())
+    with pytest.raises(ConfigError, match=message):
+        evaluate_model(init_model(ModelConfig(), 0), [log])
+
+
+@pytest.mark.parametrize("frame_rate, stride", [(2.0, 1), (10.0, 5), (20.0, 10)])
+def test_whole_frame_steps_set_the_minimum_life(frame_rate, stride):
+    # one window: 20 observed frames plus 6 forecast steps
+    assert stride_and_horizon(frame_rate, ModelConfig()) == (stride, 6 * stride)
+    with pytest.raises(ConfigError, match="minimum life"):
+        generate_world(3, 19 + 6 * stride, frame_rate=frame_rate)
+    tracks = generate_world(3, 20 + 6 * stride, frame_rate=frame_rate)
+    assert all(tr.length == 20 + 6 * stride for tr in tracks)
+
+
 def test_zero_noise_is_transparent():
     tracks = generate_world(5, 100, seed=1)
     log = corrupt_to_detections(tracks, NoiseConfig.zero(), seed=2)
     assert log.num_frames == 100
     for t, (dets, ids) in enumerate(zip(log.frames, log.true_ids)):
-        live = log.live_agents(t)
+        live = [tr for tr in log.tracks if tr.alive(t)]
         assert len(dets) == len(live)
         assert not np.any(ids == FP_ID)
         for d, tid in zip(dets, ids):
@@ -112,6 +138,16 @@ def test_zero_noise_is_transparent():
             assert np.array_equal(np.array(d.pos), tr.pos[i])
             assert np.array_equal(np.array(d.velo), tr.velo[i])
             assert d.heading == tr.heading[i]
+
+
+def test_zero_heading_noise_copies_false_positive_headings():
+    # like a true positive's, a false positive's heading skips the wrap when
+    # its draw is exactly zero, so it is its host's heading bit for bit
+    tracks = generate_world(24, 120, seed=10)
+    log = corrupt_to_detections(tracks, NoiseConfig(heading_sigma=0.0), seed=10)
+    fp = [d.heading for dets, ids in zip(log.frames, log.true_ids)
+          for d, tid in zip(dets, ids) if tid == FP_ID]
+    assert fp and set(fp) <= {h for tr in tracks for h in tr.heading.tolist()}
 
 
 def test_full_miss_rate_empties_every_frame():
@@ -283,6 +319,11 @@ def _edit_line(lines, kind, edit):
     ("world", lambda r: r.update(frame_rate=float("nan"))),
     ("frame", lambda r: r["detections"][0]["pos"].__setitem__(0, float("nan"))),
     ("agent", lambda r: r["heading"].__setitem__(0, float("inf"))),
+    ("world", lambda r: r.update(num_frames=60.5)),
+    ("frame", lambda r: r.update(frame=60)),  # past the last of 54 frames
+    ("world", lambda r: r.update(frame_rate=0.0)),
+    ("agent", lambda r: r["velo"].pop()),
+    ("frame", lambda r: r["detections"][0].update(true_id=999)),
 ])
 def test_load_world_rejects_missing_fields_and_non_finite(tmp_path, kind, edit):
     path, lines = _saved_lines(tmp_path)
