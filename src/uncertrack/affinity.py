@@ -3,8 +3,10 @@
 Candidate pairs are distance-gated (inclusive boundary, compared on squared
 distances so no square root can break the geometry), scored by a small MLP
 over [long-term ; short-term] features, and ranked per current detection.
-The system never commits to a hard assignment; scores feed both the matching
-loss and the soft state aggregation downstream.
+The score is carried as its logit z (the affinity is sigmoid(z)) and never
+squashed: the matching loss and the attention of the soft state aggregation
+downstream both take z itself.  The system never commits to a hard
+assignment.
 """
 
 from __future__ import annotations
@@ -48,13 +50,13 @@ def gate_positions(prev_pos: np.ndarray, curr_pos: np.ndarray, theta_d: float,
 def pair_features(tape: Tape, params: ModelParams, prev: FrameArrays,
                   curr: FrameArrays, x_det_prev: Var, x_det_curr: Var,
                   h_mot_prev: Var, pairs: np.ndarray) -> tuple[Var, Var, Var]:
-    """Features and affinity scores for already-gated (prev, curr) pairs.
+    """Features and affinity logits for already-gated (prev, curr) pairs.
 
-    Returns ``(x, a, scores)``: the pair input x = [x_det_curr ; x_mov],
+    Returns ``(x, a, logits)``: the pair input x = [x_det_curr ; x_mov],
     (P, x_dim); the affinity feature a = [a_mot ; a_det], (P, aff_dim), whose
     first ``hidden_dim`` columns are the long-term motion coherence a_mot and
     the rest the componentwise |difference| of unary embeddings a_det; and
-    the sigmoid affinity scores, (P, 1).
+    the affinity logits, the affinity MLP's output, (P, 1).
     """
     pi, ci = pairs[:, 0], pairs[:, 1]
     x_mov = mlp_forward(tape, params.mlp_mov, curr.pos[ci] - prev.pos[pi])
@@ -64,18 +66,15 @@ def pair_features(tape: Tape, params: ModelParams, prev: FrameArrays,
     a_mot = mlp_forward(tape, params.mlp_mot,
                         tape.concat([x_mov, tape.gather_rows(h_mot_prev, pi)]))
     a = tape.concat([a_mot, a_det])
-    scores = tape.sigmoid(mlp_forward(tape, params.mlp_aff, a))
-    return x, a, scores
-
-
-def _ranking_order(pairs, distances, score_values):
-    # by current detection, then score desc, distance asc, prev index asc
-    return np.lexsort((pairs[:, 0], distances, -score_values, pairs[:, 1]))
+    return x, a, mlp_forward(tape, params.mlp_aff, a)
 
 
 def select_top_k(pairs: np.ndarray, distances: np.ndarray,
-                 score_values: np.ndarray, k: int):
+                 logit_values: np.ndarray, k: int):
     """Array form of top-K: indices of kept pairs plus their segment layout.
+
+    Each current detection's pairs rank by logit (descending), then distance,
+    then previous-frame index.
 
     Returns (sel, seg, seg_curr): ``sel`` indexes into the pair arrays ordered
     by (curr detection, rank), ``seg[i]`` is the compact segment id of
@@ -84,7 +83,7 @@ def select_top_k(pairs: np.ndarray, distances: np.ndarray,
     """
     if k < 1:
         raise ConfigError("top-K requires K >= 1")
-    order = _ranking_order(pairs, distances, score_values)
+    order = np.lexsort((pairs[:, 0], distances, -logit_values, pairs[:, 1]))
     curr_sorted = pairs[order, 1]
     # rank within each current detection's group
     starts = np.flatnonzero(np.r_[True, curr_sorted[1:] != curr_sorted[:-1]])

@@ -3,11 +3,11 @@
 Per frame transition: gate pairs, score affinities, keep the top-K candidate
 predecessors of each current detection, update per-candidate states (the
 affinity chain GRU feeding the motion GRU when ASU is on), then fuse the
-candidates' states with softmax(logit(score)) attention and learned sigmoid
-gates (MSA).  Detections with no gated predecessor are track births with
-zero hidden states.
+candidates' states with attention, a softmax of the affinity logits, and
+learned sigmoid gates (MSA).  Detections with no gated predecessor are track
+births with zero hidden states.
 
-Candidate summation runs in (score desc, distance, prev index) order so the
+Candidate summation runs in (logit desc, distance, prev index) order so the
 aggregation is reproducible and independent of input pair order.
 """
 
@@ -21,7 +21,7 @@ from .affinity import gate_positions, pair_features, select_top_k
 from .detections import FrameArrays, embed_frame
 from .errors import ConfigError
 from .model import ModelParams
-from .numerics import SCORE_EPS, Tape, Var, gru_step, linear_forward
+from .numerics import Tape, Var, gru_step, mlp_forward
 
 __all__ = ["TransitionRecord", "SequenceEncoding", "asu_update",
            "msa_aggregate", "encode_sequence", "implicit_chains"]
@@ -48,29 +48,28 @@ def asu_update(tape: Tape, params: ModelParams, x, a, prev_mot,
 
 
 def msa_aggregate(tape: Tape, params: ModelParams, seg: np.ndarray, n_seg: int,
-                  h_mot_k: Var, prev_mot: Var, x: Var, scores: Var,
+                  h_mot_k: Var, prev_mot: Var, x: Var, logits: Var,
                   h_aff_k: Var | None = None, prev_aff: Var | None = None,
                   a: Var | None = None) -> tuple[Var, Var | None, Var]:
     """Fuse candidate states per segment (one segment = one current detection).
 
-    Attention weights come from a softmax over logit-clamped affinity scores
-    and are shared between the motion and affinity aggregations; per-candidate
-    sigmoid gates select features before the weighted sum.
+    Attention weights are a softmax of the affinity logits within each
+    segment and are shared between the motion and affinity aggregations;
+    per-candidate sigmoid gates select features before the weighted sum.
     """
     if len(seg) == 0:
         raise ConfigError("msa_aggregate: empty candidate list (a detection "
                           "without candidates is a birth with zero states)")
     if params.gate_mot is None:
         raise ConfigError("MSA enabled but gate parameters are missing")
-    clamped = tape.clamp(scores, SCORE_EPS, 1.0 - SCORE_EPS)
-    alpha = tape.segment_softmax(tape.logit(clamped), seg, n_seg)
-    g_mot = tape.sigmoid(linear_forward(tape, params.gate_mot,
-                                        tape.concat([h_mot_k, prev_mot, x])))
+    alpha = tape.segment_softmax(logits, seg, n_seg)
+    g_mot = tape.sigmoid(mlp_forward(tape, params.gate_mot,
+                                     tape.concat([h_mot_k, prev_mot, x])))
     h_mot = tape.segment_sum(tape.mul(alpha, tape.mul(g_mot, h_mot_k)), seg, n_seg)
     h_aff = None
     if h_aff_k is not None:
-        g_aff = tape.sigmoid(linear_forward(tape, params.gate_aff,
-                                            tape.concat([h_aff_k, prev_aff, a])))
+        g_aff = tape.sigmoid(mlp_forward(tape, params.gate_aff,
+                                         tape.concat([h_aff_k, prev_aff, a])))
         h_aff = tape.segment_sum(tape.mul(alpha, tape.mul(g_aff, h_aff_k)), seg, n_seg)
     return h_mot, h_aff, alpha
 
@@ -81,7 +80,7 @@ class TransitionRecord:
 
     frame: int                      # index of the current frame
     pairs: np.ndarray               # (P, 2) gated [prev, curr]
-    scores: Var                     # (P, 1)
+    logits: Var                     # (P, 1) affinity logits of the pairs
     selected: np.ndarray            # indices into pairs, (curr, rank) order
     seg: np.ndarray                 # segment id per selected pair
     seg_curr: np.ndarray            # current-detection index per segment
@@ -107,7 +106,7 @@ def encode_sequence(tape: Tape, params: ModelParams,
 
     Pairs are gated only within a window, so a pack encodes each of its
     windows as if alone.  Returns the final-frame motion states for decoding
-    plus all per-transition affinity scores for the matching loss.
+    plus all per-transition affinity logits for the matching loss.
     """
     if len(frames) < 2:
         raise ConfigError("encode_sequence needs at least 2 frames")
@@ -132,15 +131,15 @@ def encode_sequence(tape: Tape, params: ModelParams,
         new_ages = np.zeros(n_curr, dtype=int)
 
         if len(pairs):
-            x, a, scores = pair_features(tape, params, prev, curr, x_det_prev,
+            x, a, logits = pair_features(tape, params, prev, curr, x_det_prev,
                                          x_det_curr, h_mot, pairs)
-            sel, seg, seg_curr = select_top_k(pairs, dists, scores.value[:, 0],
+            sel, seg, seg_curr = select_top_k(pairs, dists, logits.value[:, 0],
                                               cfg.k_candidates)
             n_seg = len(seg_curr)
             pi = pairs[sel, 0]
             x_sel = tape.gather_rows(x, sel)
             a_sel = tape.gather_rows(a, sel)
-            s_sel = tape.gather_rows(scores, sel)
+            z_sel = tape.gather_rows(logits, sel)
             prev_mot = tape.gather_rows(h_mot, pi)
             prev_aff = tape.gather_rows(h_aff, pi)
 
@@ -149,12 +148,12 @@ def encode_sequence(tape: Tape, params: ModelParams,
             first = np.flatnonzero(np.r_[True, seg[1:] != seg[:-1]])
             if cfg.use_msa:
                 agg_mot, agg_aff, alpha = msa_aggregate(
-                    tape, params, seg, n_seg, h_mot_k, prev_mot, x_sel, s_sel,
+                    tape, params, seg, n_seg, h_mot_k, prev_mot, x_sel, z_sel,
                     h_aff_k=h_aff_k, prev_aff=prev_aff if cfg.use_asu else None,
                     a=a_sel if cfg.use_asu else None)
                 alpha_vals = alpha.value[:, 0].copy()
             else:
-                # single-candidate mode: the top-scoring state is used directly
+                # single-candidate mode: the top-ranked state is used directly
                 agg_mot = tape.gather_rows(h_mot_k, first)
                 agg_aff = (tape.gather_rows(h_aff_k, first)
                            if h_aff_k is not None else None)
@@ -165,19 +164,20 @@ def encode_sequence(tape: Tape, params: ModelParams,
             if agg_aff is not None:
                 new_aff = tape.scatter_rows(agg_aff, seg_curr, n_curr)
 
-            # ages and the argmax-alpha predecessor (first on ties), for
-            # diagnostics; seg is sorted, so each segment starts at ``first``
-            best = pi[np.lexsort((-alpha_vals, seg))[first]]
+            # ages and the argmax-alpha predecessor, for diagnostics: alpha
+            # is monotone in the logit, so a segment's first (top-ranked)
+            # candidate is its argmax, the first on ties
+            best = pi[first]
             new_ages[seg_curr] = ages[best] + 1
             best_prev = dict(zip(seg_curr.tolist(), best.tolist()))
 
             transitions.append(TransitionRecord(
-                frame=t, pairs=pairs, scores=scores,
+                frame=t, pairs=pairs, logits=logits,
                 selected=sel, seg=seg, seg_curr=seg_curr, alphas=alpha_vals,
                 best_prev=best_prev))
         else:
             transitions.append(TransitionRecord(
-                frame=t, pairs=pairs, scores=tape.const(np.zeros((0, 1))),
+                frame=t, pairs=pairs, logits=tape.const(np.zeros((0, 1))),
                 selected=np.zeros(0, dtype=int), seg=np.zeros(0, dtype=int),
                 seg_curr=np.zeros(0, dtype=int), alphas=np.zeros(0)))
 

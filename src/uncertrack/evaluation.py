@@ -5,8 +5,7 @@ fde@3s is the mean distance (reported in centimeters) between the last
 forecast waypoint and the ground-truth position three seconds ahead, over
 matched true-positive detections with a full future.  nl_fde@3s restricts the
 mean to samples whose future deviates from a degree-1 least-squares fit by
-more than a residual threshold (0.1 by default; configurable since its exact
-selection differs between fitting conventions).
+more than a residual threshold of 0.1.
 
 The model and the kinematic baselines are scored by one loop: every window is
 cut by :func:`~uncertrack.forecaster.cut_window` (the training cut, without
@@ -23,10 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .detections import stack_windows
-from .errors import ConfigError
 from .forecaster import (cut_window, forecast_sequence, gt_future, pack_ranges,
                          window_starts)
-from .model import (EVAL_STRIDE, T_OBS, ModelConfig, ModelParams,
+from .model import (EVAL_STRIDE, T_OBS, VARIANTS, ModelConfig, ModelParams,
                     stride_and_horizon)
 from .world import WorldLog
 
@@ -38,11 +36,9 @@ NL_RESIDUAL_THRESHOLD = 0.1
 MATCH_THRESHOLD_M = 2.0
 
 
-def match_for_eval(det_pos: np.ndarray, gt_pos: np.ndarray,
-                   dist_threshold: float = MATCH_THRESHOLD_M):
-    """Greedy nearest-neighbor matching; each side is used at most once."""
-    if dist_threshold <= 0:
-        raise ConfigError("match_for_eval: dist_threshold must be positive")
+def match_for_eval(det_pos: np.ndarray, gt_pos: np.ndarray):
+    """Greedy nearest-neighbor matching within ``MATCH_THRESHOLD_M``; each
+    side is used at most once."""
     if len(det_pos) == 0 or len(gt_pos) == 0:
         return []
     diff = det_pos[:, None, :] - gt_pos[None, :, :]
@@ -53,7 +49,7 @@ def match_for_eval(det_pos: np.ndarray, gt_pos: np.ndarray,
     matches = []
     for flat in order:
         i, j = divmod(int(flat), len(gt_pos))
-        if dist[i, j] > dist_threshold:
+        if dist[i, j] > MATCH_THRESHOLD_M:
             break
         if used_det[i] or used_gt[j]:
             continue
@@ -80,7 +76,6 @@ class EvalReport:
     num_matched: int
     num_nonlinear: int
     num_windows: int
-    nl_threshold: float = NL_RESIDUAL_THRESHOLD
     variants: dict[str, dict[str, list[float]]] = field(default_factory=dict)
 
     def to_json(self) -> str:
@@ -89,7 +84,7 @@ class EvalReport:
             "num_matched": self.num_matched,
             "num_nonlinear": self.num_nonlinear,
             "num_windows": self.num_windows,
-            "nl_threshold": self.nl_threshold,
+            "nl_threshold": NL_RESIDUAL_THRESHOLD,
             "note": "nonlinear subset = degree-1 LSQ residual > threshold",
             "variants": self.variants,
         }, indent=2, sort_keys=True)
@@ -98,7 +93,7 @@ class EvalReport:
         lines = [f"windows evaluated : {self.num_windows}",
                  f"matched TPs       : {self.num_matched}",
                  f"nonlinear subset  : {self.num_nonlinear} "
-                 f"(degree-1 LSQ residual > {self.nl_threshold})"]
+                 f"(degree-1 LSQ residual > {NL_RESIDUAL_THRESHOLD})"]
         if self.fde_cm is not None:
             lines.append(f"fde@3s            : {self.fde_cm:.1f} cm")
         else:
@@ -109,18 +104,22 @@ class EvalReport:
             lines.append("nl_fde@3s         : absent (no nonlinear samples)")
         if self.variants:
             lines.append("")
-            lines.append(f"{'variant':<10} {'fde@3s':>14} {'nl_fde@3s':>16}")
+            lines.append(f"{'variant':<10} {'fde@3s':>15} {'nl_fde@3s':>17}")
             for name, res in self.variants.items():
-                f_m, f_s = np.mean(res["fde_cm"]), np.std(res["fde_cm"])
-                n_m, n_s = np.mean(res["nl_fde_cm"]), np.std(res["nl_fde_cm"])
-                lines.append(f"{name:<10} {f_m:8.1f} ± {f_s:4.1f} "
-                             f"{n_m:10.1f} ± {n_s:4.1f}")
+                lines.append(f"{name:<10} {_mean_std(res['fde_cm']):>15} "
+                             f"{_mean_std(res['nl_fde_cm']):>17}")
         return "\n".join(lines)
 
 
+def _mean_std(values: list[float | None]) -> str:
+    # a run without matched (or nonlinear) samples has no mean to pool
+    if not values or any(v is None for v in values):
+        return "absent"
+    return f"{np.mean(values):.1f} ± {np.std(values):.1f}"
+
+
 def _score_windows(worlds: list[WorldLog], forecast, t_obs: int,
-                   window_stride: int, config: ModelConfig,
-                   nl_threshold: float) -> EvalReport:
+                   window_stride: int, config: ModelConfig) -> EvalReport:
     """Slide evaluation windows over worlds and accumulate displacement errors.
 
     ``forecast(stacked_frames, seconds)`` returns the final waypoint of every
@@ -154,7 +153,7 @@ def _score_windows(worlds: list[WorldLog], forecast, t_obs: int,
                 for i, j, _ in match_for_eval(frames[-1].pos, gt[:, 0]):
                     errors.append(float(np.hypot(*(final[row + i] - gt[j, -1]))))
                     nonlinear.append(nonlinearity_residual(gt[j, 1:])
-                                     > nl_threshold)
+                                     > NL_RESIDUAL_THRESHOLD)
                 row += len(frames[-1])
 
     errors_arr = np.asarray(errors)
@@ -165,69 +164,57 @@ def _score_windows(worlds: list[WorldLog], forecast, t_obs: int,
                    if nl_arr.any() else None),
         num_matched=len(errors_arr),
         num_nonlinear=int(nl_arr.sum()),
-        num_windows=num_windows,
-        nl_threshold=nl_threshold)
+        num_windows=num_windows)
 
 
 def evaluate_model(params: ModelParams, worlds: list[WorldLog],
-                   t_obs: int = T_OBS, window_stride: int = EVAL_STRIDE, sim=None,
-                   nl_threshold: float = NL_RESIDUAL_THRESHOLD) -> EvalReport:
+                   t_obs: int = T_OBS, window_stride: int = EVAL_STRIDE,
+                   sim=None) -> EvalReport:
     """fde@3s and nl_fde@3s of the model's forecasts."""
     def final_waypoints(frames, seconds):
         _, forecasts = forecast_sequence(params, frames, sim=sim)
         return np.array([f.waypoints[-1] for f in forecasts])
 
     return _score_windows(worlds, final_waypoints, t_obs, window_stride,
-                          params.config, nl_threshold)
+                          params.config)
 
 
-def stand_still_fde(worlds: list[WorldLog], t_obs: int = T_OBS,
-                    window_stride: int = EVAL_STRIDE,
+def stand_still_fde(worlds: list[WorldLog],
                     config: ModelConfig = ModelConfig()) -> EvalReport:
     """Independent baseline: forecast = stay at the detected position."""
     return _score_windows(worlds, lambda frames, seconds: frames[-1].pos,
-                          t_obs, window_stride, config, NL_RESIDUAL_THRESHOLD)
+                          T_OBS, EVAL_STRIDE, config)
 
 
-def constant_velocity_fde(worlds: list[WorldLog], t_obs: int = T_OBS,
-                          window_stride: int = EVAL_STRIDE,
+def constant_velocity_fde(worlds: list[WorldLog],
                           config: ModelConfig = ModelConfig()) -> EvalReport:
     """Independent baseline: forecast = detected position plus detected
     velocity times the horizon."""
     def final_waypoints(frames, seconds):
         return frames[-1].pos + frames[-1].velo * seconds
 
-    return _score_windows(worlds, final_waypoints, t_obs, window_stride,
-                          config, NL_RESIDUAL_THRESHOLD)
+    return _score_windows(worlds, final_waypoints, T_OBS, EVAL_STRIDE, config)
 
 
-def ablation_run(train_fn, eval_worlds: list[WorldLog], seeds: list[int],
-                 variants: tuple[str, ...] = ("baseline", "asu", "msa", "full"),
-                 t_obs: int = T_OBS, window_stride: int = EVAL_STRIDE,
-                 nl_threshold: float = NL_RESIDUAL_THRESHOLD,
-                 progress=None) -> EvalReport:
-    """Train each variant per seed (via ``train_fn(variant, seed)``) and
-    evaluate all of them on the shared eval worlds."""
+def ablation_run(train_fn, eval_worlds: list[WorldLog],
+                 seeds: list[int]) -> EvalReport:
+    """Train each of the ``VARIANTS`` per seed (via ``train_fn(variant,
+    seed)``) and evaluate all of them on the shared eval worlds."""
     table: dict[str, dict[str, list[float]]] = {
         v: {"fde_cm": [], "nl_fde_cm": [], "num_matched": [],
-            "num_nonlinear": []} for v in variants}
+            "num_nonlinear": []} for v in VARIANTS}
     last = None
-    for variant in variants:
+    for variant in VARIANTS:
         for seed in seeds:
             params = train_fn(variant, seed)
-            rep = evaluate_model(params, eval_worlds, t_obs=t_obs,
-                                 window_stride=window_stride,
-                                 nl_threshold=nl_threshold)
+            rep = evaluate_model(params, eval_worlds)
             table[variant]["fde_cm"].append(rep.fde_cm)
             table[variant]["nl_fde_cm"].append(rep.nl_fde_cm)
             table[variant]["num_matched"].append(rep.num_matched)
             table[variant]["num_nonlinear"].append(rep.num_nonlinear)
             last = rep
-            if progress is not None:
-                progress(variant, seed, rep)
-    report = EvalReport(fde_cm=None, nl_fde_cm=None,
-                        num_matched=last.num_matched if last else 0,
-                        num_nonlinear=last.num_nonlinear if last else 0,
-                        num_windows=last.num_windows if last else 0,
-                        nl_threshold=nl_threshold, variants=table)
-    return report
+    return EvalReport(fde_cm=None, nl_fde_cm=None,
+                      num_matched=last.num_matched if last else 0,
+                      num_nonlinear=last.num_nonlinear if last else 0,
+                      num_windows=last.num_windows if last else 0,
+                      variants=table)

@@ -22,7 +22,7 @@ from .encoder import SequenceEncoding, encode_sequence
 from .errors import ConfigError
 from .model import (MAX_DETECTIONS, T_OBS, ModelConfig, ModelParams,
                     init_model, stride_and_horizon, variant_config)
-from .numerics import SCORE_EPS, NumericsError, Tape, Var, adam_step, mlp_forward
+from .numerics import NumericsError, Tape, Var, adam_step, mlp_forward
 from .rng import substream
 from .world import FP_ID, WorldLog
 
@@ -114,7 +114,7 @@ def total_loss(tape: Tape, pred_offsets: Var, sample: SequenceSample,
     pairs (labelled by :func:`sequence_labels`), summed over transitions that
     have pairs and divided by the window's ``t_obs - 1`` transitions.
     Per-window normalisation is carried by the weights, so one smooth-L1 and
-    one clamp+BCE cover the whole pack.
+    one BCE on the concatenated affinity logits cover the whole pack.
 
     Returns (loss Var, summed l_traj, summed l_aff, windows with targets).
     Raises when a window has neither supervised forecasts nor gated pairs.
@@ -138,7 +138,7 @@ def total_loss(tape: Tape, pred_offsets: Var, sample: SequenceSample,
         terms.append(tape.affine(l_traj, float(n_traj)))
         l_traj_val = float(terms[-1].value[0, 0])
 
-    scores, aff_labels, aff_weights = [], [], []
+    logits, aff_labels, aff_weights = [], [], []
     win_scored = np.zeros(n_win, dtype=bool)
     n_scored = 0  # (window, transition) combinations with gated pairs
     for rec, lab in zip(transitions, labels):
@@ -148,14 +148,13 @@ def total_loss(tape: Tape, pred_offsets: Var, sample: SequenceSample,
         per_window = np.bincount(pair_window, minlength=n_win)
         win_scored |= per_window > 0
         n_scored += int(np.count_nonzero(per_window))
-        scores.append(rec.scores)
+        logits.append(rec.logits)
         aff_labels.append(lab)
         aff_weights.append(1.0 / per_window[pair_window])
     l_aff_val = 0.0
-    if scores:
-        clamped = tape.clamp(tape.concat(scores, axis=0), SCORE_EPS,
-                             1.0 - SCORE_EPS)
-        bce = tape.bce(clamped, np.concatenate(aff_labels)[:, None],
+    if logits:
+        bce = tape.bce(tape.concat(logits, axis=0),
+                       np.concatenate(aff_labels)[:, None],
                        weights=np.concatenate(aff_weights))
         # the weights sum to n_scored, so the weighted mean times n_scored
         # sums every window's per-transition means

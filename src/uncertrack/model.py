@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .errors import ConfigError
-from .numerics import (GruParams, LinearParams, MlpParams, ParamBlock,
-                       load_weights, make_gru, make_linear, make_mlp,
-                       save_weights)
+from .numerics import (GruParams, MlpParams, ParamBlock, load_weights,
+                       make_gru, make_mlp, save_weights)
 from .rng import substream
 
 __all__ = ["ModelConfig", "ModelParams", "VARIANTS", "T_OBS", "EVAL_STRIDE",
@@ -108,8 +107,8 @@ class ModelParams:
     gru_mot: GruParams
     mlp_dec: MlpParams
     gru_aff: GruParams | None = None
-    gate_mot: LinearParams | None = None
-    gate_aff: LinearParams | None = None
+    gate_mot: MlpParams | None = None
+    gate_aff: MlpParams | None = None
 
     def blocks(self) -> list[ParamBlock]:
         parts = [self.mlp_velo, self.mlp_size, self.mlp_head, self.mlp_score,
@@ -144,8 +143,10 @@ def init_model(config: ModelConfig, seed: int) -> ModelParams:
     if c.use_asu:
         params.gru_aff = make_gru("gru_aff", c.aff_dim, hd, rng)
     if c.use_msa:
-        params.gate_mot = make_linear("gate_mot", 2 * hd + c.x_dim, hd, rng)
-        params.gate_aff = make_linear("gate_aff", 2 * hd + c.aff_dim, hd, rng)
+        params.gate_mot = make_mlp("gate_mot", [2 * hd + c.x_dim, hd],
+                                   ["identity"], rng)
+        params.gate_aff = make_mlp("gate_aff", [2 * hd + c.aff_dim, hd],
+                                   ["identity"], rng)
     return params
 
 

@@ -1,4 +1,4 @@
-"""MLPs, a GRU cell, and plain linear layers on top of the tape.
+"""MLPs and a GRU cell on top of the tape.
 
 All forward functions accept a ``Var`` or raw array input.  Raw inputs become
 constants; batched inputs are rows of a 2-D matrix, a single vector is a
@@ -14,9 +14,8 @@ import numpy as np
 from .params import ParamBlock, make_block
 from .tape import NumericsError, Tape, Var
 
-__all__ = ["MlpParams", "GruParams", "LinearParams",
-           "make_mlp", "make_gru", "make_linear",
-           "mlp_forward", "gru_step", "linear_forward"]
+__all__ = ["MlpParams", "GruParams", "make_mlp", "make_gru", "mlp_forward",
+           "gru_step"]
 
 _ACTIVATIONS = ("relu", "identity")
 
@@ -32,10 +31,6 @@ class MlpParams:
     def in_dim(self) -> int:
         return self.block.weights[0].shape[0]
 
-    @property
-    def out_dim(self) -> int:
-        return self.block.weights[-2].shape[1]
-
 
 @dataclass
 class GruParams:
@@ -44,17 +39,6 @@ class GruParams:
     block: ParamBlock
     input_dim: int
     hidden_dim: int
-
-
-@dataclass
-class LinearParams:
-    """Single affine map W x + b (used for the aggregation gates)."""
-
-    block: ParamBlock
-
-    @property
-    def in_dim(self) -> int:
-        return self.block.weights[0].shape[0]
 
 
 def make_mlp(name: str, dims: list[int], activations: list[str],
@@ -82,12 +66,6 @@ def make_gru(name: str, input_dim: int, hidden_dim: int,
         shapes.append((1, hidden_dim))
     return GruParams(block=make_block(name, shapes, rng, biases=(2, 5, 8)),
                      input_dim=input_dim, hidden_dim=hidden_dim)
-
-
-def make_linear(name: str, in_dim: int, out_dim: int,
-                rng: np.random.Generator) -> LinearParams:
-    return LinearParams(block=make_block(name, [(in_dim, out_dim), (1, out_dim)],
-                                         rng, biases=(1,)))
 
 
 def _bind(tape: Tape, block: ParamBlock) -> list[Var]:
@@ -130,10 +108,3 @@ def gru_step(tape: Tape, params: GruParams, x, h_prev) -> Var:
     _check_dim(params.block.name, h, params.hidden_dim)
     wz, uz, bz, wr, ur, br, wc, uc, bc = _bind(tape, params.block)
     return tape.gru(x, h, wz, uz, bz, wr, ur, br, wc, uc, bc)
-
-
-def linear_forward(tape: Tape, params: LinearParams, x) -> Var:
-    x = tape.lift(x)
-    _check_dim(params.block.name, x, params.in_dim)
-    w, b = _bind(tape, params.block)
-    return tape.linear(x, w, b)

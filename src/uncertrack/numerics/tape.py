@@ -15,10 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Var", "Tape", "NumericsError", "SCORE_EPS"]
-
-# scores are pushed into [SCORE_EPS, 1 - SCORE_EPS] before logit/BCE
-SCORE_EPS = 1e-7
+__all__ = ["Var", "Tape", "NumericsError"]
 
 
 class NumericsError(RuntimeError):
@@ -220,27 +217,6 @@ class Tape:
 
         return self._node(val, (a,), backward)
 
-    def clamp(self, a: Var, lo: float, hi: float) -> Var:
-        val = np.clip(a.value, lo, hi)
-        inside = (a.value > lo) & (a.value < hi)
-
-        def backward(g):
-            _acc_own(a, g * inside)
-
-        return self._node(val, (a,), backward)
-
-    def logit(self, a: Var) -> Var:
-        """Inverse sigmoid; inputs must already sit strictly inside (0, 1)."""
-        v = a.value
-        if np.any(v <= 0.0) or np.any(v >= 1.0):
-            raise NumericsError("logit input outside (0, 1); clamp scores first")
-        val = np.log(v) - np.log1p(-v)
-
-        def backward(g):
-            _acc_own(a, g / (v * (1.0 - v)))
-
-        return self._node(val, (a,), backward)
-
     # ---- shape surgery ---------------------------------------------------
 
     def concat(self, parts: list[Var], axis: int = 1) -> Var:
@@ -395,24 +371,30 @@ class Tape:
 
         return self._node(val, (pred,), backward)
 
-    def bce(self, scores: Var, labels: np.ndarray, weights: np.ndarray) -> Var:
-        """Weighted mean binary cross entropy; scores must be pre-clamped
-        into (0, 1), and labels and weights hold one entry per score."""
-        labels = np.asarray(labels, dtype=np.float64).reshape(scores.value.shape)
-        s = scores.value
-        per = -(labels * np.log(s) + (1.0 - labels) * np.log(1.0 - s))
-        weights = np.asarray(weights, dtype=np.float64).reshape(s.shape)
+    def bce(self, logits: Var, labels: np.ndarray, weights: np.ndarray) -> Var:
+        """Weighted mean binary cross entropy of ``sigmoid(logits)``; labels
+        and weights hold one entry per logit.
+
+        Computed as ``max(z, 0) - z y + log1p(exp(-|z|))``, finite for every
+        finite logit, with gradient ``sigmoid(z) - y``, which never vanishes
+        on a wrong label however large ``|z|`` grows.
+        """
+        z = logits.value
+        labels = np.asarray(labels, dtype=np.float64).reshape(z.shape)
+        weights = np.asarray(weights, dtype=np.float64).reshape(z.shape)
         denom = float(weights.sum())
         if denom <= 0.0:
             raise NumericsError("bce weights sum to zero")
+        e = np.exp(-np.abs(z))
+        per = np.maximum(z, 0.0) - z * labels + np.log1p(e)
         val = np.array([[(per * weights).sum() / denom]])
 
         def backward(g):
             g = g[0, 0] / denom
-            ds = ((1.0 - labels) / (1.0 - s) - labels / s) * weights
-            _acc_own(scores, g * ds)
+            p = np.where(z >= 0.0, 1.0, e) / (1.0 + e)  # sigmoid(z), no overflow
+            _acc_own(logits, g * ((p - labels) * weights))
 
-        return self._node(val, (scores,), backward)
+        return self._node(val, (logits,), backward)
 
     # ---- driver ------------------------------------------------------------
 

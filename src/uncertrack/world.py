@@ -266,7 +266,21 @@ def _detect(rng: np.random.Generator, noise: NoiseConfig, track: AgentTrack,
 def corrupt_to_detections(tracks: list[AgentTrack], noise: NoiseConfig,
                           seed: int = 0, num_frames: int | None = None,
                           frame_rate: float = 10.0) -> WorldLog:
-    """Run the ground truth through the detector-noise channel."""
+    """Run the ground truth through the detector-noise channel.
+
+    ``frame_rate`` must be the rate the tracks were generated at: a track
+    whose positions do not advance by ``velo / frame_rate`` per frame raises
+    ``ConfigError`` instead of yielding a world whose strides, horizons and
+    targets are all off by the ratio of the two rates.
+    """
+    for tr in tracks:
+        if len(tr.pos) < 2:
+            continue
+        miss = np.abs(np.diff(tr.pos, axis=0) - tr.velo[:-1] / frame_rate).max()
+        if miss > 1e-9:
+            raise ConfigError(f"agent {tr.agent_id} does not move at "
+                              f"{frame_rate} Hz: its positions miss velo / "
+                              f"frame_rate by up to {miss:.3g} m")
     if num_frames is None:
         num_frames = max(t.death_frame for t in tracks) + 1 if tracks else 0
     rng = substream(seed, "world-noise")
@@ -340,13 +354,22 @@ def _reject_constant(name: str):
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
+def _integer(value, name: str, where: str) -> int:
+    # the num_frames rule: a float, even a whole one, or a bool is refused
+    if type(value) is not int:
+        raise ConfigError(f"{where}: {name} must be an integer, got {value!r}")
+    return value
+
+
 def load_world(path) -> WorldLog:
     """Read a world written by :func:`save_world`.
 
     A malformed line (bad JSON, a NaN or infinite number, a missing or
-    ill-typed field, a non-positive frame rate, agent arrays whose length is
-    not the agent's life, a frame outside the world, a ``true_id`` that names
-    no agent) raises ``ConfigError`` naming ``path:line``.
+    ill-typed field, a frame, agent id, birth or death frame, ``true_id`` or
+    seed that is not an integer, a non-positive frame rate, agent arrays
+    whose length is not the agent's life, a frame outside the world, a
+    ``true_id`` that names no agent) raises ``ConfigError`` naming
+    ``path:line``.
     """
     path = Path(path)
     frame_rate, rng_seed, num_frames = 10.0, 0, None
@@ -359,25 +382,28 @@ def load_world(path) -> WorldLog:
             line = line.strip()
             if not line:
                 continue
+            where = f"{path}:{line_no}"
             try:
                 rec = _DECODER.decode(line)
                 kind = rec.get("type")
                 if kind == "world":
                     frame_rate = float(rec["frame_rate"])
-                    rng_seed = int(rec.get("rng_seed", 0))
+                    rng_seed = _integer(rec.get("rng_seed", 0), "rng_seed", where)
                     num_frames = rec.get("num_frames")
                     if frame_rate <= 0:
-                        raise ConfigError(f"{path}:{line_no}: frame_rate must "
-                                          f"be positive, got {frame_rate}")
+                        raise ConfigError(f"{where}: frame_rate must be "
+                                          f"positive, got {frame_rate}")
                     if num_frames is not None and (type(num_frames) is not int
                                                    or num_frames < 0):
-                        raise ConfigError(f"{path}:{line_no}: num_frames must be "
-                                          f"a count, got {num_frames!r}")
+                        raise ConfigError(f"{where}: num_frames must be a "
+                                          f"count, got {num_frames!r}")
                 elif kind == "agent":
                     track = AgentTrack(
-                        agent_id=int(rec["agent_id"]),
-                        birth_frame=int(rec["birth_frame"]),
-                        death_frame=int(rec["death_frame"]),
+                        agent_id=_integer(rec["agent_id"], "agent_id", where),
+                        birth_frame=_integer(rec["birth_frame"], "birth_frame",
+                                             where),
+                        death_frame=_integer(rec["death_frame"], "death_frame",
+                                             where),
                         pos=np.array(rec["pos"], dtype=float),
                         velo=np.array(rec["velo"], dtype=float),
                         heading=np.array(rec["heading"], dtype=float),
@@ -386,11 +412,11 @@ def load_world(path) -> WorldLog:
                     if (track.pos.shape, track.velo.shape, track.heading.shape,
                             track.size.shape) != ((n, 2), (n, 2), (n,), (n, 3)):
                         raise ConfigError(
-                            f"{path}:{line_no}: agent {track.agent_id}: pos, "
-                            f"velo, heading and size must hold its {n} frames")
+                            f"{where}: agent {track.agent_id}: pos, velo, "
+                            f"heading and size must hold its {n} frames")
                     tracks.append(track)
                 elif kind == "frame":
-                    t = int(rec["frame"])
+                    t = _integer(rec["frame"], "frame", where)
                     dets, ids = [], []
                     for r in rec["detections"]:
                         dets.append(Detection(pos=tuple(r["pos"]),
@@ -399,17 +425,18 @@ def load_world(path) -> WorldLog:
                                               heading=float(r["heading"]),
                                               score=float(r["score"])))
                         tid = r.get("true_id", "FP")
-                        ids.append(FP_ID if tid == "FP" else int(tid))
+                        ids.append(FP_ID if tid == "FP"
+                                   else _integer(tid, "true_id", where))
                     frame_map[t] = dets
                     ids_map[t] = np.array(ids, dtype=int)
                     frame_line[t] = line_no
                 else:
-                    raise ConfigError(f"{path}:{line_no}: unknown line type {kind!r}")
+                    raise ConfigError(f"{where}: unknown line type {kind!r}")
             except KeyError as e:
-                raise ConfigError(f"{path}:{line_no}: missing field {e}") from e
+                raise ConfigError(f"{where}: missing field {e}") from e
             except (ValueError, TypeError, AttributeError) as e:
                 # json.JSONDecodeError is a ValueError
-                raise ConfigError(f"{path}:{line_no}: bad line ({e})") from e
+                raise ConfigError(f"{where}: bad line ({e})") from e
     if num_frames is None:
         num_frames = max(frame_map) + 1 if frame_map else 0
     agents = {tr.agent_id for tr in tracks} | {FP_ID}

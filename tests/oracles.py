@@ -46,11 +46,6 @@ def sigmoid_direct(x):
     return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float)))
 
 
-def logit_direct(y):
-    y = np.asarray(y, dtype=float)
-    return np.log(y / (1.0 - y))
-
-
 def smooth_l1_direct(pred, target, beta=1.0) -> float:
     out = []
     for p, t in zip(np.ravel(pred), np.ravel(target)):
@@ -59,9 +54,13 @@ def smooth_l1_direct(pred, target, beta=1.0) -> float:
     return float(np.mean(out))
 
 
-def bce_direct(score, label, eps=1e-7) -> float:
-    s = min(max(float(score), eps), 1.0 - eps)
-    return -(label * np.log(s) + (1 - label) * np.log(1.0 - s))
+def bce_direct(logit, label) -> float:
+    """Cross entropy of sigmoid(logit), from log sigmoid(z) and
+    log sigmoid(-z) = log(1 - sigmoid(z)); accurate for |z| up to ~30."""
+    z = float(logit)
+    log_p = -np.log1p(np.exp(-z))
+    log_q = -np.log1p(np.exp(z))
+    return -(label * log_p + (1 - label) * log_q)
 
 
 def adam_single(w, g, lr, beta1=0.9, beta2=0.999, eps=1e-8, step=1,
@@ -85,17 +84,15 @@ def gru_direct(weights, x, h):
 
 # ---- aggregation (term-by-term) --------------------------------------------
 
-def msa_direct(h_mot_k, h_mot_prev, x_k, h_aff_k, h_aff_prev, a_k, scores,
-               w_mot, b_mot, w_aff, b_aff, score_eps=1e-7, with_aff=True):
+def msa_direct(h_mot_k, h_mot_prev, x_k, h_aff_k, h_aff_prev, a_k, logits,
+               w_mot, b_mot, w_aff, b_aff, with_aff=True):
     """Softmax-over-logit weighted, gated candidate aggregation.
 
-    All candidate arrays are (K, dim); scores (K,).  Returns the aggregated
+    All candidate arrays are (K, dim); logits (K,).  Returns the aggregated
     motion state and (optionally) affinity state, computed term by term.
     """
-    s = np.clip(np.asarray(scores, dtype=float), score_eps, 1.0 - score_eps)
-    lg = logit_direct(s)
-    alpha = softmax_direct(lg)
-    k_count = len(s)
+    alpha = softmax_direct(logits)
+    k_count = len(alpha)
     h_mot = np.zeros(h_mot_k.shape[1])
     h_aff = np.zeros(h_aff_k.shape[1]) if with_aff else None
     for k in range(k_count):
@@ -109,39 +106,7 @@ def msa_direct(h_mot_k, h_mot_prev, x_k, h_aff_k, h_aff_prev, a_k, scores,
     return h_mot, h_aff, alpha
 
 
-# ---- joint loss (straight-line evaluation) ----------------------------------
-
-def total_loss_direct(pred_offsets, target_offsets, target_mask,
-                      scores_per_transition, labels_per_transition,
-                      lam, t_obs, beta=1.0, eps=1e-7):
-    """Joint loss: masked smooth-L1 at the final frame plus weighted mean BCE.
-
-    pred/target offsets are (M, 12); mask is (M, 12) of 0/1.  Affinity terms
-    are lists over the t_obs - 1 transitions (possibly with empty entries).
-    """
-    num = 0.0
-    cnt = 0.0
-    for i in range(pred_offsets.shape[0]):
-        for j in range(pred_offsets.shape[1]):
-            if target_mask[i, j] == 0:
-                continue
-            d = abs(pred_offsets[i, j] - target_offsets[i, j])
-            num += 0.5 * d * d / beta if d < beta else d - 0.5 * beta
-            cnt += 1.0
-    l_traj = num / cnt if cnt else 0.0
-
-    aff_sum = 0.0
-    for scores, labels in zip(scores_per_transition, labels_per_transition):
-        if len(scores) == 0:
-            continue
-        terms = []
-        for s, lab in zip(scores, labels):
-            s = min(max(float(s), eps), 1.0 - eps)
-            terms.append(-(lab * np.log(s) + (1 - lab) * np.log(1.0 - s)))
-        aff_sum += float(np.mean(terms))
-    l_aff = aff_sum / (t_obs - 1)
-    return l_traj + lam * l_aff, l_traj, l_aff
-
+# ---- schedules ----------------------------------------------------------------
 
 def lambda_direct(epoch, total_epochs, start=1.0, end=0.1):
     half = -(-total_epochs // 2)  # ceil

@@ -23,11 +23,11 @@ def _frame(positions):
 def _features(tape, params, prev, curr, h_mot_prev):
     """Gate two frames and run ``pair_features`` on the gated pairs."""
     pairs, _ = gate_positions(prev.pos, curr.pos, params.config.theta_d)
-    _, a, scores = pair_features(tape, params, prev, curr,
+    _, a, logits = pair_features(tape, params, prev, curr,
                                  embed_frame(tape, params, prev),
                                  embed_frame(tape, params, curr),
                                  tape.lift(h_mot_prev), pairs)
-    return pairs, a, scores
+    return pairs, a, logits
 
 
 def _long_term(tape, params, h_mot_prev):
@@ -164,14 +164,15 @@ def test_default_gate_keeps_true_predecessors(agents, frames, frame_rate, seeds)
 
 
 def test_zero_affinity_net_scores_half(params):
+    # a zero net gives logit 0, an affinity of sigmoid(0) = 1/2
     zeroed = init_model(ModelConfig(), seed=31)
     for w in zeroed.mlp_aff.block.weights:
         w[...] = 0.0
     prev = _frame([(0.0, 0.0), (3.0, 0.0)])
     curr = _frame([(0.5, 0.0), (3.5, 0.0)])
-    pairs, _, scores = _features(Tape(), zeroed, prev, curr, np.zeros((2, 64)))
+    pairs, _, logits = _features(Tape(), zeroed, prev, curr, np.zeros((2, 64)))
     assert len(pairs) == 4
-    assert np.all(scores.value == 0.5)
+    assert np.all(logits.value == 0.0)
 
 
 def test_scores_invariant_under_translation(params):
@@ -191,17 +192,25 @@ def test_scores_invariant_under_translation(params):
         assert np.all(np.abs(a.value - b.value) < 1e-9)
 
 
-def test_scores_strictly_inside_unit_interval(params):
+def test_logits_finite_and_loss_finite(params):
+    # logits are not squashed, so large hidden states give large logits;
+    # they and the matching loss on them stay finite
     rng = np.random.default_rng(5)
     prev = _frame(rng.uniform(-10, 10, (6, 2)))
     curr = _frame(rng.uniform(-10, 10, (6, 2)))
-    pairs, _, scores = _features(Tape(), params, prev, curr,
-                                 rng.standard_normal((6, 64)) * 0.2)
-    assert len(pairs) and np.all((scores.value > 0.0) & (scores.value < 1.0))
+    for scale in (0.2, 1e3):
+        tape = Tape()
+        pairs, _, logits = _features(tape, params, prev, curr,
+                                     rng.standard_normal((6, 64)) * scale)
+        assert len(pairs) and np.all(np.isfinite(logits.value))
+        for label in (0.0, 1.0):
+            loss = tape.bce(logits, np.full(len(pairs), label),
+                            np.ones(len(pairs)))
+            assert np.isfinite(loss.value[0, 0])
 
 
 def _links(entries):
-    """(prev, curr, score, distance) tuples as select_top_k's arrays."""
+    """(prev, curr, logit, distance) tuples as select_top_k's arrays."""
     pairs = np.array([[p, c] for p, c, _, _ in entries]).reshape(-1, 2)
     scores = np.array([s for _, _, s, _ in entries])
     dists = np.array([d for _, _, _, d in entries])

@@ -8,7 +8,7 @@ from uncertrack.encoder import (asu_update, encode_sequence, implicit_chains,
                                 msa_aggregate)
 from uncertrack.errors import ConfigError
 from uncertrack.model import ModelConfig, init_model, variant_config
-from uncertrack.numerics import Tape
+from uncertrack.numerics import Tape, mlp_forward
 from uncertrack.world import NoiseConfig, corrupt_to_detections, generate_world
 
 from oracles import (best_prev_loop, chains_from, fd_gradient, msa_direct,
@@ -156,17 +156,17 @@ def test_msa_matches_term_by_term_oracle(seed):
     prev_aff = np.tanh(rng.standard_normal((k, 6)))
     x = rng.standard_normal((k, cfg.x_dim))
     a = rng.standard_normal((k, cfg.aff_dim))
-    scores = rng.uniform(0.05, 0.95, (k, 1))
+    logits = rng.uniform(-3.0, 3.0, (k, 1))
 
     tape = Tape()
     h_mot, h_aff, alpha = msa_aggregate(
         tape, params, np.zeros(k, dtype=int), 1, tape.const(h_mot_k),
-        tape.const(prev_mot), tape.const(x), tape.const(scores),
+        tape.const(prev_mot), tape.const(x), tape.const(logits),
         h_aff_k=tape.const(h_aff_k), prev_aff=tape.const(prev_aff),
         a=tape.const(a))
 
     want_mot, want_aff, want_alpha = msa_direct(
-        h_mot_k, prev_mot, x, h_aff_k, prev_aff, a, scores[:, 0],
+        h_mot_k, prev_mot, x, h_aff_k, prev_aff, a, logits[:, 0],
         params.gate_mot.block.weights[0], params.gate_mot.block.weights[1][0],
         params.gate_aff.block.weights[0], params.gate_aff.block.weights[1][0])
 
@@ -181,18 +181,18 @@ def test_msa_alpha_properties():
     rng = np.random.default_rng(14)
     for _ in range(100):
         k = int(rng.integers(1, 5))
-        scores = rng.uniform(0.02, 0.98, (k, 1))
+        logits = rng.uniform(-4.0, 4.0, (k, 1))
         tape = Tape()
         h_mot, _, alpha = msa_aggregate(
             tape, params, np.zeros(k, dtype=int), 1,
             tape.const(np.tanh(rng.standard_normal((k, 6)))),
             tape.const(np.tanh(rng.standard_normal((k, 6)))),
             tape.const(rng.standard_normal((k, cfg.x_dim))),
-            tape.const(scores))
+            tape.const(logits))
         al = alpha.value[:, 0]
         assert abs(al.sum() - 1.0) < 1e-9
-        order_scores = np.argsort(scores[:, 0])
-        assert np.all(np.diff(al[order_scores]) > 0) or k == 1
+        order = np.argsort(logits[:, 0])
+        assert np.all(np.diff(al[order]) > 0) or k == 1
 
 
 def test_msa_candidate_order_invariance():
@@ -204,7 +204,7 @@ def test_msa_candidate_order_invariance():
         h_k = np.tanh(rng.standard_normal((k, 6)))
         pm = np.tanh(rng.standard_normal((k, 6)))
         x = rng.standard_normal((k, cfg.x_dim))
-        s = rng.uniform(0.05, 0.95, (k, 1))
+        s = rng.uniform(-3.0, 3.0, (k, 1))
         perm = rng.permutation(k)
 
         def run(hk, pmv, xv, sv):
@@ -223,17 +223,16 @@ def test_msa_gates_bounded():
     cfg = _small_config()
     params = init_model(cfg, seed=17)
     rng = np.random.default_rng(18)
-    from uncertrack.numerics import linear_forward
     for _ in range(100):
         k = int(rng.integers(1, 5))
         h_k = np.tanh(rng.standard_normal((k, 6)))
         pm = np.tanh(rng.standard_normal((k, 6)))
         x = rng.standard_normal((k, cfg.x_dim))
         tape = Tape()
-        g = tape.sigmoid(linear_forward(tape, params.gate_mot,
-                                        tape.concat([tape.const(h_k),
-                                                     tape.const(pm),
-                                                     tape.const(x)])))
+        g = tape.sigmoid(mlp_forward(tape, params.gate_mot,
+                                     tape.concat([tape.const(h_k),
+                                                  tape.const(pm),
+                                                  tape.const(x)])))
         assert np.all(g.value > 0.0) and np.all(g.value < 1.0)
 
 
@@ -330,7 +329,7 @@ def test_alpha_sums_per_detection_in_full_world():
 
 def test_affinity_parameters_reach_forecast_path():
     # gradient of a loss on the final encoding w.r.t. MLP_aff is nonzero and
-    # matches finite differences: affinity scores drive alpha and h_aff.
+    # matches finite differences: affinity logits drive alpha and h_aff.
     tracks = generate_world(3, 80, seed=28, area=15.0)
     log = corrupt_to_detections(
         tracks, NoiseConfig(pos_sigma=0.3, miss_rate=0.0, fp_rate=1.0,

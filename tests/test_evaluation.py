@@ -9,8 +9,9 @@ import pytest
 from oracles import evaluate_direct
 from uncertrack.detections import FrameArrays
 from uncertrack.evaluation import (MATCH_THRESHOLD_M, NL_RESIDUAL_THRESHOLD,
-                                   ablation_run, constant_velocity_fde,
-                                   evaluate_model, stand_still_fde)
+                                   EvalReport, ablation_run,
+                                   constant_velocity_fde, evaluate_model,
+                                   stand_still_fde)
 from uncertrack.forecaster import forecast_sequence
 from uncertrack.model import VARIANTS, ModelConfig, init_model, variant_config
 from uncertrack.world import NoiseConfig, corrupt_to_detections, generate_world
@@ -144,3 +145,21 @@ def test_ablation_run_evaluates_every_variant_and_seed():
     assert json.loads(report.to_json())["variants"] == report.variants
     text = report.to_text()
     assert all(variant in text for variant in VARIANTS)
+
+
+def test_to_text_reports_a_variant_without_samples_as_absent():
+    # a run on windows without nonlinear (or matched) samples reports None
+    row = {"num_matched": [4, 4], "num_nonlinear": [0, 2]}
+    report = EvalReport(fde_cm=None, nl_fde_cm=None, num_matched=4,
+                        num_nonlinear=2, num_windows=3, variants={
+                            "msa": {**row, "fde_cm": [500.0, 520.0],
+                                    "nl_fde_cm": [None, 610.0]},
+                            "full": {**row, "fde_cm": [None, None],
+                                     "nl_fde_cm": [None, None]}})
+    lines = report.to_text().splitlines()
+    msa = next(line for line in lines if line.startswith("msa"))
+    full = next(line for line in lines if line.startswith("full"))
+    assert "510.0 ± 10.0" in msa and msa.split()[-1] == "absent"
+    assert full.split()[1:] == ["absent", "absent"]
+    assert f"> {NL_RESIDUAL_THRESHOLD})" in lines[2]
+    assert json.loads(report.to_json())["nl_threshold"] == NL_RESIDUAL_THRESHOLD

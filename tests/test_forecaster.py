@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from uncertrack.detections import FrameArrays, stack_windows
-from uncertrack.encoder import encode_sequence
+from uncertrack.encoder import TransitionRecord, encode_sequence
 from uncertrack.errors import ConfigError
 from uncertrack.forecaster import (PACK_DETECTIONS, MeanPoolSIM, SequenceSample,
                                    TrainConfig, augment_sample, build_sample,
@@ -162,7 +162,7 @@ def test_end_to_end_gradients_match_finite_differences(variant, sim):
 
 
 def test_loss_adds_a_fixed_number_of_nodes():
-    # one smooth-L1 and one clamp+BCE, whatever the number of transitions
+    # one smooth-L1 and one BCE, whatever the number of transitions
     params = init_model(SMALL, seed=6)
     counts = []
     for sample in _samples(SMALL)[:1] + [pack_samples(_samples(SMALL))]:
@@ -173,6 +173,39 @@ def test_loss_adds_a_fixed_number_of_nodes():
         total_loss(tape, offsets, sample, enc.transitions, 0.7)
         counts.append(len(tape._nodes) - before)
     assert counts[0] == counts[1] <= 8
+
+
+def test_confident_wrong_affinities_keep_their_gradient():
+    # a pack of two one-transition windows: a label-0 pair at logit +20 in
+    # window 0, a label-1 pair at logit -20 and a label-0 pair at 0.5 in
+    # window 1.  Each logit gets the BCE gradient (sigmoid(z) - y) w / sum(w),
+    # scaled by the loss's lam * (window, transition) count / transitions;
+    # none vanishes, however confident the wrong affinity
+    frame = FrameArrays(pos=np.zeros((2, 2)), velo=np.zeros((2, 2)),
+                        size=np.ones((2, 3)), heading=np.zeros(2),
+                        score=np.ones(2))
+    window = SequenceSample(frames=[frame, frame],
+                            true_ids=[np.array([1, 2]), np.array([1, 2])],
+                            target_offsets=np.zeros((2, 12)),
+                            target_mask=np.zeros((2, 12)))
+    pack = pack_samples([window, window])
+    z = np.array([[20.0], [-20.0], [0.5]])
+    labels = np.array([0.0, 1.0, 0.0])
+    weights = np.array([1.0, 0.5, 0.5])  # 1 / pairs in the pair's window
+    grad = np.zeros_like(z)
+    tape = Tape()
+    empty = np.zeros(0, dtype=int)
+    rec = TransitionRecord(frame=1, pairs=np.array([[1, 0], [2, 2], [3, 2]]),
+                           logits=tape.param(z, grad), selected=empty,
+                           seg=empty, seg_curr=empty, alphas=np.zeros(0))
+    lam = 0.7
+    loss, _, _, _ = total_loss(tape, tape.const(np.zeros((4, 12))), pack,
+                               [rec], lam)
+    tape.backward(loss)
+    scale = lam * 2 / 1  # two scored (window, transition)s over one transition
+    want = scale * (1.0 / (1.0 + np.exp(-z[:, 0])) - labels) * weights / weights.sum()
+    assert np.all(grad[:, 0] != 0.0)
+    assert np.allclose(grad[:, 0], want, rtol=1e-12, atol=0.0)
 
 
 def test_degenerate_window_is_rejected():

@@ -2,6 +2,7 @@
 
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -106,8 +107,10 @@ def test_forecast_step_of_a_fraction_of_frames_is_refused(frame_rate):
     message = f"0.5 s at {frame_rate} Hz"
     with pytest.raises(ConfigError, match=message):
         generate_world(3, 200, frame_rate=frame_rate)
-    log = corrupt_to_detections(generate_world(3, 100, seed=1), NoiseConfig(),
-                                seed=1, frame_rate=frame_rate)
+    # such a world can only come from elsewhere, e.g. a file: relabel one
+    log = replace(corrupt_to_detections(generate_world(3, 100, seed=1),
+                                        NoiseConfig(), seed=1),
+                  frame_rate=frame_rate)
     with pytest.raises(ConfigError, match=message):
         build_sample(log, 0, 20, ModelConfig())
     with pytest.raises(ConfigError, match=message):
@@ -324,6 +327,13 @@ def _edit_line(lines, kind, edit):
     ("world", lambda r: r.update(frame_rate=0.0)),
     ("agent", lambda r: r["velo"].pop()),
     ("frame", lambda r: r["detections"][0].update(true_id=999)),
+    ("frame", lambda r: r.update(frame=r["frame"] + 0.7)),
+    ("frame", lambda r: r.update(frame=float(r["frame"]))),
+    ("frame", lambda r: r["detections"][0].update(true_id=1.5)),
+    ("agent", lambda r: r.update(agent_id=r["agent_id"] + 0.5)),
+    ("agent", lambda r: r.update(birth_frame=r["birth_frame"] + 0.5)),
+    ("agent", lambda r: r.update(death_frame=float(r["death_frame"]))),
+    ("world", lambda r: r.update(rng_seed=12.5)),
 ])
 def test_load_world_rejects_missing_fields_and_non_finite(tmp_path, kind, edit):
     path, lines = _saved_lines(tmp_path)
@@ -331,3 +341,17 @@ def test_load_world_rejects_missing_fields_and_non_finite(tmp_path, kind, edit):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ConfigError, match=re.escape(f"{path}:{line_no}:")):
         load_world(path)
+
+
+@pytest.mark.parametrize("frame_rate", [2.0, 10.0, 20.0])
+def test_noise_channel_refuses_another_frame_rate(frame_rate):
+    # tracks advance by velo / frame_rate per frame; labelling them with
+    # another rate would scale every stride, horizon and target
+    tracks = generate_world(3, 100, frame_rate=frame_rate, seed=4)
+    log = corrupt_to_detections(tracks, NoiseConfig(), seed=4,
+                                frame_rate=frame_rate)
+    assert log.frame_rate == frame_rate
+    for wrong in {2.0, 10.0, 20.0} - {frame_rate}:
+        with pytest.raises(ConfigError, match=f"does not move at {wrong} Hz"):
+            corrupt_to_detections(tracks, NoiseConfig(), seed=4,
+                                  frame_rate=wrong)
