@@ -36,15 +36,15 @@ def gate_positions(prev_pos: np.ndarray, curr_pos: np.ndarray, theta_d: float,
         raise ConfigError("gating distance must be positive")
     if len(prev_pos) == 0 or len(curr_pos) == 0:
         return np.zeros((0, 2), dtype=int), np.zeros(0)
-    diff = curr_pos[:, None, :] - prev_pos[None, :, :]  # (N, M, 2)
-    d2 = (diff * diff).sum(axis=2)
+    dx = curr_pos[:, 0, None] - prev_pos[None, :, 0]  # (N, M)
+    dy = curr_pos[:, 1, None] - prev_pos[None, :, 1]
+    d2 = dx * dx + dy * dy
     near = d2 <= theta_d * theta_d
     if prev_window is not None:
         near &= curr_window[:, None] == prev_window[None, :]
-    curr_idx, prev_idx = np.nonzero(near)
-    order = np.lexsort((prev_idx, curr_idx))
-    pairs = np.stack([prev_idx[order], curr_idx[order]], axis=1)
-    return pairs, np.sqrt(d2[curr_idx[order], prev_idx[order]])
+    curr_idx, prev_idx = np.nonzero(near)  # row-major: (curr, prev) order
+    pairs = np.stack([prev_idx, curr_idx], axis=1)
+    return pairs, np.sqrt(d2[curr_idx, prev_idx])
 
 
 def pair_features(tape: Tape, params: ModelParams, prev: FrameArrays,

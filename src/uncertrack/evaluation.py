@@ -41,8 +41,9 @@ def match_for_eval(det_pos: np.ndarray, gt_pos: np.ndarray):
     side is used at most once."""
     if len(det_pos) == 0 or len(gt_pos) == 0:
         return []
-    diff = det_pos[:, None, :] - gt_pos[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
+    dx = det_pos[:, 0, None] - gt_pos[None, :, 0]
+    dy = det_pos[:, 1, None] - gt_pos[None, :, 1]
+    dist = np.sqrt(dx * dx + dy * dy)
     order = np.argsort(dist, axis=None, kind="stable")
     used_det = np.zeros(len(det_pos), dtype=bool)
     used_gt = np.zeros(len(gt_pos), dtype=bool)

@@ -527,8 +527,13 @@ def train(cfg: TrainConfig, worlds: list[WorldLog], variant: str = "full",
 def forecast_sequence(params: ModelParams, frames: list[FrameArrays],
                       sim=None) -> tuple[SequenceEncoding, list[Forecast]]:
     """Inference: encode a window, or a pack of stacked windows, and decode
-    forecasts for every row of its final frame."""
-    tape = Tape()
+    forecasts for every row of its final frame.
+
+    Runs on a forward-only tape: no gradient is kept, so each intermediate is
+    freed as soon as it is used, and the forecasts are bitwise those of a
+    recording tape.  The returned encoding's logits are constants.
+    """
+    tape = Tape(grad=False)
     enc = encode_sequence(tape, params, frames)
     p_n = enc.h_mot_final
     if sim is not None:

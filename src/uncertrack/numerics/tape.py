@@ -9,6 +9,14 @@ cycle and is freed by reference counting alone.  Gradients of parameter
 leaves accumulate into externally supplied buffers so repeated forward passes
 (shared weights across time steps, or several sequences of one batch) sum
 their contributions.
+
+A forward-only tape (``Tape(grad=False)``) binds parameters as constants, so
+by the same rule that keeps constants off every tape, no result is recorded:
+each intermediate value is freed as soon as the caller drops it, instead of
+living until the tape does.  Inference uses one because it never calls
+``backward``, and reusing freed temporaries while they are still in cache
+makes a forward pass faster; the values it computes are bitwise those of a
+recording tape.
 """
 
 from __future__ import annotations
@@ -103,9 +111,14 @@ def _as2d(x) -> np.ndarray:
 
 
 class Tape:
-    """Records operations of one forward pass and replays them backward."""
+    """Records operations of one forward pass and replays them backward.
 
-    def __init__(self):
+    With ``grad=False`` the tape is forward-only: ``param`` returns a
+    constant leaf, nothing is recorded, and ``backward`` raises.
+    """
+
+    def __init__(self, grad: bool = True):
+        self.grad = grad
         self._nodes: list[Var] = []
         self._bound: dict[int, list[Var]] = {}  # ParamBlock id -> leaf Vars
 
@@ -121,7 +134,10 @@ class Tape:
     # ---- leaves -------------------------------------------------------
 
     def param(self, value: np.ndarray, grad_buffer: np.ndarray) -> Var:
-        """Leaf whose gradient accumulates into an external buffer."""
+        """Leaf whose gradient accumulates into an external buffer (a
+        constant on a forward-only tape)."""
+        if not self.grad:
+            return Var(value, no_grad=True)
         v = Var(value)
         v.grad = grad_buffer
         return v
@@ -399,6 +415,8 @@ class Tape:
     # ---- driver ------------------------------------------------------------
 
     def backward(self, root: Var, seed: float = 1.0) -> None:
+        if not self.grad:
+            raise NumericsError("backward on a forward-only tape")
         root.grad = np.full_like(root.value, seed)
         for node in reversed(self._nodes):
             if node.grad is not None:

@@ -367,13 +367,15 @@ def load_world(path) -> WorldLog:
     A malformed line (bad JSON, a NaN or infinite number, a missing or
     ill-typed field, a frame, agent id, birth or death frame, ``true_id`` or
     seed that is not an integer, a non-positive frame rate, agent arrays
-    whose length is not the agent's life, a frame outside the world, a
-    ``true_id`` that names no agent) raises ``ConfigError`` naming
-    ``path:line``.
+    whose length is not the agent's life, a negative or repeated agent id, a
+    frame outside the world, an integer ``true_id`` of ``FP_ID`` (only
+    ``"FP"`` marks a false positive), a ``true_id`` that names no agent)
+    raises ``ConfigError`` naming ``path:line``.
     """
     path = Path(path)
     frame_rate, rng_seed, num_frames = 10.0, 0, None
     tracks: list[AgentTrack] = []
+    agent_ids: set[int] = set()
     frame_map: dict[int, list[Detection]] = {}
     ids_map: dict[int, np.ndarray] = {}
     frame_line: dict[int, int] = {}
@@ -408,6 +410,13 @@ def load_world(path) -> WorldLog:
                         velo=np.array(rec["velo"], dtype=float),
                         heading=np.array(rec["heading"], dtype=float),
                         size=np.array(rec["size"], dtype=float))
+                    if track.agent_id < 0:
+                        raise ConfigError(f"{where}: agent_id must not be "
+                                          f"negative, got {track.agent_id}")
+                    if track.agent_id in agent_ids:
+                        raise ConfigError(f"{where}: agent {track.agent_id} "
+                                          "is listed twice")
+                    agent_ids.add(track.agent_id)
                     n = track.length
                     if (track.pos.shape, track.velo.shape, track.heading.shape,
                             track.size.shape) != ((n, 2), (n, 2), (n,), (n, 3)):
@@ -425,8 +434,11 @@ def load_world(path) -> WorldLog:
                                               heading=float(r["heading"]),
                                               score=float(r["score"])))
                         tid = r.get("true_id", "FP")
-                        ids.append(FP_ID if tid == "FP"
-                                   else _integer(tid, "true_id", where))
+                        if tid != "FP" and _integer(tid, "true_id",
+                                                    where) == FP_ID:
+                            raise ConfigError(f'{where}: true_id {FP_ID} '
+                                              'must be written "FP"')
+                        ids.append(FP_ID if tid == "FP" else tid)
                     frame_map[t] = dets
                     ids_map[t] = np.array(ids, dtype=int)
                     frame_line[t] = line_no
@@ -439,7 +451,7 @@ def load_world(path) -> WorldLog:
                 raise ConfigError(f"{where}: bad line ({e})") from e
     if num_frames is None:
         num_frames = max(frame_map) + 1 if frame_map else 0
-    agents = {tr.agent_id for tr in tracks} | {FP_ID}
+    agents = agent_ids | {FP_ID}
     for t, line_no in frame_line.items():
         if not 0 <= t < num_frames:
             raise ConfigError(f"{path}:{line_no}: frame {t} is outside the "

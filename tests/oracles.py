@@ -128,6 +128,24 @@ def gate_brute_force(prev_pos, curr_pos, theta_d):
     return sorted(pairs, key=lambda p: (p[1], p[0]))
 
 
+def gate_reference(prev_pos, curr_pos, theta_d, prev_window=None,
+                   curr_window=None):
+    """Gating with squared distances summed over an (N, M, 2) difference and
+    pairs lexsorted by (curr, prev); the per-axis gate must equal it bitwise.
+    Returns (pairs, dists)."""
+    if len(prev_pos) == 0 or len(curr_pos) == 0:
+        return np.zeros((0, 2), dtype=int), np.zeros(0)
+    diff = curr_pos[:, None, :] - prev_pos[None, :, :]
+    d2 = (diff * diff).sum(axis=2)
+    near = d2 <= theta_d * theta_d
+    if prev_window is not None:
+        near &= curr_window[:, None] == prev_window[None, :]
+    curr_idx, prev_idx = np.nonzero(near)
+    order = np.lexsort((prev_idx, curr_idx))
+    pairs = np.stack([prev_idx[order], curr_idx[order]], axis=1)
+    return pairs, np.sqrt(d2[curr_idx[order], prev_idx[order]])
+
+
 def topk_brute_force(entries, k):
     """entries: list of (score, distance, prev_index); returns best k."""
     ordered = sorted(entries, key=lambda e: (-e[0], e[1], e[2]))

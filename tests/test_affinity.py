@@ -11,7 +11,8 @@ from uncertrack.numerics import Tape
 from uncertrack.world import (FP_ID, NoiseConfig, corrupt_to_detections,
                               generate_world)
 
-from oracles import fd_gradient, gate_brute_force, rel_err, topk_brute_force
+from oracles import (fd_gradient, gate_brute_force, gate_reference, rel_err,
+                     topk_brute_force)
 
 
 def _frame(positions):
@@ -122,6 +123,10 @@ def test_gating_matches_brute_force():
         assert [tuple(p) for p in pairs] == want
         for (m, n), d in zip(pairs, dists):
             assert abs(d - np.hypot(*(curr[n] - prev[m]))) < 1e-12
+        # per-axis squares and no re-sort: bitwise the summed (N, M, 2) form
+        ref_pairs, ref_dists = gate_reference(prev, curr, 10.0)
+        assert np.array_equal(pairs, ref_pairs)
+        assert np.array_equal(dists, ref_dists)
 
 
 def test_gating_rejects_nonpositive_theta():
@@ -283,3 +288,14 @@ def test_window_gating_matches_each_window_alone():
         curr_off += len(c)
     assert np.array_equal(pairs, np.concatenate(want_pairs))
     assert np.array_equal(dists, np.concatenate(want_dists))
+
+    for _ in range(50):  # random packs, bitwise the summed (N, M, 2) form
+        n_prev, n_curr = rng.integers(0, 60, size=2)
+        prev_pos = rng.uniform(-15, 15, (n_prev, 2))
+        curr_pos = rng.uniform(-15, 15, (n_curr, 2))
+        prev_win = np.sort(rng.integers(0, 3, n_prev))
+        curr_win = np.sort(rng.integers(0, 3, n_curr))
+        got = gate_positions(prev_pos, curr_pos, 6.0, prev_win, curr_win)
+        want = gate_reference(prev_pos, curr_pos, 6.0, prev_win, curr_win)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])

@@ -3,14 +3,15 @@
 import numpy as np
 import pytest
 
+from uncertrack import forecaster
 from uncertrack.detections import FrameArrays, stack_windows
 from uncertrack.encoder import TransitionRecord, encode_sequence
 from uncertrack.errors import ConfigError
 from uncertrack.forecaster import (PACK_DETECTIONS, MeanPoolSIM, SequenceSample,
                                    TrainConfig, augment_sample, build_sample,
-                                   forecast_sequence, pack_ranges,
-                                   pack_samples, parse_config_file,
-                                   total_loss, train)
+                                   decode_trajectory, forecast_sequence,
+                                   pack_ranges, pack_samples,
+                                   parse_config_file, total_loss, train)
 from uncertrack.model import VARIANTS, ModelConfig, init_model, variant_config
 from uncertrack.numerics import Tape, grad_check, mlp_forward
 from uncertrack.world import (FP_ID, NoiseConfig, corrupt_to_detections,
@@ -235,6 +236,37 @@ def test_packed_forecasts_equal_each_window_alone(sim):
             assert np.max(np.abs(packed[row].waypoints - f.waypoints)) < 1e-10
             row += 1
     assert row == len(packed)
+
+
+@pytest.mark.parametrize("variant, sim", [
+    *(pytest.param(v, None, id=v) for v in VARIANTS),
+    pytest.param("full", MeanPoolSIM(), id="full-meanpool")])
+def test_forecasts_record_nothing_and_equal_a_recording_tape(monkeypatch,
+                                                             variant, sim):
+    # inference binds parameters as constants: its tape holds no node, and
+    # every waypoint is bitwise what a recording tape computes
+    params = init_model(variant_config(variant, SMALL), seed=9)
+    frames = stack_windows([s.frames for s in _samples(SMALL)])
+    tape = Tape()
+    p_n = encode_sequence(tape, params, frames).h_mot_final
+    if sim is not None:
+        p_n = sim(tape, p_n, frames[-1])
+    _, want = decode_trajectory(tape, params, p_n, frames[-1].pos)
+    assert tape._nodes
+
+    tapes = []
+
+    class SpyTape(Tape):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            tapes.append(self)
+
+    monkeypatch.setattr(forecaster, "Tape", SpyTape)
+    _, got = forecast_sequence(params, frames, sim=sim)
+    assert len(tapes) == 1 and tapes[0]._nodes == []
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g.waypoints, w.waypoints)
 
 
 def test_training_is_bitwise_repeatable():

@@ -202,12 +202,23 @@ def test_scatters_bitwise_equal_np_add_at_with_duplicate_indices():
     assert np.array_equal(inner.grad, want)
 
 
+def test_forward_only_tape_records_nothing_and_refuses_backward():
+    tape = Tape(grad=False)
+    w = np.array([[2.0, -1.0]])
+    g = np.zeros_like(w)
+    y = tape.sum(tape.mul(tape.param(w, g), tape.const([[3.0, 4.0]])))
+    assert y.no_grad and tape._nodes == [] and y.value[0, 0] == 2.0
+    with pytest.raises(NumericsError, match="forward-only"):
+        tape.backward(y)
+    assert not g.any()
+
+
 def test_dropped_tapes_leave_no_reference_cycles():
     rng = np.random.default_rng(9)
     weights = [rng.standard_normal(s) for s in [(3, 3), (3, 3), (1, 3)] * 3]
 
-    def run(backward: bool):
-        tape = Tape()
+    def run(backward: bool, grad: bool = True):
+        tape = Tape(grad=grad)
         leaves = [tape.param(w, np.zeros_like(w)) for w in weights]
         x = tape.gather_rows(leaves[0], np.array([0, 0, 1, 2]))
         h = tape.gru(x, tape.const(np.zeros((4, 3))), *leaves)
@@ -222,6 +233,7 @@ def test_dropped_tapes_leave_no_reference_cycles():
         gc.collect()
         run(backward=False)
         run(backward=True)
+        run(backward=False, grad=False)
         assert gc.collect() == 0
     finally:
         if was_enabled:

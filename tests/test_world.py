@@ -304,9 +304,13 @@ def _saved_lines(tmp_path):
 
 
 def _edit_line(lines, kind, edit):
-    """Apply ``edit`` to the first record of ``kind``; returns its line number."""
-    for i, line in enumerate(lines):
-        rec = json.loads(line)
+    """Apply ``edit`` to the first record of ``kind`` (the last one for
+    ``"last <kind>"``); returns its line number."""
+    order = range(len(lines))
+    if kind.startswith("last "):
+        kind, order = kind[5:], reversed(order)
+    for i in order:
+        rec = json.loads(lines[i])
         if rec["type"] == kind and (kind != "frame" or rec["detections"]):
             edit(rec)
             lines[i] = json.dumps(rec)
@@ -334,6 +338,9 @@ def _edit_line(lines, kind, edit):
     ("agent", lambda r: r.update(birth_frame=r["birth_frame"] + 0.5)),
     ("agent", lambda r: r.update(death_frame=float(r["death_frame"]))),
     ("world", lambda r: r.update(rng_seed=12.5)),
+    ("agent", lambda r: r.update(agent_id=-1)),  # FP_ID names no agent
+    ("last agent", lambda r: r.update(agent_id=0)),  # agent 0 twice
+    ("frame", lambda r: r["detections"][0].update(true_id=-1)),  # not "FP"
 ])
 def test_load_world_rejects_missing_fields_and_non_finite(tmp_path, kind, edit):
     path, lines = _saved_lines(tmp_path)
