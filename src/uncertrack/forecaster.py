@@ -13,13 +13,13 @@ row tagged by its window so that nothing mixes across windows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .detections import FrameArrays, stack_windows
 from .encoder import SequenceEncoding, encode_sequence
-from .errors import ConfigError
+from .errors import ConfigError, check_fields
 from .model import (MAX_DETECTIONS, T_OBS, ModelConfig, ModelParams,
                     init_model, stride_and_horizon, variant_config)
 from .numerics import NumericsError, Tape, Var, adam_step, mlp_forward
@@ -31,8 +31,8 @@ __all__ = ["Forecast", "TrainConfig", "SequenceSample", "EpochStats",
            "total_loss", "lambda_schedule", "lr_schedule", "augment_sample",
            "build_sample", "cut_window", "gt_future", "window_starts",
            "sequence_labels", "train", "forecast_sequence",
-           "parse_config_file", "model_config_from_train", "PACK_DETECTIONS",
-           "pack_ranges", "pack_samples"]
+           "model_config_from_train", "PACK_DETECTIONS", "pack_ranges",
+           "pack_samples"]
 
 
 @dataclass
@@ -354,18 +354,14 @@ def augment_sample(sample: SequenceSample, rng: np.random.Generator) -> Sequence
 # ---- training ------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
-    """Training settings; the model's sizes and gate default to ModelConfig's."""
+    """Training settings, and the model to train (before its variant is
+    applied, see :func:`model_config_from_train`)."""
 
     batch_sequences: int = 16
     max_detections: int = MAX_DETECTIONS
     t_obs: int = T_OBS
-    k_candidates: int = ModelConfig.k_candidates
-    theta_d: float = ModelConfig.theta_d
-    hidden_dim: int = ModelConfig.hidden_dim
-    det_dim: int = ModelConfig.det_dim
-    mov_dim: int = ModelConfig.mov_dim
     lr: float = 0.003
     lr_decay: float = 0.6
     lr_num_decays: int = 6
@@ -376,66 +372,22 @@ class TrainConfig:
     augmentation: bool = True
     windows_per_world: int = 4
     smooth_l1_beta: float = 1.0
+    model: ModelConfig = ModelConfig()
 
-
-# counts and scales a config file must set above zero (lr_num_decays may be
-# 0, meaning no decay; seed is any integer)
-_POSITIVE = ("batch_sequences", "max_detections", "t_obs", "k_candidates",
-             "theta_d", "hidden_dim", "det_dim", "mov_dim", "lr", "epochs",
-             "windows_per_world", "smooth_l1_beta")
-
-
-def parse_config_file(path) -> TrainConfig:
-    """key=value lines, '#' comments; keys match TrainConfig field names.
-
-    A malformed line, an unknown key, a non-finite number or a count or
-    scale that is not positive raises ``ConfigError`` naming ``path:line``.
-    """
-    spec = {f.name: f.type for f in fields(TrainConfig)}
-    values = {}
-    with open(path) as f:
-        for line_no, raw in enumerate(f, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{line_no}: expected key=value, "
-                                  f"got {raw.strip()!r}")
-            key, val = (part.strip() for part in line.split("=", 1))
-            if key not in spec:
-                raise ConfigError(f"{path}:{line_no}: unknown key '{key}'")
-            values[key] = _coerce(key, val, spec[key], path, line_no)
-            if key in _POSITIVE and values[key] <= 0:
-                raise ConfigError(f"{path}:{line_no}: '{key}' must be "
-                                  f"positive, got {val!r}")
-    return TrainConfig(**values)
-
-
-def _coerce(key, val, typ, path, line_no):
-    try:
-        if typ in ("int", int):
-            return int(val)
-        if typ in ("float", float):
-            number = float(val)
-            if not math.isfinite(number):
-                raise ValueError(val)
-            return number
-        if typ in ("bool", bool):
-            if val.lower() in ("true", "1", "yes", "on"):
-                return True
-            if val.lower() in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(val)
-        return val
-    except ValueError as e:
-        raise ConfigError(f"{path}:{line_no}: bad value for '{key}': {val!r}") from e
+    def __post_init__(self):
+        # lr_num_decays may be 0, meaning no decay; seed is any integer
+        check_fields(self, "a positive integer",
+                     ("batch_sequences", "max_detections", "t_obs", "epochs",
+                      "windows_per_world"))
+        check_fields(self, "a non-negative integer", ("lr_num_decays",))
+        check_fields(self, "a positive finite number",
+                     ("lr", "lr_decay", "smooth_l1_beta"))
+        check_fields(self, "a non-negative finite number",
+                     ("lambda_start", "lambda_end"))
 
 
 def model_config_from_train(cfg: TrainConfig, variant: str = "full") -> ModelConfig:
-    base = ModelConfig(det_dim=cfg.det_dim, mov_dim=cfg.mov_dim,
-                       hidden_dim=cfg.hidden_dim, k_candidates=cfg.k_candidates,
-                       theta_d=cfg.theta_d)
-    return variant_config(variant, base)
+    return variant_config(variant, cfg.model)
 
 
 @dataclass

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .errors import ConfigError
+from .errors import ConfigError, check_fields
 from .numerics import (GruParams, MlpParams, ParamBlock, load_weights,
                        make_gru, make_mlp, save_weights)
 from .rng import substream
@@ -40,13 +40,20 @@ class ModelConfig:
     # dense transition instead of 246 at 10 m; at 20 Hz it keeps 0.99964.
     # Position noise does not shrink with the frame interval, so the gate is
     # not scaled by it (a 2.5 m gate at 20 Hz keeps only 0.983).  Data at
-    # 2 Hz needs the paper's 10 m, since 5 m keeps only 0.943 there: set
-    # ``theta_d = 10`` in its config file.
+    # 2 Hz needs the paper's 10 m, since 5 m keeps only 0.943 there: build
+    # its config as ``ModelConfig(theta_d=10.0)``.
     theta_d: float = 5.0
     use_asu: bool = True
     use_msa: bool = True
     pred_steps: int = 6
     step_seconds: float = 0.5
+
+    def __post_init__(self):
+        check_fields(self, "a positive integer",
+                     ("det_dim", "mov_dim", "field_dim", "hidden_dim",
+                      "k_candidates", "pred_steps"))
+        check_fields(self, "a positive finite number",
+                     ("theta_d", "step_seconds"))
 
     @property
     def x_dim(self) -> int:
@@ -154,13 +161,14 @@ def save_model(path, params: ModelParams) -> None:
     save_weights(path, params.blocks())
 
 
-def load_model(path, config: ModelConfig, seed: int = 0) -> ModelParams:
+def load_model(path, config: ModelConfig) -> ModelParams:
     """Rebuild a model from a weight file, verifying it against config.
 
     Block names are compared before shapes, so a file of another variant is
-    reported by the blocks it has too many or too few.
+    reported by the blocks it has too many or too few.  Every tensor of the
+    model built here is overwritten by the file's.
     """
-    params = init_model(config, seed)
+    params = init_model(config, seed=0)
     stored = {b.name: b for b in load_weights(path)}
     unexpected = sorted(set(stored) - {b.name for b in params.blocks()})
     if unexpected:

@@ -56,24 +56,30 @@ def make_block(name: str, shapes: list[tuple[int, int]],
     return ParamBlock(name=name, weights=weights)
 
 
-def adam_step(blocks: list[ParamBlock], lr: float, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8, step: int = 1) -> None:
-    """Bias-corrected Adam update in place; grads are zeroed afterwards."""
+# Adam's moment decay rates and denominator guard
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
+
+
+def adam_step(blocks: list[ParamBlock], lr: float, step: int) -> None:
+    """Bias-corrected Adam update in place, ``step`` counting from 1; grads
+    are zeroed afterwards."""
     if step < 1:
         raise NumericsError("adam_step: step must be >= 1")
-    c1 = 1.0 - beta1 ** step
-    c2 = 1.0 - beta2 ** step
+    c1 = 1.0 - _BETA1 ** step
+    c2 = 1.0 - _BETA2 ** step
     for block in blocks:
         for i, (w, g, m, v) in enumerate(
                 zip(block.weights, block.grads, block.adam_m, block.adam_v)):
             if not np.all(np.isfinite(g)):
                 raise NumericsError(
                     f"non-finite gradient in block '{block.name}' tensor {i}")
-            m *= beta1
-            m += (1.0 - beta1) * g
-            v *= beta2
-            v += (1.0 - beta2) * g * g
-            w -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+            m *= _BETA1
+            m += (1.0 - _BETA1) * g
+            v *= _BETA2
+            v += (1.0 - _BETA2) * g * g
+            w -= lr * (m / c1) / (np.sqrt(v / c2) + _EPS)
         block.zero_grads()
 
 

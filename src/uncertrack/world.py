@@ -14,13 +14,13 @@ Everything is a pure function of (config, seed).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .detections import Detection
-from .errors import ConfigError
+from .errors import ConfigError, check_fields
 from .model import T_OBS, ModelConfig, stride_and_horizon
 from .rng import substream
 
@@ -75,16 +75,17 @@ class NoiseConfig:
     burst_prob: float = 0.02
 
     def __post_init__(self):
-        for name in ("pos_sigma", "velo_sigma", "heading_sigma", "size_sigma",
-                     "fp_cluster_sigma", "score_sigma", "fp_rate"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"noise: {name} must be >= 0")
+        check_fields(self, "a non-negative finite number",
+                     ("pos_sigma", "velo_sigma", "heading_sigma", "size_sigma",
+                      "fp_cluster_sigma", "score_sigma", "fp_rate"))
         for name in ("miss_rate", "burst_prob"):
             if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ConfigError(f"noise: {name} must be in [0, 1]")
+                raise ConfigError(f"NoiseConfig.{name} must be in [0, 1], "
+                                  f"got {getattr(self, name)!r}")
         for name in ("score_tp_mean", "score_fp_mean"):
             if not 0.0 < getattr(self, name) < 1.0:
-                raise ConfigError(f"noise: {name} must be in (0, 1)")
+                raise ConfigError(f"NoiseConfig.{name} must be in (0, 1), "
+                                  f"got {getattr(self, name)!r}")
 
     @classmethod
     def zero(cls) -> "NoiseConfig":
@@ -98,7 +99,7 @@ class WorldLog:
     frame_rate: float
     tracks: list[AgentTrack]
     frames: list[list[Detection]]
-    true_ids: list[np.ndarray] = field(default_factory=list)  # FP_ID marks FPs
+    true_ids: list[np.ndarray]  # per frame, per detection; FP_ID marks FPs
     rng_seed: int = 0
 
     @property
@@ -333,14 +334,11 @@ def save_world(log: WorldLog, path) -> None:
             }) + "\n")
         for t, dets in enumerate(log.frames):
             recs = []
-            for i, d in enumerate(dets):
-                rec = {"pos": list(d.pos), "velo": list(d.velo),
-                       "size": list(d.size), "heading": d.heading,
-                       "score": d.score}
-                if len(log.true_ids) > t:
-                    tid = int(log.true_ids[t][i])
-                    rec["true_id"] = "FP" if tid == FP_ID else tid
-                recs.append(rec)
+            for d, tid in zip(dets, log.true_ids[t].tolist(), strict=True):
+                recs.append({"pos": list(d.pos), "velo": list(d.velo),
+                             "size": list(d.size), "heading": d.heading,
+                             "score": d.score,
+                             "true_id": "FP" if tid == FP_ID else tid})
             f.write(json.dumps({"type": "frame", "frame": t,
                                 "detections": recs}) + "\n")
 
@@ -433,7 +431,7 @@ def load_world(path) -> WorldLog:
                                               size=tuple(r["size"]),
                                               heading=float(r["heading"]),
                                               score=float(r["score"])))
-                        tid = r.get("true_id", "FP")
+                        tid = r["true_id"]
                         if tid != "FP" and _integer(tid, "true_id",
                                                     where) == FP_ID:
                             raise ConfigError(f'{where}: true_id {FP_ID} '

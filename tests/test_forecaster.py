@@ -1,5 +1,8 @@
 """Packing windows into one tape pass, the joint loss, and the training loop."""
 
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,8 +13,8 @@ from uncertrack.errors import ConfigError
 from uncertrack.forecaster import (PACK_DETECTIONS, MeanPoolSIM, SequenceSample,
                                    TrainConfig, augment_sample, build_sample,
                                    decode_trajectory, forecast_sequence,
-                                   pack_ranges, pack_samples,
-                                   parse_config_file, total_loss, train)
+                                   pack_ranges, pack_samples, total_loss,
+                                   train)
 from uncertrack.model import VARIANTS, ModelConfig, init_model, variant_config
 from uncertrack.numerics import Tape, grad_check, mlp_forward
 from uncertrack.world import (FP_ID, NoiseConfig, corrupt_to_detections,
@@ -270,9 +273,9 @@ def test_forecasts_record_nothing_and_equal_a_recording_tape(monkeypatch,
 
 
 def test_training_is_bitwise_repeatable():
-    cfg = TrainConfig(batch_sequences=4, windows_per_world=3, epochs=2,
-                      hidden_dim=6, det_dim=8, mov_dim=4, k_candidates=4,
-                      seed=3)
+    cfg = TrainConfig(batch_sequences=4, windows_per_world=3, epochs=2, seed=3,
+                      model=ModelConfig(det_dim=8, mov_dim=4, hidden_dim=6,
+                                        k_candidates=4))
     worlds = [_world(seed, frames=60) for seed in (10, 11, 12)]
     params_a, stats_a = train(cfg, worlds)
     params_b, stats_b = train(cfg, worlds)
@@ -283,31 +286,37 @@ def test_training_is_bitwise_repeatable():
             assert np.array_equal(wa, wb)
 
 
-def test_config_file_parses(tmp_path):
-    path = tmp_path / "train.cfg"
-    path.write_text("# desk run\nepochs = 3\nlr=0.01  # faster\n\n"
-                    "augmentation = off\nseed = -2\nlr_num_decays = 0\n")
-    cfg = parse_config_file(path)
-    assert (cfg.epochs, cfg.lr, cfg.augmentation, cfg.seed,
-            cfg.lr_num_decays) == (3, 0.01, False, -2, 0)
+def _assert_refused(cls, name, value):
+    # built directly and through dataclasses.replace, the way callers vary
+    # a default config
+    message = re.escape(f"{cls.__name__}.{name} must be") + r".*got " + \
+        re.escape(repr(value))
+    with pytest.raises(ConfigError, match=message):
+        cls(**{name: value})
+    with pytest.raises(ConfigError, match=message):
+        replace(cls(), **{name: value})
 
 
-@pytest.mark.parametrize("line", ["lr = nan", "theta_d = inf",
-                                  "lambda_end = -Infinity"])
-def test_config_file_rejects_non_finite(tmp_path, line):
-    path = tmp_path / "train.cfg"
-    path.write_text(f"epochs = 2\n{line}\n")
-    key = line.split("=")[0].strip()
-    with pytest.raises(ConfigError, match=f"train.cfg:2: bad value for '{key}'"):
-        parse_config_file(path)
+@pytest.mark.parametrize("cls, name, value", [
+    (TrainConfig, "lr", float("nan")), (TrainConfig, "lr_decay", float("inf")),
+    (TrainConfig, "lambda_end", -float("inf")),
+    (TrainConfig, "smooth_l1_beta", float("nan")),
+    (ModelConfig, "theta_d", float("inf")),
+    (ModelConfig, "step_seconds", float("nan"))])
+def test_config_rejects_non_finite(cls, name, value):
+    _assert_refused(cls, name, value)
 
 
-@pytest.mark.parametrize("line", ["epochs = -3", "batch_sequences = 0",
-                                  "lr = 0", "theta_d = -1.5",
-                                  "smooth_l1_beta = 0.0"])
-def test_config_file_rejects_non_positive(tmp_path, line):
-    path = tmp_path / "train.cfg"
-    path.write_text(f"# counts\n{line}\n")
-    key = line.split("=")[0].strip()
-    with pytest.raises(ConfigError, match=f"train.cfg:2: '{key}' must be positive"):
-        parse_config_file(path)
+@pytest.mark.parametrize("cls, name, value", [
+    (TrainConfig, "epochs", 0), (TrainConfig, "epochs", -3),
+    (TrainConfig, "batch_sequences", 0), (TrainConfig, "lr", 0.0),
+    (TrainConfig, "smooth_l1_beta", 0.0), (TrainConfig, "t_obs", 0),
+    (TrainConfig, "lr_num_decays", -1), (TrainConfig, "lambda_start", -0.5),
+    # a count must be an integer, not a float or a bool
+    (TrainConfig, "epochs", 2.0), (TrainConfig, "windows_per_world", True),
+    (ModelConfig, "hidden_dim", 0), (ModelConfig, "det_dim", -3),
+    (ModelConfig, "field_dim", 0), (ModelConfig, "k_candidates", 2.5),
+    (ModelConfig, "pred_steps", 0), (ModelConfig, "theta_d", -1.5),
+    (ModelConfig, "step_seconds", 0.0)])
+def test_config_rejects_non_positive(cls, name, value):
+    _assert_refused(cls, name, value)

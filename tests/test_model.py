@@ -1,6 +1,6 @@
 """Model initialisation and weight file round trips."""
 
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -34,6 +34,27 @@ def test_train_config_defaults_are_the_model_defaults(variant):
     assert model_config_from_train(TrainConfig(), variant) == variant_config(variant)
 
 
+def test_train_and_model_configs_share_no_field():
+    # each setting has one home: TrainConfig carries the model's as .model
+    train_fields = {f.name for f in fields(TrainConfig)}
+    assert not train_fields & {f.name for f in fields(ModelConfig)}
+    assert "model" in train_fields
+
+
+@pytest.mark.parametrize("seed", [0, 401, 501])
+def test_varied_train_config_is_checked_and_trains_the_same_model(seed):
+    # the benchmark's set-up: one epoch of the default training settings
+    cfg = replace(TrainConfig(), epochs=1, seed=seed)
+    assert model_config_from_train(cfg, "full") == ModelConfig(
+        det_dim=64, mov_dim=32, field_dim=32, hidden_dim=64, k_candidates=10,
+        theta_d=5.0, use_asu=True, use_msa=True, pred_steps=6,
+        step_seconds=0.5)
+    with pytest.raises(ConfigError, match="TrainConfig.epochs"):
+        replace(cfg, epochs=0)
+    with pytest.raises(FrozenInstanceError):
+        cfg.epochs = 0
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_init_leaves_no_weight_dead(variant):
     # a weight with one input row, like the score embedding's (1, n), is
@@ -61,7 +82,7 @@ def test_save_load_round_trip_bitwise(tmp_path, variant):
     params = init_model(config, seed=3)
     path = tmp_path / "model.bin"
     save_model(path, params)
-    loaded = load_model(path, config, seed=4)  # another init, then overwritten
+    loaded = load_model(path, config)  # seed 0's init, then overwritten
     assert [b.name for b in loaded.blocks()] == [b.name for b in params.blocks()]
     for a, b in zip(params.blocks(), loaded.blocks()):
         assert len(a.weights) == len(b.weights)

@@ -100,6 +100,15 @@ def test_generate_world_rejects_bad_inputs():
         generate_world(3, 100, motion_mix={"warp": 1.0})
 
 
+@pytest.mark.parametrize("name, value", [
+    ("pos_sigma", float("nan")), ("fp_rate", -1.0), ("miss_rate", 1.5),
+    ("score_fp_mean", 0.0)])
+def test_noise_config_rejects_out_of_range(name, value):
+    # a NaN sigma would turn every detection's position into NaN
+    with pytest.raises(ConfigError, match=rf"NoiseConfig\.{name} must be"):
+        replace(NoiseConfig(), **{name: value})
+
+
 @pytest.mark.parametrize("frame_rate", [5.0, 15.0])
 def test_forecast_step_of_a_fraction_of_frames_is_refused(frame_rate):
     # 0.5 s is 2.5 or 7.5 frames here: rounding would score "fde@3s" at
@@ -341,6 +350,7 @@ def _edit_line(lines, kind, edit):
     ("agent", lambda r: r.update(agent_id=-1)),  # FP_ID names no agent
     ("last agent", lambda r: r.update(agent_id=0)),  # agent 0 twice
     ("frame", lambda r: r["detections"][0].update(true_id=-1)),  # not "FP"
+    ("frame", lambda r: r["detections"][0].pop("true_id")),  # not "FP" either
 ])
 def test_load_world_rejects_missing_fields_and_non_finite(tmp_path, kind, edit):
     path, lines = _saved_lines(tmp_path)
