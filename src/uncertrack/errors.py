@@ -26,6 +26,8 @@ def _finite(value) -> bool:
 
 # what a field must be -> the test of its value
 _RULES = {
+    "an integer": _integer,
+    "a bool": lambda v: isinstance(v, bool),
     "a positive integer": lambda v: _integer(v) and v > 0,
     "a non-negative integer": lambda v: _integer(v) and v >= 0,
     "a positive finite number": lambda v: _finite(v) and v > 0,

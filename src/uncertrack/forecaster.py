@@ -280,14 +280,15 @@ def build_sample(log: WorldLog, t0: int, t_obs: int, config: ModelConfig,
 
 # A pack stops growing before its windows' summed detections per frame pass
 # this budget, so ~17-detection windows go ~7 to a tape pass and ~70-detection
-# windows one at a time.  Measured with one-epoch train() calls over 16
-# augmented windows of 120-frame worlds (single BLAS thread, 2-vCPU x86-64,
-# medians of 3-5 calls, three scans).  At ~17 detections/frame one window per
-# pass took 0.81-1.10 s; every budget from 64 to all 16 windows in one pass
-# took 0.55-0.73 s, within the scans' noise of each other, while peak RSS grew
-# with the budget: 146 MB at 64, 242 MB at 128, 431 MB at 256, 505 MB for all
-# 16.  At ~69 detections/frame, one window per pass (budget 128) took
-# 5.6-6.3 s at 625 MB and ~3 per pass (256) 5.6-5.9 s at 985 MB.  128 sits
+# windows one at a time.  Measured with one-epoch train() calls over the 16
+# augmented windows of four 120-frame worlds (single BLAS thread, 2-vCPU
+# x86-64, medians of 5 calls after a first; process peak RSS, ~41 MB of it
+# before training).  At ~17 detections/frame one window per pass took
+# 0.86-0.92 s; every budget from 64 to all 16 windows in one pass took
+# 0.33-0.48 s over three scans, within their noise of each other, while peak
+# RSS grew with the budget: 93 MB at 64, 133 MB at 128, 217 MB at 256,
+# 235 MB for all 16.  At ~69 detections/frame, one window per pass (budget
+# 128) took 2.1 s at 170 MB and ~3 per pass (256) 2.2 s at 286 MB.  128 sits
 # inside the plateau with room on both sides; bigger packs buy memory use,
 # not speed.
 PACK_DETECTIONS = 128
@@ -376,6 +377,8 @@ class TrainConfig:
 
     def __post_init__(self):
         # lr_num_decays may be 0, meaning no decay; seed is any integer
+        check_fields(self, "an integer", ("seed",))
+        check_fields(self, "a bool", ("augmentation",))
         check_fields(self, "a positive integer",
                      ("batch_sequences", "max_detections", "t_obs", "epochs",
                       "windows_per_world"))
@@ -461,7 +464,6 @@ def train(cfg: TrainConfig, worlds: list[WorldLog], variant: str = "full",
                         f"non-finite loss at epoch {epoch}, windows (world, "
                         f"t0) {batch[p_lo:p_hi]}: traj {l_traj}, aff {l_aff}")
                 tape.backward(loss, seed=1.0 / len(batch))
-                del tape, loss  # free this pack's graph before the next one
                 traj_sum += l_traj
                 traj_n += n_traj
                 aff_sum += l_aff

@@ -54,6 +54,7 @@ class ModelConfig:
                       "k_candidates", "pred_steps"))
         check_fields(self, "a positive finite number",
                      ("theta_d", "step_seconds"))
+        check_fields(self, "a bool", ("use_asu", "use_msa"))
 
     @property
     def x_dim(self) -> int:

@@ -10,6 +10,15 @@ leaves accumulate into externally supplied buffers so repeated forward passes
 (shared weights across time steps, or several sequences of one batch) sum
 their contributions.
 
+Backward releases each node as soon as its closure has run: the tape's entry
+becomes ``None`` (the list keeps its length) and the node drops its closure.
+Every consumer of a node was recorded after it and so was released before
+it, so from then on only the caller can still hold the node.  A node nobody
+holds is freed there and then, with its value, its gradient and the arrays
+its closure captured, and the rest of the pass reuses that memory instead of
+faulting in fresh pages; a node the caller holds keeps its ``value`` and
+``grad``.  A tape is walked once: a second ``backward`` raises.
+
 A forward-only tape (``Tape(grad=False)``) binds parameters as constants, so
 by the same rule that keeps constants off every tape, no result is recorded:
 each intermediate value is freed as soon as the caller drops it, instead of
@@ -119,7 +128,8 @@ class Tape:
 
     def __init__(self, grad: bool = True):
         self.grad = grad
-        self._nodes: list[Var] = []
+        self._nodes: list[Var | None] = []  # None once backward released it
+        self._walked = False
         self._bound: dict[int, list[Var]] = {}  # ParamBlock id -> leaf Vars
 
     def _node(self, value: np.ndarray, parents: tuple[Var, ...], backward) -> Var:
@@ -210,10 +220,9 @@ class Tape:
 
     def abs(self, a: Var) -> Var:
         val = np.abs(a.value)
-        sign = np.sign(a.value)
 
         def backward(g):
-            _acc_own(a, g * sign)
+            _acc_own(a, g * np.sign(a.value))
 
         return self._node(val, (a,), backward)
 
@@ -238,11 +247,13 @@ class Tape:
     def concat(self, parts: list[Var], axis: int = 1) -> Var:
         """Join columns (``axis=1``) or stack rows (``axis=0``)."""
         val = np.concatenate([p.value for p in parts], axis=axis)
-        splits = np.cumsum([p.value.shape[axis] for p in parts])[:-1]
 
         def backward(g):
-            for p, gp in zip(parts, np.split(g, splits, axis=axis)):
-                _acc(p, gp)
+            lo = 0
+            for p in parts:
+                hi = lo + p.value.shape[axis]
+                _acc(p, g[lo:hi] if axis == 0 else g[:, lo:hi])
+                lo = hi
 
         return self._node(val, tuple(parts), backward)
 
@@ -415,9 +426,17 @@ class Tape:
     # ---- driver ------------------------------------------------------------
 
     def backward(self, root: Var, seed: float = 1.0) -> None:
+        """Seed ``root``'s gradient and run every recorded closure once,
+        newest first, releasing each node as its closure finishes."""
         if not self.grad:
             raise NumericsError("backward on a forward-only tape")
+        if self._walked:
+            raise NumericsError("backward already ran on this tape")
+        self._walked = True
         root.grad = np.full_like(root.value, seed)
-        for node in reversed(self._nodes):
+        nodes = self._nodes
+        for i in range(len(nodes) - 1, -1, -1):
+            node, nodes[i] = nodes[i], None
             if node.grad is not None:
                 node._backward(node.grad)
+            node._backward = None

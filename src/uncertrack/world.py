@@ -102,6 +102,17 @@ class WorldLog:
     true_ids: list[np.ndarray]  # per frame, per detection; FP_ID marks FPs
     rng_seed: int = 0
 
+    def __post_init__(self):
+        if len(self.true_ids) != len(self.frames):
+            t = min(len(self.true_ids), len(self.frames))
+            raise ConfigError(f"WorldLog holds {len(self.true_ids)} id arrays "
+                              f"for {len(self.frames)} frames (first unmatched: "
+                              f"frame {t})")
+        for t, (dets, ids) in enumerate(zip(self.frames, self.true_ids)):
+            if len(ids) != len(dets):
+                raise ConfigError(f"WorldLog frame {t}: {len(dets)} detections "
+                                  f"but {len(ids)} true ids")
+
     @property
     def num_frames(self) -> int:
         return len(self.frames)

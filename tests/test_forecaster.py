@@ -320,3 +320,15 @@ def test_config_rejects_non_finite(cls, name, value):
     (ModelConfig, "step_seconds", 0.0)])
 def test_config_rejects_non_positive(cls, name, value):
     _assert_refused(cls, name, value)
+
+
+@pytest.mark.parametrize("cls, name, value", [
+    (TrainConfig, "seed", 1.5), (TrainConfig, "seed", True),
+    (TrainConfig, "augmentation", 1), (TrainConfig, "augmentation", "no"),
+    (ModelConfig, "use_asu", "no"), (ModelConfig, "use_msa", 0)])
+def test_config_rejects_non_integer_seed_and_non_bool_flags(cls, name, value):
+    _assert_refused(cls, name, value)
+
+
+def test_config_accepts_numpy_integer_seed():
+    assert TrainConfig(seed=np.int64(3)).seed == 3

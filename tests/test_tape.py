@@ -1,6 +1,7 @@
 """Finite-difference checks for every primitive on the tape."""
 
 import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -238,3 +239,63 @@ def test_dropped_tapes_leave_no_reference_cycles():
     finally:
         if was_enabled:
             gc.enable()
+
+
+def _small_graph(tape):
+    # a linear -> relu -> gather -> concat -> abs -> mean chain on two
+    # parameter leaves; returns the root, one intermediate and the leaves'
+    # gradient buffers
+    rng = np.random.default_rng(10)
+    w = rng.standard_normal((3, 4))
+    b = rng.standard_normal((1, 4))
+    gw, gb = np.zeros_like(w), np.zeros_like(b)
+    x = tape.const(rng.standard_normal((5, 3)))
+    mid = tape.relu(tape.linear(x, tape.param(w, gw), tape.param(b, gb)))
+    both = tape.concat([tape.gather_rows(mid, np.array([0, 2, 2])), mid], axis=0)
+    return tape.mean(tape.abs(tape.affine(both, -1.5))), mid, (gw, gb)
+
+
+def test_backward_frees_intermediates_nobody_holds():
+    # only the root is held: every other node's value, and the arrays its
+    # closure captured, are freed by reference counting during the pass
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        tape = Tape()
+        loss, mid, _ = _small_graph(tape)
+        refs = [weakref.ref(n.value) for n in tape._nodes[:-1]]
+        del mid
+        tape.backward(loss)
+        assert [r for r in refs if r() is not None] == []
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_backward_keeps_what_the_caller_holds():
+    tape = Tape()
+    loss, mid, (gw, gb) = _small_graph(tape)
+    value = mid.value.copy()
+    n_nodes = len(tape._nodes)
+    tape.backward(loss)
+    # the tape keeps one (released) entry per recorded node
+    assert len(tape._nodes) == n_nodes and set(tape._nodes) == {None}
+    assert mid._backward is None and loss._backward is None
+    assert np.array_equal(mid.value, value)
+    # mid feeds the concat twice, directly and through the gather: its
+    # gradient sums both paths
+    g_both = -1.5 * np.sign(-1.5 * np.concatenate([value[[0, 2, 2]], value])) / 32.0
+    want = g_both[3:].copy()
+    np.add.at(want, [0, 2, 2], g_both[:3])
+    assert np.allclose(mid.grad, want, rtol=1e-12, atol=0)
+    assert gw.any() and gb.any()
+
+
+def test_second_backward_raises():
+    tape = Tape()
+    loss, _, (gw, gb) = _small_graph(tape)
+    tape.backward(loss)
+    once = gw.copy(), gb.copy()
+    with pytest.raises(NumericsError, match="already ran"):
+        tape.backward(loss)
+    assert np.array_equal(gw, once[0]) and np.array_equal(gb, once[1])

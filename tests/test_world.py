@@ -372,3 +372,24 @@ def test_noise_channel_refuses_another_frame_rate(frame_rate):
         with pytest.raises(ConfigError, match=f"does not move at {wrong} Hz"):
             corrupt_to_detections(tracks, NoiseConfig(), seed=4,
                                   frame_rate=wrong)
+
+
+_ID_EDITS = {
+    "no id arrays": lambda ids: [],
+    "one frame short": lambda ids: ids[:-1],
+    "frame 7 one id short": lambda ids: ids[:7] + [ids[7][:-1]] + ids[8:],
+}
+
+
+@pytest.mark.parametrize("edit, message", [
+    ("no id arrays", "0 id arrays for 80 frames"),
+    ("one frame short", r"79 id arrays for 80 frames .*frame 79"),
+    ("frame 7 one id short", "frame 7: ")])
+def test_world_log_refuses_ids_that_do_not_match_frames(edit, message):
+    # caught where the log is built, not as an IndexError in build_sample
+    # or save_world
+    log = corrupt_to_detections(generate_world(6, 80, seed=1), NoiseConfig(),
+                                seed=1)
+    assert len(log.true_ids[7]) > 0
+    with pytest.raises(ConfigError, match=message):
+        replace(log, true_ids=_ID_EDITS[edit](log.true_ids))
