@@ -34,8 +34,6 @@ def gate_positions(prev_pos: np.ndarray, curr_pos: np.ndarray, theta_d: float,
     """
     if theta_d <= 0:
         raise ConfigError("gating distance must be positive")
-    if len(prev_pos) == 0 or len(curr_pos) == 0:
-        return np.zeros((0, 2), dtype=int), np.zeros(0)
     dx = curr_pos[:, 0, None] - prev_pos[None, :, 0]  # (N, M)
     dy = curr_pos[:, 1, None] - prev_pos[None, :, 1]
     d2 = dx * dx + dy * dy
@@ -79,15 +77,17 @@ def select_top_k(pairs: np.ndarray, distances: np.ndarray,
     Returns (sel, seg, seg_curr): ``sel`` indexes into the pair arrays ordered
     by (curr detection, rank), ``seg[i]`` is the compact segment id of
     ``sel[i]``, and ``seg_curr[s]`` is the current-detection index of segment
-    ``s``.
+    ``s``.  A current detection without pairs gets no segment (a birth), so
+    zero pairs give three empty arrays.
     """
     if k < 1:
         raise ConfigError("top-K requires K >= 1")
     order = np.lexsort((pairs[:, 0], distances, -logit_values, pairs[:, 1]))
     curr_sorted = pairs[order, 1]
     # rank within each current detection's group
-    starts = np.flatnonzero(np.r_[True, curr_sorted[1:] != curr_sorted[:-1]])
-    group_of = np.cumsum(np.r_[True, curr_sorted[1:] != curr_sorted[:-1]]) - 1
+    new_group = np.diff(curr_sorted, prepend=-1) != 0
+    starts = np.flatnonzero(new_group)
+    group_of = np.cumsum(new_group) - 1
     rank = np.arange(len(order)) - starts[group_of]
     keep = rank < k
     sel = order[keep]

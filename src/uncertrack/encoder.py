@@ -4,8 +4,9 @@ Per frame transition: gate pairs, score affinities, keep the top-K candidate
 predecessors of each current detection, update per-candidate states (the
 affinity chain GRU feeding the motion GRU when ASU is on), then fuse the
 candidates' states with attention, a softmax of the affinity logits, and
-learned sigmoid gates (MSA).  Detections with no gated predecessor are track
-births with zero hidden states.
+learned sigmoid gates (MSA).  A detection with zero candidates is a track
+birth with zero hidden states; a transition without any gated pair is the
+same rule applied to every row, and runs the same path on zero rows.
 
 Candidate summation runs in (logit desc, distance, prev index) order so the
 aggregation is reproducible and independent of input pair order.
@@ -56,10 +57,9 @@ def msa_aggregate(tape: Tape, params: ModelParams, seg: np.ndarray, n_seg: int,
     Attention weights are a softmax of the affinity logits within each
     segment and are shared between the motion and affinity aggregations;
     per-candidate sigmoid gates select features before the weighted sum.
+    A detection with zero candidates has no segment (it is a birth), so zero
+    candidates give zero segments and (0, H) states.
     """
-    if len(seg) == 0:
-        raise ConfigError("msa_aggregate: empty candidate list (a detection "
-                          "without candidates is a birth with zero states)")
     if params.gate_mot is None:
         raise ConfigError("MSA enabled but gate parameters are missing")
     alpha = tape.segment_softmax(logits, seg, n_seg)
@@ -92,7 +92,6 @@ class TransitionRecord:
 class SequenceEncoding:
     transitions: list[TransitionRecord]
     h_mot_final: Var                # (N_T, hidden)
-    ages_final: np.ndarray          # (N_T,)
 
 
 def _zero_state(tape: Tape, n: int, hidden: int) -> Var:
@@ -115,7 +114,6 @@ def encode_sequence(tape: Tape, params: ModelParams,
 
     h_mot = _zero_state(tape, len(frames[0]), hidden)
     h_aff = _zero_state(tape, len(frames[0]), hidden)
-    ages = np.zeros(len(frames[0]), dtype=int)
     x_det_prev = embed_frame(tape, params, frames[0])
 
     transitions: list[TransitionRecord] = []
@@ -125,67 +123,50 @@ def encode_sequence(tape: Tape, params: ModelParams,
         x_det_curr = embed_frame(tape, params, curr)
         pairs, dists = gate_positions(prev.pos, curr.pos, cfg.theta_d,
                                       prev.window, curr.window)
+        x, a, logits = pair_features(tape, params, prev, curr, x_det_prev,
+                                     x_det_curr, h_mot, pairs)
+        sel, seg, seg_curr = select_top_k(pairs, dists, logits.value[:, 0],
+                                          cfg.k_candidates)
+        n_seg = len(seg_curr)
+        pi = pairs[sel, 0]
+        x_sel = tape.gather_rows(x, sel)
+        a_sel = tape.gather_rows(a, sel)
+        z_sel = tape.gather_rows(logits, sel)
+        prev_mot = tape.gather_rows(h_mot, pi)
+        prev_aff = tape.gather_rows(h_aff, pi)
 
-        new_mot = _zero_state(tape, n_curr, hidden)
-        new_aff = _zero_state(tape, n_curr, hidden)
-        new_ages = np.zeros(n_curr, dtype=int)
-
-        if len(pairs):
-            x, a, logits = pair_features(tape, params, prev, curr, x_det_prev,
-                                         x_det_curr, h_mot, pairs)
-            sel, seg, seg_curr = select_top_k(pairs, dists, logits.value[:, 0],
-                                              cfg.k_candidates)
-            n_seg = len(seg_curr)
-            pi = pairs[sel, 0]
-            x_sel = tape.gather_rows(x, sel)
-            a_sel = tape.gather_rows(a, sel)
-            z_sel = tape.gather_rows(logits, sel)
-            prev_mot = tape.gather_rows(h_mot, pi)
-            prev_aff = tape.gather_rows(h_aff, pi)
-
-            h_mot_k, h_aff_k = asu_update(tape, params, x_sel, a_sel,
-                                          prev_mot, prev_aff)
-            first = np.flatnonzero(np.r_[True, seg[1:] != seg[:-1]])
-            if cfg.use_msa:
-                agg_mot, agg_aff, alpha = msa_aggregate(
-                    tape, params, seg, n_seg, h_mot_k, prev_mot, x_sel, z_sel,
-                    h_aff_k=h_aff_k, prev_aff=prev_aff if cfg.use_asu else None,
-                    a=a_sel if cfg.use_asu else None)
-                alpha_vals = alpha.value[:, 0].copy()
-            else:
-                # single-candidate mode: the top-ranked state is used directly
-                agg_mot = tape.gather_rows(h_mot_k, first)
-                agg_aff = (tape.gather_rows(h_aff_k, first)
-                           if h_aff_k is not None else None)
-                alpha_vals = np.zeros(len(sel))
-                alpha_vals[first] = 1.0
-
-            new_mot = tape.scatter_rows(agg_mot, seg_curr, n_curr)
-            if agg_aff is not None:
-                new_aff = tape.scatter_rows(agg_aff, seg_curr, n_curr)
-
-            # ages and the argmax-alpha predecessor, for diagnostics: alpha
-            # is monotone in the logit, so a segment's first (top-ranked)
-            # candidate is its argmax, the first on ties
-            best = pi[first]
-            new_ages[seg_curr] = ages[best] + 1
-            best_prev = dict(zip(seg_curr.tolist(), best.tolist()))
-
-            transitions.append(TransitionRecord(
-                frame=t, pairs=pairs, logits=logits,
-                selected=sel, seg=seg, seg_curr=seg_curr, alphas=alpha_vals,
-                best_prev=best_prev))
+        h_mot_k, h_aff_k = asu_update(tape, params, x_sel, a_sel,
+                                      prev_mot, prev_aff)
+        first = np.flatnonzero(np.diff(seg, prepend=-1))
+        if cfg.use_msa:
+            agg_mot, agg_aff, alpha = msa_aggregate(
+                tape, params, seg, n_seg, h_mot_k, prev_mot, x_sel, z_sel,
+                h_aff_k=h_aff_k, prev_aff=prev_aff if cfg.use_asu else None,
+                a=a_sel if cfg.use_asu else None)
+            alpha_vals = alpha.value[:, 0].copy()
         else:
-            transitions.append(TransitionRecord(
-                frame=t, pairs=pairs, logits=tape.const(np.zeros((0, 1))),
-                selected=np.zeros(0, dtype=int), seg=np.zeros(0, dtype=int),
-                seg_curr=np.zeros(0, dtype=int), alphas=np.zeros(0)))
+            # single-candidate mode: the top-ranked state is used directly
+            agg_mot = tape.gather_rows(h_mot_k, first)
+            agg_aff = (tape.gather_rows(h_aff_k, first)
+                       if h_aff_k is not None else None)
+            alpha_vals = np.zeros(len(sel))
+            alpha_vals[first] = 1.0
 
-        h_mot, h_aff, ages = new_mot, new_aff, new_ages
+        # a detection no segment reaches is a birth: its rows stay zero
+        h_mot = tape.scatter_rows(agg_mot, seg_curr, n_curr)
+        h_aff = (tape.scatter_rows(agg_aff, seg_curr, n_curr)
+                 if agg_aff is not None else _zero_state(tape, n_curr, hidden))
         x_det_prev = x_det_curr
 
-    return SequenceEncoding(transitions=transitions, h_mot_final=h_mot,
-                            ages_final=ages)
+        # the argmax-alpha predecessor, for diagnostics: alpha is monotone
+        # in the logit, so a segment's first (top-ranked) candidate is its
+        # argmax, the first on ties
+        transitions.append(TransitionRecord(
+            frame=t, pairs=pairs, logits=logits,
+            selected=sel, seg=seg, seg_curr=seg_curr, alphas=alpha_vals,
+            best_prev=dict(zip(seg_curr.tolist(), pi[first].tolist()))))
+
+    return SequenceEncoding(transitions=transitions, h_mot_final=h_mot)
 
 
 def implicit_chains(encoding: SequenceEncoding) -> list[list[int | None]]:

@@ -32,6 +32,8 @@ _RULES = {
     "a non-negative integer": lambda v: _integer(v) and v >= 0,
     "a positive finite number": lambda v: _finite(v) and v > 0,
     "a non-negative finite number": lambda v: _finite(v) and v >= 0,
+    "in [0, 1]": lambda v: _finite(v) and 0 <= v <= 1,
+    "in (0, 1)": lambda v: _finite(v) and 0 < v < 1,
 }
 
 

@@ -39,8 +39,6 @@ MATCH_THRESHOLD_M = 2.0
 def match_for_eval(det_pos: np.ndarray, gt_pos: np.ndarray):
     """Greedy nearest-neighbor matching within ``MATCH_THRESHOLD_M``; each
     side is used at most once."""
-    if len(det_pos) == 0 or len(gt_pos) == 0:
-        return []
     dx = det_pos[:, 0, None] - gt_pos[None, :, 0]
     dy = det_pos[:, 1, None] - gt_pos[None, :, 1]
     dist = np.sqrt(dx * dx + dy * dy)
@@ -139,9 +137,7 @@ def _score_windows(worlds: list[WorldLog], forecast, t_obs: int,
         windows = []
         for t0 in range(0, window_starts(log, t_obs, config), window_stride):
             num_windows += 1
-            frames, _ = cut_window(log, t0, t_obs)
-            if len(frames[-1]):
-                windows.append((t0, frames))
+            windows.append((t0, cut_window(log, t0, t_obs)[0]))
 
         for lo, hi in pack_ranges([frames for _, frames in windows]):
             pack = windows[lo:hi]

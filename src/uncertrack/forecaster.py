@@ -60,8 +60,6 @@ class MeanPoolSIM:
     def __call__(self, tape: Tape, encodings: Var, frame: FrameArrays) -> Var:
         positions = frame.pos
         n = positions.shape[0]
-        if n == 0:
-            return encodings
         diff = positions[:, None, :] - positions[None, :, :]
         near = (diff * diff).sum(axis=2) <= self.radius * self.radius
         near &= frame.window[:, None] == frame.window[None, :]
@@ -96,9 +94,6 @@ def sequence_labels(transitions, true_ids) -> list[np.ndarray]:
     for rec in transitions:
         ids_prev = true_ids[rec.frame - 1]
         ids_curr = true_ids[rec.frame]
-        if len(rec.pairs) == 0:
-            labels.append(np.zeros(0))
-            continue
         prev = ids_prev[rec.pairs[:, 0]]
         curr = ids_curr[rec.pairs[:, 1]]
         labels.append(((prev != FP_ID) & (prev == curr)).astype(float))
@@ -142,8 +137,6 @@ def total_loss(tape: Tape, pred_offsets: Var, sample: SequenceSample,
     win_scored = np.zeros(n_win, dtype=bool)
     n_scored = 0  # (window, transition) combinations with gated pairs
     for rec, lab in zip(transitions, labels):
-        if len(lab) == 0:
-            continue
         pair_window = sample.frames[rec.frame].window[rec.pairs[:, 1]]
         per_window = np.bincount(pair_window, minlength=n_win)
         win_scored |= per_window > 0
@@ -152,7 +145,7 @@ def total_loss(tape: Tape, pred_offsets: Var, sample: SequenceSample,
         aff_labels.append(lab)
         aff_weights.append(1.0 / per_window[pair_window])
     l_aff_val = 0.0
-    if logits:
+    if n_scored:
         bce = tape.bce(tape.concat(logits, axis=0),
                        np.concatenate(aff_labels)[:, None],
                        weights=np.concatenate(aff_weights))

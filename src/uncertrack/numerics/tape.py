@@ -101,11 +101,12 @@ def _scatter_add(idx: np.ndarray, rows: np.ndarray, n_rows: int) -> np.ndarray:
 
     Bitwise equal to ``np.add.at`` on a zero matrix, but one ``bincount``
     over flattened (row, column) slots instead of the slow ``ufunc.at`` loop.
+    ``bincount`` gives int64 zeros for an empty index, hence the cast.
     """
     cols = rows.shape[1]
     slots = (idx[:, None] * cols + np.arange(cols)).ravel()
-    return np.bincount(slots, weights=rows.ravel(),
-                       minlength=n_rows * cols).reshape(n_rows, cols)
+    return np.bincount(slots, weights=rows.ravel(), minlength=n_rows * cols
+                       ).reshape(n_rows, cols).astype(np.float64, copy=False)
 
 
 def _as2d(x) -> np.ndarray:

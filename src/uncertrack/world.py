@@ -60,7 +60,7 @@ class AgentTrack:
         return frame - self.birth_frame
 
 
-@dataclass
+@dataclass(frozen=True)
 class NoiseConfig:
     pos_sigma: float = 0.3
     velo_sigma: float = 0.2
@@ -78,14 +78,8 @@ class NoiseConfig:
         check_fields(self, "a non-negative finite number",
                      ("pos_sigma", "velo_sigma", "heading_sigma", "size_sigma",
                       "fp_cluster_sigma", "score_sigma", "fp_rate"))
-        for name in ("miss_rate", "burst_prob"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ConfigError(f"NoiseConfig.{name} must be in [0, 1], "
-                                  f"got {getattr(self, name)!r}")
-        for name in ("score_tp_mean", "score_fp_mean"):
-            if not 0.0 < getattr(self, name) < 1.0:
-                raise ConfigError(f"NoiseConfig.{name} must be in (0, 1), "
-                                  f"got {getattr(self, name)!r}")
+        check_fields(self, "in [0, 1]", ("miss_rate", "burst_prob"))
+        check_fields(self, "in (0, 1)", ("score_tp_mean", "score_fp_mean"))
 
     @classmethod
     def zero(cls) -> "NoiseConfig":
@@ -370,24 +364,46 @@ def _integer(value, name: str, where: str) -> int:
     return value
 
 
-def load_world(path) -> WorldLog:
-    """Read a world written by :func:`save_world`.
+_REAL = {int, float}  # JSON numbers; a bool or a string is refused
 
-    A malformed line (bad JSON, a NaN or infinite number, a missing or
-    ill-typed field, a frame, agent id, birth or death frame, ``true_id`` or
-    seed that is not an integer, a non-positive frame rate, agent arrays
-    whose length is not the agent's life, a negative or repeated agent id, a
-    frame outside the world, an integer ``true_id`` of ``FP_ID`` (only
-    ``"FP"`` marks a false positive), a ``true_id`` that names no agent)
-    raises ``ConfigError`` naming ``path:line``.
+
+def _real(value, name: str, where: str) -> float:
+    if type(value) not in _REAL:
+        raise ConfigError(f"{where}: {name} must be a real number, "
+                          f"got {value!r}")
+    return float(value)
+
+
+def _reals(value, n: int, name: str, where: str) -> tuple:
+    if (type(value) is not list or len(value) != n
+            or not _REAL.issuperset(map(type, value))):
+        raise ConfigError(f"{where}: {name} must be {n} real numbers, "
+                          f"got {value!r}")
+    return tuple(value)
+
+
+def load_world(path) -> WorldLog:
+    """Read a world written by :func:`save_world`: exactly one world line,
+    with ``frame_rate``, ``rng_seed`` and ``num_frames``, and one line for
+    each frame ``0 .. num_frames - 1``.
+
+    A malformed line raises ``ConfigError`` naming ``path:line``: bad JSON,
+    a NaN or Infinity literal, a missing or ill-typed field (a frame, agent
+    id, birth or death frame, ``true_id`` or seed that is not an integer, a
+    ``pos`` or ``velo`` that is not 2 real numbers, a ``size`` not 3, a
+    ``heading`` or ``score`` not one), a non-positive frame rate, agent
+    arrays whose length is not the agent's life, a negative or repeated
+    agent id, a second world line, a frame outside the world or listed
+    twice, an integer ``true_id`` of ``FP_ID`` (only ``"FP"`` marks a false
+    positive) or one that names no agent.  A missing world or frame line
+    raises it naming the path (and the first missing frame).
     """
     path = Path(path)
-    frame_rate, rng_seed, num_frames = 10.0, 0, None
+    header = None  # line number of the world line
     tracks: list[AgentTrack] = []
     agent_ids: set[int] = set()
-    frame_map: dict[int, list[Detection]] = {}
-    ids_map: dict[int, np.ndarray] = {}
-    frame_line: dict[int, int] = {}
+    # frame -> (line number, detections, true ids)
+    frame_lines: dict[int, tuple[int, list[Detection], np.ndarray]] = {}
     with open(path) as f:
         for line_no, line in enumerate(f, 1):
             line = line.strip()
@@ -398,14 +414,17 @@ def load_world(path) -> WorldLog:
                 rec = _DECODER.decode(line)
                 kind = rec.get("type")
                 if kind == "world":
+                    if header is not None:
+                        raise ConfigError(f"{where}: a second world line (the "
+                                          f"first is line {header})")
+                    header = line_no
                     frame_rate = float(rec["frame_rate"])
-                    rng_seed = _integer(rec.get("rng_seed", 0), "rng_seed", where)
-                    num_frames = rec.get("num_frames")
+                    rng_seed = _integer(rec["rng_seed"], "rng_seed", where)
+                    num_frames = rec["num_frames"]
                     if frame_rate <= 0:
                         raise ConfigError(f"{where}: frame_rate must be "
                                           f"positive, got {frame_rate}")
-                    if num_frames is not None and (type(num_frames) is not int
-                                                   or num_frames < 0):
+                    if type(num_frames) is not int or num_frames < 0:
                         raise ConfigError(f"{where}: num_frames must be a "
                                           f"count, got {num_frames!r}")
                 elif kind == "agent":
@@ -435,22 +454,24 @@ def load_world(path) -> WorldLog:
                     tracks.append(track)
                 elif kind == "frame":
                     t = _integer(rec["frame"], "frame", where)
+                    if t in frame_lines:
+                        raise ConfigError(f"{where}: frame {t} is listed twice "
+                                          f"(first on line {frame_lines[t][0]})")
                     dets, ids = [], []
                     for r in rec["detections"]:
-                        dets.append(Detection(pos=tuple(r["pos"]),
-                                              velo=tuple(r["velo"]),
-                                              size=tuple(r["size"]),
-                                              heading=float(r["heading"]),
-                                              score=float(r["score"])))
+                        dets.append(Detection(
+                            pos=_reals(r["pos"], 2, "pos", where),
+                            velo=_reals(r["velo"], 2, "velo", where),
+                            size=_reals(r["size"], 3, "size", where),
+                            heading=_real(r["heading"], "heading", where),
+                            score=_real(r["score"], "score", where)))
                         tid = r["true_id"]
                         if tid != "FP" and _integer(tid, "true_id",
                                                     where) == FP_ID:
                             raise ConfigError(f'{where}: true_id {FP_ID} '
                                               'must be written "FP"')
                         ids.append(FP_ID if tid == "FP" else tid)
-                    frame_map[t] = dets
-                    ids_map[t] = np.array(ids, dtype=int)
-                    frame_line[t] = line_no
+                    frame_lines[t] = (line_no, dets, np.array(ids, dtype=int))
                 else:
                     raise ConfigError(f"{where}: unknown line type {kind!r}")
             except KeyError as e:
@@ -458,18 +479,22 @@ def load_world(path) -> WorldLog:
             except (ValueError, TypeError, AttributeError) as e:
                 # json.JSONDecodeError is a ValueError
                 raise ConfigError(f"{where}: bad line ({e})") from e
-    if num_frames is None:
-        num_frames = max(frame_map) + 1 if frame_map else 0
+    if header is None:
+        raise ConfigError(f"{path}: no world line")
     agents = agent_ids | {FP_ID}
-    for t, line_no in frame_line.items():
+    for t, (line_no, _, ids) in frame_lines.items():
         if not 0 <= t < num_frames:
             raise ConfigError(f"{path}:{line_no}: frame {t} is outside the "
                               f"world's {num_frames} frames")
-        unknown = set(ids_map[t].tolist()) - agents
+        unknown = set(ids.tolist()) - agents
         if unknown:
             raise ConfigError(f"{path}:{line_no}: true_id {min(unknown)} "
                               "names no agent")
-    frames = [frame_map.get(t, []) for t in range(num_frames)]
-    true_ids = [ids_map.get(t, np.zeros(0, dtype=int)) for t in range(num_frames)]
-    return WorldLog(frame_rate=frame_rate, tracks=tracks, frames=frames,
-                    true_ids=true_ids, rng_seed=rng_seed)
+    if len(frame_lines) < num_frames:
+        missing = min(set(range(num_frames)) - frame_lines.keys())
+        raise ConfigError(f"{path}: frame {missing} of {num_frames} has no "
+                          "line")
+    per_frame = [frame_lines[t] for t in range(num_frames)]
+    return WorldLog(frame_rate=frame_rate, tracks=tracks,
+                    frames=[dets for _, dets, _ in per_frame],
+                    true_ids=[ids for _, _, ids in per_frame], rng_seed=rng_seed)

@@ -265,6 +265,14 @@ def test_select_top_k_segment_layout():
     assert list(pairs[sel, 0]) == [2, 0, 0]
 
 
+def test_select_top_k_zero_pairs():
+    # a transition without pairs has no segment: every detection is a birth
+    pairs, dists = gate_positions(np.zeros((0, 2)), np.zeros((3, 2)), 5.0)
+    assert pairs.shape == (0, 2) and dists.shape == (0,)
+    for out in select_top_k(pairs, dists, np.zeros(0), 4):
+        assert out.shape == (0,) and out.dtype.kind == "i"
+
+
 def test_window_gating_matches_each_window_alone():
     # windows stacked into one pack overlap in space; gating pairs only
     # within a window gives each window's own pairs and distances, bitwise

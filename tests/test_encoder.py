@@ -6,7 +6,6 @@ import pytest
 from uncertrack.detections import Detection, FrameArrays, stack_windows
 from uncertrack.encoder import (asu_update, encode_sequence, implicit_chains,
                                 msa_aggregate)
-from uncertrack.errors import ConfigError
 from uncertrack.model import ModelConfig, init_model, variant_config
 from uncertrack.numerics import Tape, mlp_forward
 from uncertrack.world import NoiseConfig, corrupt_to_detections, generate_world
@@ -27,6 +26,12 @@ def _frames_from_log(log, start, length):
             for t in range(start, start + length)]
 
 
+def _ages(enc):
+    # a final detection's age: the linked predecessors in its implicit chain
+    return [sum(p is not None for p in chain[1:])
+            for chain in implicit_chains(enc)]
+
+
 def test_birth_state_is_zero():
     # a detection with no gated predecessor starts from zero states and age
     # 0, exactly like a detection of the window's first frame
@@ -39,13 +44,13 @@ def test_birth_state_is_zero():
     born = encode_sequence(Tape(), params, [frame(0.0), frame(50.0)])
     assert [len(r.pairs) for r in born.transitions] == [0]
     assert np.array_equal(born.h_mot_final.value, np.zeros((1, 64)))
-    assert born.ages_final[0] == 0
+    assert _ages(born) == [0]
     # the affinity state of a birth reaches the next update through ASU
     later = encode_sequence(Tape(), params,
                             [frame(0.0), frame(50.0), frame(50.8)])
     first = encode_sequence(Tape(), params, [frame(50.0), frame(50.8)])
     assert np.array_equal(later.h_mot_final.value, first.h_mot_final.value)
-    assert later.ages_final[0] == first.ages_final[0] == 1
+    assert _ages(later) == _ages(first) == [1]
 
 
 def test_asu_zero_params_zero_outputs():
@@ -236,15 +241,26 @@ def test_msa_gates_bounded():
         assert np.all(g.value > 0.0) and np.all(g.value < 1.0)
 
 
-def test_msa_empty_candidates_rejected():
+def test_msa_zero_candidates_give_zero_states():
+    # zero candidates are zero segments: (0, H) states, and a backward pass
+    # through them adds zeros to the previous states' gradient
     cfg = _small_config()
     params = init_model(cfg, seed=19)
     tape = Tape()
-    with pytest.raises(ConfigError):
-        msa_aggregate(tape, params, np.zeros(0, dtype=int), 0,
-                      tape.const(np.zeros((0, 6))), tape.const(np.zeros((0, 6))),
-                      tape.const(np.zeros((0, cfg.x_dim))),
-                      tape.const(np.zeros((0, 1))))
+    prev_mot = tape.param(np.zeros((3, 6)), np.zeros((3, 6)))
+
+    def rows(n_cols):
+        return tape.const(np.zeros((0, n_cols)))
+
+    h_mot, h_aff, alpha = msa_aggregate(
+        tape, params, np.zeros(0, dtype=int), 0,
+        rows(6), tape.gather_rows(prev_mot, np.zeros(0, dtype=int)),
+        rows(cfg.x_dim), rows(1), h_aff_k=rows(6), prev_aff=rows(6),
+        a=rows(cfg.aff_dim))
+    assert h_mot.value.shape == h_aff.value.shape == (0, 6)
+    assert alpha.value.shape == (0, 1)
+    tape.backward(tape.sum(h_mot))
+    assert np.array_equal(prev_mot.grad, np.zeros((3, 6)))
 
 
 # ---- encode_sequence ---------------------------------------------------------
@@ -261,7 +277,7 @@ def test_single_agent_unambiguous_world():
     for rec in enc.transitions:
         assert len(rec.pairs) == 1
         assert np.allclose(rec.alphas, 1.0)
-    assert enc.ages_final[0] == 19
+    assert _ages(enc) == [19]
 
 
 def test_gating_isolation_between_far_agents():
@@ -299,7 +315,7 @@ def test_dropped_frame_births_new_state():
     enc = encode_sequence(Tape(), params, frames)
     # hand-traced schedule: transitions have 1, 0, 0, 1 candidates
     assert [len(r.pairs) for r in enc.transitions] == [1, 0, 0, 1]
-    assert enc.ages_final[0] == 1  # reborn at frame 3, one update since
+    assert _ages(enc) == [1]  # reborn at frame 3, one update since
     chains = implicit_chains(enc)
     assert chains[0][0] == 0 and chains[0][1] == 0 and chains[0][2] is None
 
@@ -377,13 +393,10 @@ def test_diagnostics_match_segment_loop_oracle(variant):
     ages = np.zeros(len(frames[0]), dtype=int)
     best_prevs = []
     for rec in enc.transitions:
-        n_curr = len(frames[rec.frame])
-        if len(rec.seg):
-            want, ages = best_prev_loop(rec.seg, rec.seg_curr, rec.alphas,
-                                        rec.pairs[rec.selected, 0], ages, n_curr)
-        else:
-            want, ages = {}, np.zeros(n_curr, dtype=int)
+        want, ages = best_prev_loop(rec.seg, rec.seg_curr, rec.alphas,
+                                    rec.pairs[rec.selected, 0], ages,
+                                    len(frames[rec.frame]))
         assert rec.best_prev == want
         best_prevs.append(want)
-    assert np.array_equal(enc.ages_final, ages)
+    assert _ages(enc) == ages.tolist()
     assert implicit_chains(enc) == chains_from(best_prevs, len(frames[-1]))

@@ -241,6 +241,46 @@ def test_packed_forecasts_equal_each_window_alone(sim):
     assert row == len(packed)
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_window_with_empty_frames_packs_like_alone(variant):
+    # one window loses a middle frame and its final frame: its transitions
+    # into and out of them have no pairs, and it forecasts zero rows, on the
+    # same path as every other window
+    config = variant_config(variant, SMALL)
+    params = init_model(config, seed=10)
+    samples = _samples(config)
+    gappy = samples[3]
+    for t in (9, len(gappy.frames) - 1):
+        gappy.frames[t] = FrameArrays.from_detections([])
+        gappy.true_ids[t] = np.zeros(0, dtype=int)
+    gappy.target_offsets = gappy.target_offsets[:0]
+    gappy.target_mask = gappy.target_mask[:0]
+
+    loss_sum, alone = 0.0, []
+    for sample in samples:
+        tape = Tape()
+        _, (loss, _, _, _) = _loss(params, sample, tape)
+        tape.backward(loss)
+        loss_sum += loss.value[0, 0]
+        alone += forecast_sequence(params, sample.frames)[1]
+    per_window = [g.copy() for b in params.blocks() for g in b.grads]
+    params.zero_grads()
+
+    pack = pack_samples(samples)
+    tape = Tape()
+    _, (loss, _, _, _) = _loss(params, pack, tape)
+    tape.backward(loss)
+    packed = [g.copy() for b in params.blocks() for g in b.grads]
+    params.zero_grads()
+    _, forecasts = forecast_sequence(params, pack.frames)
+
+    assert abs(loss.value[0, 0] - loss_sum) < 1e-10
+    assert max(np.max(np.abs(a - b)) for a, b in zip(per_window, packed)) < 1e-10
+    assert len(forecasts) == len(alone) == len(pack.frames[-1])
+    for got, want in zip(forecasts, alone):
+        assert np.max(np.abs(got.waypoints - want.waypoints)) < 1e-10
+
+
 @pytest.mark.parametrize("variant, sim", [
     *(pytest.param(v, None, id=v) for v in VARIANTS),
     pytest.param("full", MeanPoolSIM(), id="full-meanpool")])

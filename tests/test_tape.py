@@ -203,6 +203,24 @@ def test_scatters_bitwise_equal_np_add_at_with_duplicate_indices():
     assert np.array_equal(inner.grad, want)
 
 
+def test_scatters_over_zero_rows_stay_float():
+    tape = Tape()
+    summed = tape.segment_sum(tape.const(np.zeros((0, 3))),
+                              np.zeros(0, dtype=int), 2)
+    assert summed.value.dtype == np.float64
+    assert np.array_equal(summed.value, np.zeros((2, 3)))
+
+    # the empty gather's backward runs first and must not leave int zeros
+    # for the float gradient of the earlier gather to add into
+    src = np.arange(6.0).reshape(3, 2)
+    inner = tape.affine(tape.param(src, np.zeros_like(src)), 1.0)
+    full = tape.gather_rows(inner, np.array([2, 0]))
+    empty = tape.gather_rows(inner, np.zeros(0, dtype=int))
+    tape.backward(tape.add(tape.sum(full), tape.sum(empty)))
+    assert inner.grad.dtype == np.float64
+    assert np.array_equal(inner.grad, [[1.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
+
+
 def test_forward_only_tape_records_nothing_and_refuses_backward():
     tape = Tape(grad=False)
     w = np.array([[2.0, -1.0]])

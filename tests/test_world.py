@@ -2,7 +2,7 @@
 
 import json
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -102,11 +102,14 @@ def test_generate_world_rejects_bad_inputs():
 
 @pytest.mark.parametrize("name, value", [
     ("pos_sigma", float("nan")), ("fp_rate", -1.0), ("miss_rate", 1.5),
-    ("score_fp_mean", 0.0)])
+    ("score_fp_mean", 0.0), ("burst_prob", float("nan")),
+    ("score_tp_mean", True)])
 def test_noise_config_rejects_out_of_range(name, value):
     # a NaN sigma would turn every detection's position into NaN
     with pytest.raises(ConfigError, match=rf"NoiseConfig\.{name} must be"):
         replace(NoiseConfig(), **{name: value})
+    with pytest.raises(FrozenInstanceError):  # nor set past the check
+        setattr(NoiseConfig(), name, value)
 
 
 @pytest.mark.parametrize("frame_rate", [5.0, 15.0])
@@ -351,12 +354,38 @@ def _edit_line(lines, kind, edit):
     ("last agent", lambda r: r.update(agent_id=0)),  # agent 0 twice
     ("frame", lambda r: r["detections"][0].update(true_id=-1)),  # not "FP"
     ("frame", lambda r: r["detections"][0].pop("true_id")),  # not "FP" either
+    ("world", lambda r: r.pop("rng_seed")),
+    ("world", lambda r: r.pop("num_frames")),
+    ("last frame", lambda r: r.update(frame=r["frame"] - 1)),  # listed twice
+    ("frame", lambda r: r["detections"][0]["pos"].append(0.0)),
+    ("frame", lambda r: r["detections"][0]["velo"].pop()),
+    ("frame", lambda r: r["detections"][0]["size"].pop()),
+    ("frame", lambda r: r["detections"][0].update(pos=["1", "2"])),
+    ("frame", lambda r: r["detections"][0].update(size=[4.0, 2.0, True])),
+    ("frame", lambda r: r["detections"][0].update(score="0.5")),
+    ("frame", lambda r: r["detections"][0].update(heading=False)),
+    ("agent", lambda r: (r.clear(), r.update(  # a second world line
+        type="world", frame_rate=10.0, rng_seed=0, num_frames=54))),
 ])
 def test_load_world_rejects_missing_fields_and_non_finite(tmp_path, kind, edit):
     path, lines = _saved_lines(tmp_path)
     line_no = _edit_line(lines, kind, edit)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ConfigError, match=re.escape(f"{path}:{line_no}:")):
+        load_world(path)
+
+
+@pytest.mark.parametrize("drop, message", [
+    (lambda lines: lines[1:], "no world line"),
+    (lambda lines: lines[:-10], "frame 44 of 54 has no line"),
+    (lambda lines: [ln for ln in lines if '"frame": 7,' not in ln],
+     "frame 7 of 54 has no line")])
+def test_load_world_requires_its_world_line_and_every_frame(tmp_path, drop,
+                                                            message):
+    path, lines = _saved_lines(tmp_path)
+    assert json.loads(lines[0])["num_frames"] == 54
+    path.write_text("\n".join(drop(lines)) + "\n")
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: {message}")):
         load_world(path)
 
 
