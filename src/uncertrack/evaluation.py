@@ -7,11 +7,11 @@ matched true-positive detections with a full future.  nl_fde@3s restricts the
 mean to samples whose future deviates from a degree-1 least-squares fit by
 more than a residual threshold of 0.1.
 
-The model and the kinematic baselines are scored by one loop: every window is
-cut by :func:`~uncertrack.forecaster.cut_window` (the training cut, without
-the detection cap), ground truth comes from
-:func:`~uncertrack.forecaster.gt_future`, and only the forecast of the final
-waypoints differs between them.
+The model and the kinematic baselines are scored by one loop: every world is
+cut once by :func:`~uncertrack.forecaster.cut_window` (the training cut,
+without the detection cap) and its windows are slices of that cut, ground
+truth comes from :func:`~uncertrack.forecaster.gt_future`, and only the
+forecast of the final waypoints differs between them.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .affinity import gate_positions
 from .detections import stack_windows
 from .forecaster import (cut_window, forecast_sequence, gt_future, pack_ranges,
                          window_starts)
@@ -38,34 +39,38 @@ MATCH_THRESHOLD_M = 2.0
 
 def match_for_eval(det_pos: np.ndarray, gt_pos: np.ndarray):
     """Greedy nearest-neighbor matching within ``MATCH_THRESHOLD_M``; each
-    side is used at most once."""
-    dx = det_pos[:, 0, None] - gt_pos[None, :, 0]
-    dy = det_pos[:, 1, None] - gt_pos[None, :, 1]
-    dist = np.sqrt(dx * dx + dy * dy)
-    order = np.argsort(dist, axis=None, kind="stable")
+    side is used at most once.
+
+    Candidates are the pairs :func:`~uncertrack.affinity.gate_positions`
+    keeps (so the threshold is compared on squared distances), taken by
+    distance, ties in (detection, ground truth) order.  Returns the matches
+    ``(i, j, d)`` of detection i and ground truth j, sorted.
+    """
+    pairs, dist = gate_positions(gt_pos, det_pos, MATCH_THRESHOLD_M)
+    order = np.argsort(dist, kind="stable")
     used_det = np.zeros(len(det_pos), dtype=bool)
     used_gt = np.zeros(len(gt_pos), dtype=bool)
     matches = []
-    for flat in order:
-        i, j = divmod(int(flat), len(gt_pos))
-        if dist[i, j] > MATCH_THRESHOLD_M:
-            break
+    gt_idx, det_idx = pairs[order].T.tolist()
+    for i, j, d in zip(det_idx, gt_idx, dist[order].tolist()):
         if used_det[i] or used_gt[j]:
             continue
         used_det[i] = used_gt[j] = True
-        matches.append((i, j, float(dist[i, j])))
+        matches.append((i, j, d))
     return sorted(matches)
 
 
-def nonlinearity_residual(points: np.ndarray) -> float:
-    """Sum of squared residuals of per-axis degree-1 least-squares fits."""
-    pts = np.asarray(points, dtype=float)
-    n = pts.shape[0]
-    design = np.stack([np.ones(n), np.arange(1.0, n + 1.0)], axis=1)
-    _, res, _, _ = np.linalg.lstsq(design, pts, rcond=None)
-    if res.size == 0:  # underdetermined fit cannot leave a residual
-        return 0.0
-    return float(res.sum())
+def nonlinearity_residual(futures: np.ndarray) -> np.ndarray:
+    """Sum of squared residuals of per-axis degree-1 least-squares fits on
+    t = 1..n of M futures, (M, n, 2) -> (M,), in closed form on centred t
+    and positions; a one-point future has residual 0."""
+    t = np.arange(futures.shape[1], dtype=float)
+    t -= t.mean()
+    y = futures - futures.mean(axis=1, keepdims=True)
+    stt = t @ t or 1.0  # one point: t = y = 0, so any slope leaves nothing
+    slope = np.einsum("n,mnk->mk", t, y) / stt
+    r = y - slope[:, None, :] * t[:, None]
+    return (r * r).sum(axis=(1, 2))
 
 
 @dataclass
@@ -122,39 +127,41 @@ def _score_windows(worlds: list[WorldLog], forecast, t_obs: int,
     """Slide evaluation windows over worlds and accumulate displacement errors.
 
     ``forecast(stacked_frames, seconds)`` returns the final waypoint of every
-    row of a pack's last frame; ``seconds`` is the horizon at the world's
-    frame rate.  Each world's windows are packed by :func:`pack_ranges`, with
-    stride and horizon taken from that world's frame rate.  A detection is
-    scored when it matches an agent alive for the whole horizon.
+    row of a pack's last frame, (N, 2); ``seconds`` is the horizon at the
+    world's frame rate.  Each world is cut once; its windows, slices of that
+    cut with stride and horizon taken from its frame rate, are packed by
+    :func:`pack_ranges`.  A detection is scored when it matches an agent
+    alive for the whole horizon.
     """
-    errors: list[float] = []
-    nonlinear: list[bool] = []
+    errors = [np.zeros(0)]  # seeded: concatenates even without windows
+    nonlinear = [np.zeros(0, dtype=bool)]
     num_windows = 0
     for log in worlds:
         _, horizon = stride_and_horizon(log.frame_rate, config)
         seconds = horizon / log.frame_rate
         agents = [tr.agent_id for tr in log.tracks]
-        windows = []
-        for t0 in range(0, window_starts(log, t_obs, config), window_stride):
-            num_windows += 1
-            windows.append((t0, cut_window(log, t0, t_obs)[0]))
+        frames = cut_window(log, 0, log.num_frames)[0]
+        starts = range(0, window_starts(log, t_obs, config), window_stride)
+        windows = [frames[t0:t0 + t_obs] for t0 in starts]
+        num_windows += len(windows)
 
-        for lo, hi in pack_ranges([frames for _, frames in windows]):
-            pack = windows[lo:hi]
-            final = forecast(stack_windows([frames for _, frames in pack]),
-                             seconds)
+        for lo, hi in pack_ranges(windows):
+            final = forecast(stack_windows(windows[lo:hi]), seconds)
             row = 0
-            for t0, frames in pack:
+            for t0 in starts[lo:hi]:
+                last = frames[t0 + t_obs - 1]
                 gt, alive = gt_future(log, agents, t0 + t_obs - 1, config)
                 gt = gt[alive.all(axis=1)]
-                for i, j, _ in match_for_eval(frames[-1].pos, gt[:, 0]):
-                    errors.append(float(np.hypot(*(final[row + i] - gt[j, -1]))))
-                    nonlinear.append(nonlinearity_residual(gt[j, 1:])
-                                     > NL_RESIDUAL_THRESHOLD)
-                row += len(frames[-1])
+                matches = match_for_eval(last.pos, gt[:, 0])
+                i, j = np.array([m[:2] for m in matches],
+                                dtype=np.intp).reshape(-1, 2).T
+                errors.append(np.hypot(*(final[row + i] - gt[j, -1]).T))
+                nonlinear.append(nonlinearity_residual(gt[j, 1:])
+                                 > NL_RESIDUAL_THRESHOLD)
+                row += len(last)
 
-    errors_arr = np.asarray(errors)
-    nl_arr = np.asarray(nonlinear, dtype=bool)
+    errors_arr = np.concatenate(errors)
+    nl_arr = np.concatenate(nonlinear)
     return EvalReport(
         fde_cm=float(errors_arr.mean() * 100.0) if len(errors_arr) else None,
         nl_fde_cm=(float(errors_arr[nl_arr].mean() * 100.0)
@@ -170,7 +177,7 @@ def evaluate_model(params: ModelParams, worlds: list[WorldLog],
     """fde@3s and nl_fde@3s of the model's forecasts."""
     def final_waypoints(frames, seconds):
         _, forecasts = forecast_sequence(params, frames, sim=sim)
-        return np.array([f.waypoints[-1] for f in forecasts])
+        return np.array([f.waypoints[-1] for f in forecasts]).reshape(-1, 2)
 
     return _score_windows(worlds, final_waypoints, t_obs, window_stride,
                           params.config)

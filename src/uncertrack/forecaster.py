@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .affinity import gate_positions
 from .detections import FrameArrays, stack_windows
 from .encoder import SequenceEncoding, encode_sequence
 from .errors import ConfigError, check_fields
@@ -49,26 +50,23 @@ class Forecast:
 class MeanPoolSIM:
     """Demo SIM: subtract the mean encoding of neighbors within a radius.
 
-    Neighbors come from the detection's own window only.  Permutation-
-    equivariant by construction; detections with no neighbors are left
-    unchanged.
+    Neighbors are the other rows of the detection's own window that
+    :func:`~uncertrack.affinity.gate_positions` keeps within ``radius``;
+    their encodings are summed per row and scaled by 1 / neighbor count.
+    Permutation-equivariant; a detection without neighbors is unchanged.
     """
 
     def __init__(self, radius: float = 10.0):
         self.radius = radius
 
     def __call__(self, tape: Tape, encodings: Var, frame: FrameArrays) -> Var:
-        positions = frame.pos
-        n = positions.shape[0]
-        diff = positions[:, None, :] - positions[None, :, :]
-        near = (diff * diff).sum(axis=2) <= self.radius * self.radius
-        near &= frame.window[:, None] == frame.window[None, :]
-        np.fill_diagonal(near, False)
-        weights = np.zeros((n, n))
-        deg = near.sum(axis=1)
-        rows = deg > 0
-        weights[rows] = near[rows] / deg[rows, None]
-        return tape.sub(encodings, tape.matmul(tape.const(weights), encodings))
+        pairs, _ = gate_positions(frame.pos, frame.pos, self.radius,
+                                  frame.window, frame.window)
+        nb, row = pairs[pairs[:, 0] != pairs[:, 1]].T
+        n = len(frame)
+        scale = 1.0 / np.maximum(np.bincount(row, minlength=n), 1)[:, None]
+        pooled = tape.segment_sum(tape.gather_rows(encodings, nb), row, n)
+        return tape.sub(encodings, tape.mul(pooled, tape.const(scale)))
 
 
 # ---- decoding ------------------------------------------------------------------

@@ -161,17 +161,8 @@ class Tape:
 
     # ---- arithmetic ----------------------------------------------------
 
-    def matmul(self, a: Var, b: Var) -> Var:
-        val = a.value @ b.value
-
-        def backward(g):
-            _acc_own(a, g @ b.value.T)
-            _acc_own(b, a.value.T @ g)
-
-        return self._node(val, (a, b), backward)
-
     def linear(self, x: Var, w: Var, b: Var) -> Var:
-        """Fused x @ w + bias-row (one node instead of matmul + add)."""
+        """Fused x @ w + bias-row (one node instead of a product and an add)."""
         val = x.value @ w.value + b.value
 
         def backward(g):
@@ -301,14 +292,11 @@ class Tape:
         if not np.isfinite(shift).all():
             raise NumericsError("segment_softmax: a segment has no unmasked "
                                 "member or a non-finite score")
-        e = np.exp(s - shift)
-        denom = np.zeros(n_seg)
-        np.add.at(denom, seg, e)
-        alpha = (e / denom[seg])[:, None]
+        e = np.exp(s - shift)[:, None]
+        alpha = e / _scatter_add(seg, e, n_seg)[seg]
 
         def backward(g):
-            dot = np.zeros((n_seg, 1))
-            np.add.at(dot, seg, g * alpha)
+            dot = _scatter_add(seg, g * alpha, n_seg)
             _acc_own(scores, alpha * (g - dot[seg]))
 
         return self._node(alpha, (scores,), backward)

@@ -14,6 +14,7 @@ Everything is a pure function of (config, seed).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -367,17 +368,19 @@ def _integer(value, name: str, where: str) -> int:
 _REAL = {int, float}  # JSON numbers; a bool or a string is refused
 
 
+# JSON reads an overflowing number (1e999) as infinity, past parse_constant
 def _real(value, name: str, where: str) -> float:
-    if type(value) not in _REAL:
-        raise ConfigError(f"{where}: {name} must be a real number, "
+    if type(value) not in _REAL or not math.isfinite(value):
+        raise ConfigError(f"{where}: {name} must be a finite real number, "
                           f"got {value!r}")
     return float(value)
 
 
 def _reals(value, n: int, name: str, where: str) -> tuple:
     if (type(value) is not list or len(value) != n
-            or not _REAL.issuperset(map(type, value))):
-        raise ConfigError(f"{where}: {name} must be {n} real numbers, "
+            or not _REAL.issuperset(map(type, value))
+            or not all(map(math.isfinite, value))):
+        raise ConfigError(f"{where}: {name} must be {n} finite real numbers, "
                           f"got {value!r}")
     return tuple(value)
 
@@ -388,10 +391,11 @@ def load_world(path) -> WorldLog:
     each frame ``0 .. num_frames - 1``.
 
     A malformed line raises ``ConfigError`` naming ``path:line``: bad JSON,
-    a NaN or Infinity literal, a missing or ill-typed field (a frame, agent
-    id, birth or death frame, ``true_id`` or seed that is not an integer, a
-    ``pos`` or ``velo`` that is not 2 real numbers, a ``size`` not 3, a
-    ``heading`` or ``score`` not one), a non-positive frame rate, agent
+    a NaN or Infinity literal or a number that overflows to infinity, a
+    missing or ill-typed field (a frame, agent id, birth or death frame,
+    ``true_id`` or seed that is not an integer, a ``pos`` or ``velo`` that is
+    not 2 finite real numbers, a ``size`` not 3, a ``heading``, ``score`` or
+    ``frame_rate`` not one), a non-positive frame rate, agent
     arrays whose length is not the agent's life, a negative or repeated
     agent id, a second world line, a frame outside the world or listed
     twice, an integer ``true_id`` of ``FP_ID`` (only ``"FP"`` marks a false
@@ -418,7 +422,7 @@ def load_world(path) -> WorldLog:
                         raise ConfigError(f"{where}: a second world line (the "
                                           f"first is line {header})")
                     header = line_no
-                    frame_rate = float(rec["frame_rate"])
+                    frame_rate = _real(rec["frame_rate"], "frame_rate", where)
                     rng_seed = _integer(rec["rng_seed"], "rng_seed", where)
                     num_frames = rec["num_frames"]
                     if frame_rate <= 0:
@@ -446,11 +450,12 @@ def load_world(path) -> WorldLog:
                                           "is listed twice")
                     agent_ids.add(track.agent_id)
                     n = track.length
-                    if (track.pos.shape, track.velo.shape, track.heading.shape,
-                            track.size.shape) != ((n, 2), (n, 2), (n,), (n, 3)):
+                    arrays = (track.pos, track.velo, track.heading, track.size)
+                    if ([a.shape for a in arrays] != [(n, 2), (n, 2), (n,), (n, 3)]
+                            or not all(np.isfinite(a).all() for a in arrays)):
                         raise ConfigError(
-                            f"{where}: agent {track.agent_id}: pos, velo, "
-                            f"heading and size must hold its {n} frames")
+                            f"{where}: agent {track.agent_id}: pos, velo, heading "
+                            f"and size must hold its {n} frames, all finite")
                     tracks.append(track)
                 elif kind == "frame":
                     t = _integer(rec["frame"], "frame", where)
@@ -476,8 +481,8 @@ def load_world(path) -> WorldLog:
                     raise ConfigError(f"{where}: unknown line type {kind!r}")
             except KeyError as e:
                 raise ConfigError(f"{where}: missing field {e}") from e
-            except (ValueError, TypeError, AttributeError) as e:
-                # json.JSONDecodeError is a ValueError
+            except (ValueError, TypeError, AttributeError, OverflowError) as e:
+                # JSONDecodeError is a ValueError; huge ints overflow float()
                 raise ConfigError(f"{where}: bad line ({e})") from e
     if header is None:
         raise ConfigError(f"{path}: no world line")

@@ -171,6 +171,22 @@ def match_brute_force(det_pos, gt_pos, threshold):
     return sorted(out)
 
 
+def mean_pool_reference(pos, window, enc, radius):
+    """Mean-pool social interaction as one dense (n, n) weight matrix: each
+    row minus the mean of the other rows of its window within ``radius``
+    (compared on squared distances); a row without neighbors is unchanged."""
+    n = len(pos)
+    diff = pos[:, None, :] - pos[None, :, :]
+    near = (diff * diff).sum(axis=2) <= radius * radius
+    near &= window[:, None] == window[None, :]
+    np.fill_diagonal(near, False)
+    weights = np.zeros((n, n))
+    deg = near.sum(axis=1)
+    rows = deg > 0
+    weights[rows] = near[rows] / deg[rows, None]
+    return enc - weights @ enc
+
+
 def evaluate_direct(worlds, forecast, t_obs, window_stride, pred_steps,
                     step_seconds, threshold, nl_threshold):
     """fde@3s bookkeeping one window and one agent at a time.

@@ -2,18 +2,21 @@
 ablation harness."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from oracles import evaluate_direct
+from oracles import evaluate_direct, linear_fit_residual, match_brute_force
 from uncertrack.detections import FrameArrays
 from uncertrack.evaluation import (MATCH_THRESHOLD_M, NL_RESIDUAL_THRESHOLD,
                                    EvalReport, ablation_run,
                                    constant_velocity_fde, evaluate_model,
+                                   match_for_eval, nonlinearity_residual,
                                    stand_still_fde)
-from uncertrack.forecaster import forecast_sequence
-from uncertrack.model import VARIANTS, ModelConfig, init_model, variant_config
+from uncertrack.forecaster import forecast_sequence, window_starts
+from uncertrack.model import (EVAL_STRIDE, T_OBS, VARIANTS, ModelConfig,
+                              init_model, variant_config)
 from uncertrack.world import NoiseConfig, corrupt_to_detections, generate_world
 
 SMALL = ModelConfig(det_dim=8, mov_dim=4, field_dim=4, hidden_dim=6,
@@ -47,6 +50,74 @@ def test_mixed_frame_rates_evaluate_as_each_world_alone():
     combined = sum(r.fde_cm * r.num_matched for r in alone) / both.num_matched
     assert abs(both.fde_cm - combined) < 1e-9 * combined
     assert stand_still_fde([w10, w20]).fde_cm is not None
+
+
+@pytest.mark.parametrize("n_det, n_gt", [(0, 0), (0, 6), (6, 0), (8, 8),
+                                          (15, 10), (10, 25)])
+def test_match_for_eval_equals_brute_force(n_det, n_gt):
+    # even trials on a 0.5 m lattice: exact distance ties, and pairs exactly
+    # at the 2 m threshold
+    rng = np.random.default_rng(100 * n_det + n_gt)
+    for trial in range(40):
+        if trial % 2 == 0:
+            det = rng.integers(-4, 5, size=(n_det, 2)) * 0.5
+            gt = rng.integers(-4, 5, size=(n_gt, 2)) * 0.5
+        else:
+            det = rng.uniform(-3.0, 3.0, size=(n_det, 2))
+            gt = rng.uniform(-3.0, 3.0, size=(n_gt, 2))
+        got = match_for_eval(det, gt)
+        want = match_brute_force(det, gt, MATCH_THRESHOLD_M)
+        assert [(i, j) for i, j, _ in got] == [(i, j) for i, j, _ in want]
+        assert all(abs(a[2] - b[2]) <= 1e-12 for a, b in zip(got, want))
+
+
+def test_match_for_eval_keeps_the_threshold_and_breaks_ties_in_order():
+    det = np.array([[0.0, 0.0], [10.0, 0.0]])
+    gt = np.array([[0.0, 2.0], [2.0, 0.0], [10.0, 2.0 + 1e-9]])
+    assert match_for_eval(det, gt) == [(0, 0, MATCH_THRESHOLD_M)]
+    assert match_for_eval(det[::-1], gt[::-1]) == [(1, 1, MATCH_THRESHOLD_M)]
+
+
+def test_nonlinearity_residual_equals_normal_equations():
+    # curved futures, whose residuals are well above rounding noise, against
+    # the oracle's uncentred normal equations
+    rng = np.random.default_rng(14)
+    for n in (3, 6, 10):
+        m = 300
+        t = 0.5 * np.arange(1, n + 1)[None, :, None]
+        angle = rng.uniform(0.0, 2 * np.pi, size=(m, 1, 1))
+        accel = rng.uniform(0.2, 1.0, size=(m, 1, 1)) * np.concatenate(
+            [np.cos(angle), np.sin(angle)], axis=2)
+        futures = (rng.uniform(-30.0, 30.0, size=(m, 1, 2))
+                   + rng.normal(0.0, 1.5, size=(m, 1, 2)) * t
+                   + 0.5 * accel * t * t)
+        got = nonlinearity_residual(futures)
+        want = np.array([linear_fit_residual(f) for f in futures])
+        assert got.shape == (m,)
+        assert np.max(np.abs(got - want) / want) <= 1e-12
+    # one point, two points and a straight line fit exactly
+    assert np.array_equal(nonlinearity_residual(rng.normal(size=(4, 1, 2))),
+                          np.zeros(4))
+    line = 3.0 + np.arange(1.0, 7.0)[None, :, None] * np.array([0.5, -1.25])
+    assert np.max(nonlinearity_residual(rng.normal(size=(4, 2, 2)))) < 1e-20
+    assert nonlinearity_residual(line)[0] < 1e-20
+    assert nonlinearity_residual(np.zeros((0, 6, 2))).shape == (0,)
+
+
+def test_windows_whose_final_frames_are_empty_score_nothing():
+    # every window's last frame is empty, so each pack forecasts zero rows
+    log = _world(2)
+    finals = set(range(T_OBS - 1, window_starts(log, T_OBS, SMALL) + T_OBS - 1,
+                       EVAL_STRIDE))
+    log = replace(log, frames=[[] if t in finals else f
+                               for t, f in enumerate(log.frames)],
+                  true_ids=[ids[:0] if t in finals else ids
+                            for t, ids in enumerate(log.true_ids)])
+    want = EvalReport(fde_cm=None, nl_fde_cm=None, num_matched=0,
+                      num_nonlinear=0, num_windows=len(finals))
+    assert evaluate_model(init_model(SMALL, seed=1), [log]) == want
+    assert stand_still_fde([log], config=SMALL) == want
+    assert constant_velocity_fde([log], config=SMALL) == want
 
 
 def test_kinematic_baselines_on_one_noiseless_cv_agent():

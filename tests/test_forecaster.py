@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import mean_pool_reference
 from uncertrack import forecaster
 from uncertrack.detections import FrameArrays, stack_windows
 from uncertrack.encoder import TransitionRecord, encode_sequence
@@ -224,6 +225,24 @@ def test_degenerate_window_is_rejected():
     pack = pack_samples([_samples(SMALL)[0], degenerate])
     with pytest.raises(ConfigError, match="degenerate window 1"):
         _loss(init_model(SMALL, seed=7), pack, Tape())
+
+
+def test_mean_pool_sim_equals_dense_reference():
+    # two windows over the same ground, each with an isolated row
+    rng = np.random.default_rng(12)
+    pos = np.concatenate([rng.uniform(0.0, 4.0, size=(9, 2)), [[90.0, 90.0]],
+                          rng.uniform(0.0, 4.0, size=(7, 2)), [[-80.0, 5.0]]])
+    window = np.repeat([0, 1], [10, 8])
+    n = len(pos)
+    frame = FrameArrays(pos=pos, velo=np.zeros((n, 2)), size=np.ones((n, 3)),
+                        heading=np.zeros(n), score=np.ones(n), window=window)
+    enc = rng.standard_normal((n, 6))
+    tape = Tape()
+    got = MeanPoolSIM(radius=6.0)(tape, tape.const(enc), frame).value
+    want = mean_pool_reference(pos, window, enc, 6.0)
+    assert np.max(np.abs(got - want)) <= 1e-12
+    assert np.array_equal(got[[9, 17]], enc[[9, 17]])
+    assert np.all(np.any(got[:9] != enc[:9], axis=1))
 
 
 @pytest.mark.parametrize("sim", [None, MeanPoolSIM(radius=10.0)])

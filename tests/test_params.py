@@ -99,7 +99,8 @@ def test_grad_check_through_tape_loss():
         tape = Tape()
         w = tape.param(b.weights[0], b.grads[0])
         bias = tape.param(b.weights[1], b.grads[1])
-        out = tape.sigmoid(tape.add(tape.matmul(tape.const(x), w), bias))
+        xw = tape.linear(tape.const(x), w, tape.const(np.zeros((1, 3))))
+        out = tape.sigmoid(tape.add(xw, bias))
         val = tape.mean(tape.mul(out, out))
         tape.backward(val)
         return float(val.value[0, 0])

@@ -330,6 +330,10 @@ def _edit_line(lines, kind, edit):
     raise AssertionError(f"no {kind} line")
 
 
+# written unquoted, so that JSON reads it as a float that overflows to infinity
+_OVERFLOW = "1e999"
+
+
 @pytest.mark.parametrize("kind,edit", [
     ("world", lambda r: r.pop("frame_rate")),
     ("frame", lambda r: r.pop("frame")),
@@ -366,11 +370,17 @@ def _edit_line(lines, kind, edit):
     ("frame", lambda r: r["detections"][0].update(heading=False)),
     ("agent", lambda r: (r.clear(), r.update(  # a second world line
         type="world", frame_rate=10.0, rng_seed=0, num_frames=54))),
+    ("frame", lambda r: r["detections"][0]["pos"].__setitem__(1, _OVERFLOW)),
+    ("frame", lambda r: r["detections"][0].update(score=_OVERFLOW)),
+    ("agent", lambda r: r["pos"][3].__setitem__(0, _OVERFLOW)),
+    ("agent", lambda r: r["velo"][0].__setitem__(1, 10 ** 400)),
+    ("world", lambda r: r.update(frame_rate=_OVERFLOW)),
 ])
 def test_load_world_rejects_missing_fields_and_non_finite(tmp_path, kind, edit):
     path, lines = _saved_lines(tmp_path)
     line_no = _edit_line(lines, kind, edit)
-    path.write_text("\n".join(lines) + "\n")
+    text = "\n".join(lines).replace(f'"{_OVERFLOW}"', _OVERFLOW)
+    path.write_text(text + "\n")
     with pytest.raises(ConfigError, match=re.escape(f"{path}:{line_no}:")):
         load_world(path)
 
