@@ -41,7 +41,9 @@ def gate_positions(prev_pos: np.ndarray, curr_pos: np.ndarray, theta_d: float,
     if prev_window is not None:
         near &= curr_window[:, None] == prev_window[None, :]
     curr_idx, prev_idx = np.nonzero(near)  # row-major: (curr, prev) order
-    pairs = np.stack([prev_idx, curr_idx], axis=1)
+    pairs = np.empty((len(curr_idx), 2), dtype=curr_idx.dtype)
+    pairs[:, 0] = prev_idx
+    pairs[:, 1] = curr_idx
     return pairs, np.sqrt(d2[curr_idx, prev_idx])
 
 
@@ -85,7 +87,9 @@ def select_top_k(pairs: np.ndarray, distances: np.ndarray,
     order = np.lexsort((pairs[:, 0], distances, -logit_values, pairs[:, 1]))
     curr_sorted = pairs[order, 1]
     # rank within each current detection's group
-    new_group = np.diff(curr_sorted, prepend=-1) != 0
+    new_group = np.empty(len(curr_sorted), dtype=bool)
+    new_group[:1] = True
+    new_group[1:] = curr_sorted[1:] != curr_sorted[:-1]
     starts = np.flatnonzero(new_group)
     group_of = np.cumsum(new_group) - 1
     rank = np.arange(len(order)) - starts[group_of]

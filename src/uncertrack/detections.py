@@ -53,15 +53,13 @@ class FrameArrays:
     @classmethod
     def from_detections(cls, dets: list[Detection]) -> "FrameArrays":
         n = len(dets)
-        out = cls(pos=np.zeros((n, 2)), velo=np.zeros((n, 2)),
-                  size=np.zeros((n, 3)), heading=np.zeros(n), score=np.zeros(n))
-        for i, d in enumerate(dets):
-            out.pos[i] = d.pos
-            out.velo[i] = d.velo
-            out.size[i] = d.size
-            out.heading[i] = d.heading
-            out.score[i] = d.score
-        return out
+        # the reshape keeps an empty frame's (0, 2) and (0, 3) columns
+        return cls(
+            pos=np.array([d.pos for d in dets], dtype=float).reshape(n, 2),
+            velo=np.array([d.velo for d in dets], dtype=float).reshape(n, 2),
+            size=np.array([d.size for d in dets], dtype=float).reshape(n, 3),
+            heading=np.array([d.heading for d in dets], dtype=float),
+            score=np.array([d.score for d in dets], dtype=float))
 
     def __len__(self) -> int:
         return self.pos.shape[0]

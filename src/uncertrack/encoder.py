@@ -137,7 +137,11 @@ def encode_sequence(tape: Tape, params: ModelParams,
 
         h_mot_k, h_aff_k = asu_update(tape, params, x_sel, a_sel,
                                       prev_mot, prev_aff)
-        first = np.flatnonzero(np.diff(seg, prepend=-1))
+        # each segment's first (top-ranked) entry
+        new_seg = np.empty(len(seg), dtype=bool)
+        new_seg[:1] = True
+        new_seg[1:] = seg[1:] != seg[:-1]
+        first = np.flatnonzero(new_seg)
         if cfg.use_msa:
             agg_mot, agg_aff, alpha = msa_aggregate(
                 tape, params, seg, n_seg, h_mot_k, prev_mot, x_sel, z_sel,

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -117,13 +118,12 @@ class WorldLog:
 
 
 def _headings_from(velo: np.ndarray, fallback: float) -> np.ndarray:
-    heading = np.empty(velo.shape[0])
-    prev = fallback
-    for i in range(velo.shape[0]):
-        if np.hypot(velo[i, 0], velo[i, 1]) > 0.1:
-            prev = float(np.arctan2(velo[i, 1], velo[i, 0]))
-        heading[i] = prev
-    return heading
+    """Direction of each velocity row, held from the last row that moves
+    faster than 0.1 m/s; ``fallback`` before the first such row."""
+    moving = np.hypot(velo[:, 0], velo[:, 1]) > 0.1
+    last = np.maximum.accumulate(np.where(moving, np.arange(len(velo)), -1))
+    angles = np.arctan2(velo[:, 1], velo[:, 0])
+    return np.where(last >= 0, angles[last], fallback)
 
 
 def _integrate(p0: np.ndarray, velo: np.ndarray, dt: float) -> np.ndarray:
@@ -231,14 +231,14 @@ def generate_world(num_agents: int, num_frames: int, frame_rate: float = 10.0,
 # ---- detector noise channel --------------------------------------------------
 
 
-def _wrap_angle(a):
-    return (a + np.pi) % (2 * np.pi) - np.pi
+def _wrap_angle(a: float) -> float:
+    return (a + math.pi) % (2 * math.pi) - math.pi
 
 
-def _burst_masks(tracks, noise, rng) -> dict[int, np.ndarray]:
+def _burst_masks(tracks, noise, rng) -> dict[int, list[bool]]:
     masks = {}
     for track in tracks:
-        mask = np.zeros(track.length, dtype=bool)
+        mask = [False] * track.length
         left = 0
         for i in range(track.length):
             if left == 0 and rng.random() < noise.burst_prob:
@@ -250,24 +250,38 @@ def _burst_masks(tracks, noise, rng) -> dict[int, np.ndarray]:
     return masks
 
 
-def _detect(rng: np.random.Generator, noise: NoiseConfig, track: AgentTrack,
-            i: int, pos_sigma: float, score_mean: float) -> Detection:
-    """Perturb the state at row ``i`` of a track into one detection; the
-    draws are pos, velo, heading, size, score, in that order."""
-    pos = track.pos[i] + rng.normal(0.0, pos_sigma, size=2)
-    velo = track.velo[i] + rng.normal(0.0, noise.velo_sigma, size=2)
-    dh = rng.normal(0.0, noise.heading_sigma)
-    heading = track.heading[i]
+def _detect(rng: np.random.Generator, noise: NoiseConfig, rows: tuple, i: int,
+            pos_sigma: float, score_mean: float) -> Detection:
+    """Perturb row ``i`` of a track into one detection; the draws are pos,
+    velo, heading, size, score, in that order.  ``rows`` holds the track's
+    ``pos``, ``velo``, ``heading`` and ``size`` as flat lists of Python
+    floats.
+
+    ``Generator.normal(loc, scale)`` returns ``loc + scale * z`` for the
+    generator's next standard normal ``z`` and draws nothing else, so the one
+    ``standard_normal(9)`` draw here, scaled in Python floats, leaves the
+    stream and every value exactly as five ``normal`` calls would.  The
+    ``0.0 +`` stays on the zero-mean draws because it turns a -0.0 product
+    into 0.0, as ``normal`` does.
+    """
+    pos, velo, headings, size = rows
+    px, py = pos[2 * i], pos[2 * i + 1]
+    vx, vy = velo[2 * i], velo[2 * i + 1]
+    sl, sw, sh = size[3 * i], size[3 * i + 1], size[3 * i + 2]
+    heading = headings[i]
+    z0, z1, z2, z3, z4, z5, z6, z7, z8 = rng.standard_normal(9).tolist()
+    dh = 0.0 + noise.heading_sigma * z4
     # skip the wrap when unperturbed so zero noise is exactly transparent
-    heading = float(_wrap_angle(heading + dh) if dh else heading)
-    size = np.maximum(track.size[i] + rng.normal(0.0, noise.size_sigma, size=3),
-                      0.2)
-    score = float(np.clip(rng.normal(score_mean, noise.score_sigma),
-                          1e-4, 1.0 - 1e-4))
-    return Detection(pos=(float(pos[0]), float(pos[1])),
-                     velo=(float(velo[0]), float(velo[1])),
-                     size=tuple(float(s) for s in size), heading=heading,
-                     score=score)
+    if dh:
+        heading = _wrap_angle(heading + dh)
+    vs, ss = noise.velo_sigma, noise.size_sigma
+    score = score_mean + noise.score_sigma * z8
+    return Detection(
+        pos=(px + (0.0 + pos_sigma * z0), py + (0.0 + pos_sigma * z1)),
+        velo=(vx + (0.0 + vs * z2), vy + (0.0 + vs * z3)),
+        size=(max(sl + (0.0 + ss * z5), 0.2), max(sw + (0.0 + ss * z6), 0.2),
+              max(sh + (0.0 + ss * z7), 0.2)),
+        heading=heading, score=min(max(score, 1e-4), 1.0 - 1e-4))
 
 
 def corrupt_to_detections(tracks: list[AgentTrack], noise: NoiseConfig,
@@ -292,6 +306,11 @@ def corrupt_to_detections(tracks: list[AgentTrack], noise: NoiseConfig,
         num_frames = max(t.death_frame for t in tracks) + 1 if tracks else 0
     rng = substream(seed, "world-noise")
     bursts = _burst_masks(tracks, noise, rng)
+    # each track's arrays as flat lists of Python floats, converted once; flat,
+    # so they add no container per row for the garbage collector to walk
+    rows = {tr.agent_id: (tr.pos.ravel().tolist(), tr.velo.ravel().tolist(),
+                          tr.heading.tolist(), tr.size.ravel().tolist())
+            for tr in tracks}
 
     frames: list[list[Detection]] = []
     true_ids: list[np.ndarray] = []
@@ -305,14 +324,16 @@ def corrupt_to_detections(tracks: list[AgentTrack], noise: NoiseConfig,
                 continue
             pos_sigma = noise.pos_sigma * (_BURST_POS_FACTOR
                                            if bursts[tr.agent_id][i] else 1.0)
-            dets.append(_detect(rng, noise, tr, i, pos_sigma, noise.score_tp_mean))
+            dets.append(_detect(rng, noise, rows[tr.agent_id], i, pos_sigma,
+                                noise.score_tp_mean))
             ids.append(tr.agent_id)
 
         if live and noise.fp_rate > 0:
             for _ in range(int(rng.poisson(noise.fp_rate))):
                 host = live[int(rng.integers(len(live)))]
-                dets.append(_detect(rng, noise, host, host.index_at(t),
-                                    noise.fp_cluster_sigma, noise.score_fp_mean))
+                dets.append(_detect(rng, noise, rows[host.agent_id],
+                                    host.index_at(t), noise.fp_cluster_sigma,
+                                    noise.score_fp_mean))
                 ids.append(FP_ID)
 
         frames.append(dets)
@@ -385,6 +406,15 @@ def _reals(value, n: int, name: str, where: str) -> tuple:
     return tuple(value)
 
 
+def _real_rows(rows, name: str, where: str) -> np.ndarray:
+    # one type scan per array, not one check per number: the agents of a
+    # dense world hold ~80k numbers
+    if not _REAL.issuperset(map(type, chain.from_iterable(rows))):
+        raise ConfigError(f"{where}: agent {name} must hold only real "
+                          "numbers (no strings, booleans or nulls)")
+    return np.array(rows, dtype=float)
+
+
 def load_world(path) -> WorldLog:
     """Read a world written by :func:`save_world`: exactly one world line,
     with ``frame_rate``, ``rng_seed`` and ``num_frames``, and one line for
@@ -395,12 +425,14 @@ def load_world(path) -> WorldLog:
     missing or ill-typed field (a frame, agent id, birth or death frame,
     ``true_id`` or seed that is not an integer, a ``pos`` or ``velo`` that is
     not 2 finite real numbers, a ``size`` not 3, a ``heading``, ``score`` or
-    ``frame_rate`` not one), a non-positive frame rate, agent
-    arrays whose length is not the agent's life, a negative or repeated
-    agent id, a second world line, a frame outside the world or listed
-    twice, an integer ``true_id`` of ``FP_ID`` (only ``"FP"`` marks a false
-    positive) or one that names no agent.  A missing world or frame line
-    raises it naming the path (and the first missing frame).
+    ``frame_rate`` not one), a non-positive frame rate, agent ``pos``,
+    ``velo``, ``heading`` or ``size`` arrays that hold anything but JSON
+    numbers (a string or a boolean, say) or whose length is not the agent's
+    life, a negative or repeated agent id, a second world line, a frame
+    outside the world or listed twice, an integer ``true_id`` of ``FP_ID``
+    (only ``"FP"`` marks a false positive) or one that names no agent.  A
+    missing world or frame line raises it naming the path (and the first
+    missing frame).
     """
     path = Path(path)
     header = None  # line number of the world line
@@ -438,10 +470,12 @@ def load_world(path) -> WorldLog:
                                              where),
                         death_frame=_integer(rec["death_frame"], "death_frame",
                                              where),
-                        pos=np.array(rec["pos"], dtype=float),
-                        velo=np.array(rec["velo"], dtype=float),
-                        heading=np.array(rec["heading"], dtype=float),
-                        size=np.array(rec["size"], dtype=float))
+                        pos=_real_rows(rec["pos"], "pos", where),
+                        velo=_real_rows(rec["velo"], "velo", where),
+                        # scanned as the one row of a 2-D list
+                        heading=_real_rows([rec["heading"]], "heading",
+                                           where)[0],
+                        size=_real_rows(rec["size"], "size", where))
                     if track.agent_id < 0:
                         raise ConfigError(f"{where}: agent_id must not be "
                                           f"negative, got {track.agent_id}")

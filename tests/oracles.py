@@ -281,3 +281,88 @@ def chains_from(best_prevs, n_final):
             chain.append(curr)
         chains.append(chain)
     return chains
+
+
+# ---- the detector-noise channel, one numpy call per draw --------------------
+
+def headings_loop(velo, fallback):
+    """Heading row by row, held while the speed is at most 0.1 m/s."""
+    heading = np.empty(velo.shape[0])
+    prev = fallback
+    for i in range(velo.shape[0]):
+        if np.hypot(velo[i, 0], velo[i, 1]) > 0.1:
+            prev = float(np.arctan2(velo[i, 1], velo[i, 0]))
+        heading[i] = prev
+    return heading
+
+
+def _wrap_angle_direct(a):
+    return (a + np.pi) % (2 * np.pi) - np.pi
+
+
+def detect_direct(rng, noise, track, i, pos_sigma, score_mean):
+    """Row ``i`` of a track through five ``rng.normal`` calls: pos, velo,
+    heading, size, score.  Returns (pos, velo, size, heading, score)."""
+    pos = track.pos[i] + rng.normal(0.0, pos_sigma, size=2)
+    velo = track.velo[i] + rng.normal(0.0, noise.velo_sigma, size=2)
+    dh = rng.normal(0.0, noise.heading_sigma)
+    heading = track.heading[i]
+    heading = float(_wrap_angle_direct(heading + dh) if dh else heading)
+    size = np.maximum(track.size[i] + rng.normal(0.0, noise.size_sigma, size=3),
+                      0.2)
+    score = float(np.clip(rng.normal(score_mean, noise.score_sigma),
+                          1e-4, 1.0 - 1e-4))
+    return ((float(pos[0]), float(pos[1])), (float(velo[0]), float(velo[1])),
+            tuple(float(s) for s in size), heading, score)
+
+
+def noise_channel_direct(tracks, noise, rng, num_frames, burst_frames=(2, 3, 4),
+                         burst_factor=4.0):
+    """Bursts, misses and false positives frame by frame, drawing from
+    ``rng`` in the channel's order.  Returns per frame a list of
+    (detection fields, true id), -1 marking a false positive."""
+    bursts = {}
+    for track in tracks:
+        mask = np.zeros(track.length, dtype=bool)
+        left = 0
+        for i in range(track.length):
+            if left == 0 and rng.random() < noise.burst_prob:
+                left = int(rng.choice(burst_frames))
+            if left > 0:
+                mask[i] = True
+                left -= 1
+        bursts[track.agent_id] = mask
+
+    frames = []
+    for t in range(num_frames):
+        dets = []
+        live = [tr for tr in tracks if tr.birth_frame <= t <= tr.death_frame]
+        for tr in live:
+            i = t - tr.birth_frame
+            if rng.random() < noise.miss_rate:
+                continue
+            pos_sigma = noise.pos_sigma * (burst_factor
+                                           if bursts[tr.agent_id][i] else 1.0)
+            dets.append((detect_direct(rng, noise, tr, i, pos_sigma,
+                                       noise.score_tp_mean), tr.agent_id))
+        if live and noise.fp_rate > 0:
+            for _ in range(int(rng.poisson(noise.fp_rate))):
+                host = live[int(rng.integers(len(live)))]
+                dets.append((detect_direct(rng, noise, host,
+                                           t - host.birth_frame,
+                                           noise.fp_cluster_sigma,
+                                           noise.score_fp_mean), -1))
+        frames.append(dets)
+    return frames
+
+
+def frame_columns_loop(dets):
+    """A frame's detection fields copied row by row into zeroed columns:
+    (pos, velo, size, heading, score)."""
+    n = len(dets)
+    cols = (np.zeros((n, 2)), np.zeros((n, 2)), np.zeros((n, 3)), np.zeros(n),
+            np.zeros(n))
+    for i, d in enumerate(dets):
+        for col, value in zip(cols, (d.pos, d.velo, d.size, d.heading, d.score)):
+            col[i] = value
+    return cols

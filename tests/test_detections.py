@@ -7,8 +7,9 @@ from uncertrack.affinity import pair_features
 from uncertrack.detections import Detection, FrameArrays, embed_frame
 from uncertrack.model import ModelConfig, init_model
 from uncertrack.numerics import Tape, mlp_forward
+from uncertrack.world import NoiseConfig, corrupt_to_detections, generate_world
 
-from oracles import fd_gradient, rel_err
+from oracles import fd_gradient, frame_columns_loop, rel_err
 
 
 def _det(pos=(0.0, 0.0), velo=(1.0, 0.5), size=(4.2, 1.8, 1.5),
@@ -120,3 +121,15 @@ def test_scene_translation_invariance_many_cases(params):
         a = embed_frame(Tape(), params, frame).value
         b = embed_frame(Tape(), params, shifted).value
         assert np.array_equal(a, b)
+
+
+def test_from_detections_matches_the_row_loop():
+    log = corrupt_to_detections(generate_world(24, 60, seed=3), NoiseConfig(),
+                                seed=3)
+    odd = [_det(pos=(-0.0, 3), velo=(0, -0.0), size=(4, 2, 1.5), heading=-0.0)]
+    for dets in log.frames + [odd, []]:
+        frame = FrameArrays.from_detections(dets)
+        got = (frame.pos, frame.velo, frame.size, frame.heading, frame.score)
+        for g, want in zip(got, frame_columns_loop(dets), strict=True):
+            assert g.shape == want.shape and g.dtype == want.dtype
+            assert g.tobytes() == want.tobytes()

@@ -14,12 +14,14 @@ from uncertrack.evaluation import evaluate_model
 from uncertrack.forecaster import build_sample, sequence_labels
 from uncertrack.model import ModelConfig, init_model, stride_and_horizon
 from uncertrack.numerics import Tape
+from uncertrack.rng import substream
 from uncertrack.world import (DEFAULT_MOTION_MIX, FP_ID, AgentTrack,
-                              NoiseConfig, constant_turn_positions,
-                              corrupt_to_detections, generate_world,
-                              load_world, save_world)
+                              NoiseConfig, _headings_from,
+                              constant_turn_positions, corrupt_to_detections,
+                              generate_world, load_world, save_world)
 
-from oracles import circle_positions, gate_brute_force, linear_fit_residual
+from oracles import (circle_positions, gate_brute_force, headings_loop,
+                     linear_fit_residual, noise_channel_direct)
 
 
 def _future_waypoints(track: AgentTrack, frame: int, stride: int = 5, steps: int = 6):
@@ -199,6 +201,50 @@ def test_corruption_is_deterministic():
             assert da.score == db.score
 
 
+_CHANNELS = {
+    "default": NoiseConfig(),
+    "zero": NoiseConfig.zero(),
+    "bursty": NoiseConfig(burst_prob=0.4),
+    "fp_rate 3.5": NoiseConfig(fp_rate=3.5),
+}
+
+
+@pytest.mark.parametrize("agents", [3, 100])
+@pytest.mark.parametrize("channel", sorted(_CHANNELS))
+def test_noise_channel_matches_one_normal_call_per_field(channel, agents):
+    # the oracle draws pos, velo, heading, size and score with five
+    # rng.normal calls; compared through repr, so a -0.0 counts too.  The
+    # parked agent sits at -0.0 and is small enough for sizes to clip at 0.2
+    noise = _CHANNELS[channel]
+    parked = AgentTrack(agent_id=agents, birth_frame=0, death_frame=79,
+                        pos=np.full((80, 2), -0.0), velo=np.full((80, 2), -0.0),
+                        heading=np.full(80, -0.0),
+                        size=np.tile([0.3, 0.2, 0.25], (80, 1)))
+    tracks = generate_world(agents, 80, seed=agents) + [parked]
+    log = corrupt_to_detections(tracks, noise, seed=7)
+    ref = noise_channel_direct(tracks, noise, substream(7, "world-noise"),
+                               log.num_frames)
+    for dets, ids, want in zip(log.frames, log.true_ids, ref, strict=True):
+        got = [(repr((d.pos, d.velo, d.size, d.heading, d.score)), tid)
+               for d, tid in zip(dets, ids.tolist())]
+        assert got == [(repr(fields), tid) for fields, tid in want]
+
+
+def test_headings_match_the_row_loop():
+    # generated velocities, and the same with the first rows stopped, which
+    # holds the fallback; a speed of exactly 0.1 m/s does not count as moving
+    edge = np.array([[0.1, 0.0], [-0.0, -0.1], [0.0, 0.0], [0.0, -0.2],
+                     [0.06, 0.08], [-3.0, -0.0]])
+    velos = [edge]
+    for tr in generate_world(100, 80, seed=3):
+        stopped = tr.velo.copy()
+        stopped[:12] = 0.0
+        velos += [tr.velo, stopped]
+    for velo in velos:
+        assert (_headings_from(velo, 1.25).tobytes()
+                == headings_loop(velo, 1.25).tobytes())
+
+
 def test_bursts_inflate_position_noise():
     base = NoiseConfig(pos_sigma=0.3, miss_rate=0.0, fp_rate=0.0,
                        burst_prob=0.0, velo_sigma=0.0, heading_sigma=0.0,
@@ -375,6 +421,9 @@ _OVERFLOW = "1e999"
     ("agent", lambda r: r["pos"][3].__setitem__(0, _OVERFLOW)),
     ("agent", lambda r: r["velo"][0].__setitem__(1, 10 ** 400)),
     ("world", lambda r: r.update(frame_rate=_OVERFLOW)),
+    ("agent", lambda r: r["pos"].__setitem__(0, ["20.27", "14.02"])),
+    ("agent", lambda r: r["heading"].__setitem__(2, "0.25")),
+    ("agent", lambda r: r["size"].__setitem__(1, [True, 2, 1.5])),
 ])
 def test_load_world_rejects_missing_fields_and_non_finite(tmp_path, kind, edit):
     path, lines = _saved_lines(tmp_path)
