@@ -36,13 +36,12 @@ def asu_update(tape: Tape, params: ModelParams, x, a, prev_mot,
     the motion GRU's input, injecting matching uncertainty into the motion
     encoding.  Inputs are row-batched over candidates.
     """
-    x = tape.lift(x)
-    prev_mot = tape.lift(prev_mot)
     if params.config.use_asu:
         if params.gru_aff is None:
             raise ConfigError("ASU enabled but gru_aff parameters are missing")
-        h_aff_k = gru_step(tape, params.gru_aff, tape.lift(a), tape.lift(prev_aff))
-        h_mot_k = gru_step(tape, params.gru_mot, tape.concat([x, h_aff_k]), prev_mot)
+        h_aff_k = gru_step(tape, params.gru_aff, a, prev_aff)
+        x = tape.concat([tape.lift(x), h_aff_k])
+        h_mot_k = gru_step(tape, params.gru_mot, x, prev_mot)
         return h_mot_k, h_aff_k
     h_mot_k = gru_step(tape, params.gru_mot, x, prev_mot)
     return h_mot_k, None
@@ -94,8 +93,9 @@ class SequenceEncoding:
     h_mot_final: Var                # (N_T, hidden)
 
 
-def _zero_state(tape: Tape, n: int, hidden: int) -> Var:
-    return tape.const(np.zeros((n, hidden)))
+def _zero_state(tape: Tape, n: int, hidden: int, like: Var) -> Var:
+    # zero hidden states in the dtype of the embeddings they meet
+    return tape.const(np.zeros((n, hidden), dtype=like.value.dtype))
 
 
 def encode_sequence(tape: Tape, params: ModelParams,
@@ -110,11 +110,10 @@ def encode_sequence(tape: Tape, params: ModelParams,
     if len(frames) < 2:
         raise ConfigError("encode_sequence needs at least 2 frames")
     cfg = params.config
-    hidden = cfg.hidden_dim
 
-    h_mot = _zero_state(tape, len(frames[0]), hidden)
-    h_aff = _zero_state(tape, len(frames[0]), hidden)
     x_det_prev = embed_frame(tape, params, frames[0])
+    h_mot = _zero_state(tape, len(frames[0]), cfg.hidden_dim, x_det_prev)
+    h_aff = _zero_state(tape, len(frames[0]), cfg.hidden_dim, x_det_prev)
 
     transitions: list[TransitionRecord] = []
     for t in range(1, len(frames)):
@@ -159,7 +158,8 @@ def encode_sequence(tape: Tape, params: ModelParams,
         # a detection no segment reaches is a birth: its rows stay zero
         h_mot = tape.scatter_rows(agg_mot, seg_curr, n_curr)
         h_aff = (tape.scatter_rows(agg_aff, seg_curr, n_curr)
-                 if agg_aff is not None else _zero_state(tape, n_curr, hidden))
+                 if agg_aff is not None
+                 else _zero_state(tape, n_curr, cfg.hidden_dim, x_det_curr))
         x_det_prev = x_det_curr
 
         # the argmax-alpha predecessor, for diagnostics: alpha is monotone

@@ -66,7 +66,8 @@ class MeanPoolSIM:
         n = len(frame)
         scale = 1.0 / np.maximum(np.bincount(row, minlength=n), 1)[:, None]
         pooled = tape.segment_sum(tape.gather_rows(encodings, nb), row, n)
-        return tape.sub(encodings, tape.mul(pooled, tape.const(scale)))
+        scale = tape.const(scale.astype(encodings.value.dtype))
+        return tape.sub(encodings, tape.mul(pooled, scale))
 
 
 # ---- decoding ------------------------------------------------------------------
@@ -476,7 +477,9 @@ def forecast_sequence(params: ModelParams, frames: list[FrameArrays],
 
     Runs on a forward-only tape: no gradient is kept, so each intermediate is
     freed as soon as it is used, and the forecasts are bitwise those of a
-    recording tape.  The returned encoding's logits are constants.
+    recording tape in the same dtype (float32 weights forecast in float32,
+    a float64 copy in float64).  The returned encoding's logits are
+    constants.
     """
     tape = Tape(grad=False)
     enc = encode_sequence(tape, params, frames)

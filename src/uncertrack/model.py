@@ -4,11 +4,18 @@ Feature dimensions follow the working defaults: 64-dim unary detection
 embedding, 32-dim movement feature, 64-dim hidden states, 64-dim long-term
 affinity feature, so the pair input x is 96-dim and the affinity feature a
 is 128-dim.
+
+Parameters are float32 (``numerics.params.PARAM_DTYPE``), so training and
+inference compute in float32; detections, world files, gating and evaluation
+stay float64, and weight files store float64, which holds every float32
+exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .errors import ConfigError, check_fields
 from .numerics import (GruParams, MlpParams, ParamBlock, load_weights,
@@ -167,7 +174,9 @@ def load_model(path, config: ModelConfig) -> ModelParams:
 
     Block names are compared before shapes, so a file of another variant is
     reported by the blocks it has too many or too few.  Every tensor of the
-    model built here is overwritten by the file's.
+    model built here is overwritten by the file's, in the model's dtype: a
+    file saved from a float32 model loads bitwise, and a value beyond
+    float32's range is refused rather than loaded as infinity.
     """
     params = init_model(config, seed=0)
     stored = {b.name: b for b in load_weights(path)}
@@ -189,5 +198,9 @@ def load_model(path, config: ModelConfig) -> ModelParams:
                 raise ConfigError(f"{path}: block '{block.name}' tensor {i}: "
                                   f"file shape {b.shape} vs configured shape "
                                   f"{a.shape}")
-            a[...] = b
+            with np.errstate(over="ignore"):  # refused just below
+                a[...] = b
+            if not np.all(np.isfinite(a)):
+                raise ConfigError(f"{path}: block '{block.name}' tensor {i} "
+                                  f"holds a value beyond {a.dtype}'s range")
     return params

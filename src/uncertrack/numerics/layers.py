@@ -1,8 +1,9 @@
 """MLPs and a GRU cell on top of the tape.
 
 All forward functions accept a ``Var`` or raw array input.  Raw inputs become
-constants; batched inputs are rows of a 2-D matrix, a single vector is a
-1-row batch.
+constants in the layer's weight dtype, so float64 detection columns feed a
+float32 model without promoting it; batched inputs are rows of a 2-D matrix,
+a single vector is a 1-row batch.
 """
 
 from __future__ import annotations
@@ -77,6 +78,13 @@ def _bind(tape: Tape, block: ParamBlock) -> list[Var]:
     return cached
 
 
+def _lift(tape: Tape, block: ParamBlock, x) -> Var:
+    # a raw input becomes a constant in the block's weight dtype
+    if isinstance(x, Var):
+        return x
+    return tape.const(np.asarray(x, dtype=block.weights[0].dtype))
+
+
 def _check_dim(name: str, x: Var, want: int) -> None:
     if x.value.shape[1] != want:
         raise NumericsError(f"{name}: input dim {x.value.shape[1]}, expected {want}")
@@ -84,7 +92,7 @@ def _check_dim(name: str, x: Var, want: int) -> None:
 
 def mlp_forward(tape: Tape, params: MlpParams, x) -> Var:
     """Run the MLP; gradients flow to both the input and the weights."""
-    h = tape.lift(x)
+    h = _lift(tape, params.block, x)
     _check_dim(params.block.name, h, params.in_dim)
     bound = _bind(tape, params.block)
     for layer, act in enumerate(params.activations):
@@ -102,8 +110,8 @@ def gru_step(tape: Tape, params: GruParams, x, h_prev) -> Var:
         c = tanh(x Wc + (r * h) Uc + bc)
         h' = (1 - z) * h + z * c
     """
-    x = tape.lift(x)
-    h = tape.lift(h_prev)
+    x = _lift(tape, params.block, x)
+    h = _lift(tape, params.block, h_prev)
     _check_dim(params.block.name, x, params.input_dim)
     _check_dim(params.block.name, h, params.hidden_dim)
     wz, uz, bz, wr, ur, br, wc, uc, bc = _bind(tape, params.block)

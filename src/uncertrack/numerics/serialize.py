@@ -3,6 +3,11 @@
 Layout: magic ``UNCERTRACK1``; then per block: u64 name length, utf-8 name,
 u64 tensor count, and per tensor u64 rows, u64 cols, row-major f64 values.
 All integers and floats little-endian.  Adam moments are not stored.
+
+Values are float64 on disk whatever their dtype in memory: a float32 model's
+weights widen exactly, so saving one and loading it back into a float32
+model (``model.load_model``) round-trips bitwise.  ``load_weights`` returns
+float64 blocks.
 """
 
 from __future__ import annotations

@@ -1,7 +1,12 @@
-"""Reverse-mode differentiation over dense 2-D float64 arrays.
+"""Reverse-mode differentiation over dense 2-D floating-point arrays.
 
 Every value on the tape is a 2-D numpy array (scalars are (1, 1), bias rows
-are (1, n)).  Operations record a backward closure; ``Tape.backward`` walks
+are (1, n)).  An op computes in its operands' dtype: the model's float32
+weights give a float32 pass, float64 weights (as in gradient checks) a
+float64 one, and nothing on the tape promotes one to the other.  A constant
+keeps the dtype of the array it is given; integers, booleans and Python
+numbers become float64, so a caller mixing them into a float32 pass casts
+them first.  Operations record a backward closure; ``Tape.backward`` walks
 the recorded nodes in reverse creation order, which is a valid topological
 order, and hands each closure its node's gradient.  Closures never capture
 their own output node or the tape, so a dropped tape holds no reference
@@ -99,18 +104,22 @@ def _acc_bcast(parent: Var, g: np.ndarray) -> None:
 def _scatter_add(idx: np.ndarray, rows: np.ndarray, n_rows: int) -> np.ndarray:
     """``out[idx[k]] += rows[k]`` into zeros, summing in ``idx`` order.
 
-    Bitwise equal to ``np.add.at`` on a zero matrix, but one ``bincount``
-    over flattened (row, column) slots instead of the slow ``ufunc.at`` loop.
-    ``bincount`` gives int64 zeros for an empty index, hence the cast.
+    One ``bincount`` over flattened (row, column) slots instead of the slow
+    ``ufunc.at`` loop.  ``bincount`` sums in float64, so float64 rows give
+    bitwise ``np.add.at`` on a zero matrix, and float32 rows their float64
+    sum rounded once.  The cast returns the rows' dtype, also for an empty
+    index, where ``bincount`` gives int64 zeros.
     """
     cols = rows.shape[1]
     slots = (idx[:, None] * cols + np.arange(cols)).ravel()
     return np.bincount(slots, weights=rows.ravel(), minlength=n_rows * cols
-                       ).reshape(n_rows, cols).astype(np.float64, copy=False)
+                       ).reshape(n_rows, cols).astype(rows.dtype, copy=False)
 
 
 def _as2d(x) -> np.ndarray:
-    a = np.asarray(x, dtype=np.float64)
+    a = np.asarray(x)
+    if a.dtype.kind != "f":
+        a = a.astype(np.float64)
     if a.ndim == 0:
         return a.reshape(1, 1)
     if a.ndim == 1:
@@ -229,7 +238,10 @@ class Tape:
         return self._node(val, (a,), backward)
 
     def sigmoid(self, a: Var) -> Var:
-        val = 1.0 / (1.0 + np.exp(-a.value))
+        # exp overflows to inf below -88.7 in float32 (-709 in float64), and
+        # 1 / inf = 0 is the right limit
+        with np.errstate(over="ignore"):
+            val = 1.0 / (1.0 + np.exp(-a.value))
 
         def backward(g):
             _acc_own(a, g * (val * (1.0 - val)))
@@ -261,7 +273,7 @@ class Tape:
 
     def scatter_rows(self, a: Var, idx: np.ndarray, n_rows: int) -> Var:
         """Place rows of ``a`` at ``idx`` in a zero matrix of ``n_rows`` rows."""
-        val = np.zeros((n_rows, a.value.shape[1]))
+        val = np.zeros((n_rows, a.value.shape[1]), dtype=a.value.dtype)
         val[idx] = a.value
 
         def backward(g):
@@ -287,7 +299,7 @@ class Tape:
         a NaN/+inf score, has no defined softmax and is refused.
         """
         s = scores.value[:, 0]
-        smax = np.full(n_seg, -np.inf)
+        smax = np.full(n_seg, -np.inf, dtype=s.dtype)
         with np.errstate(invalid="ignore"):  # NaN is refused just below
             np.maximum.at(smax, seg, s)
         shift = smax[seg]
@@ -311,8 +323,9 @@ class Tape:
         the primitive ops but far fewer node dispatches on the hot path.
         """
         xv, hv = x.value, h.value
-        z = 1.0 / (1.0 + np.exp(-(xv @ wz.value + hv @ uz.value + bz.value)))
-        r = 1.0 / (1.0 + np.exp(-(xv @ wr.value + hv @ ur.value + br.value)))
+        with np.errstate(over="ignore"):  # as in sigmoid: exp(-a) -> inf
+            z = 1.0 / (1.0 + np.exp(-(xv @ wz.value + hv @ uz.value + bz.value)))
+            r = 1.0 / (1.0 + np.exp(-(xv @ wr.value + hv @ ur.value + br.value)))
         rh = r * hv
         c = np.tanh(xv @ wc.value + rh @ uc.value + bc.value)
         val = (1.0 - z) * hv + z * c
@@ -367,10 +380,11 @@ class Tape:
     def smooth_l1(self, pred: Var, target: np.ndarray, beta: float,
                   weights: np.ndarray) -> Var:
         """Weighted mean smooth-L1 over all components; ``weights`` has the
-        shape of ``pred``."""
+        shape of ``pred``.  Target and weights are cast to ``pred``'s dtype."""
         if beta <= 0.0:
             raise NumericsError("smooth_l1 beta must be positive")
-        target = np.asarray(target, dtype=np.float64)
+        target = np.asarray(target, dtype=pred.value.dtype)
+        weights = np.asarray(weights, dtype=pred.value.dtype)
         if target.shape != pred.value.shape:
             raise NumericsError(
                 f"smooth_l1 shape mismatch: {pred.value.shape} vs {target.shape}")
@@ -391,15 +405,16 @@ class Tape:
 
     def bce(self, logits: Var, labels: np.ndarray, weights: np.ndarray) -> Var:
         """Weighted mean binary cross entropy of ``sigmoid(logits)``; labels
-        and weights hold one entry per logit.
+        and weights hold one entry per logit, and are cast to the logits'
+        dtype.
 
         Computed as ``max(z, 0) - z y + log1p(exp(-|z|))``, finite for every
         finite logit, with gradient ``sigmoid(z) - y``, which never vanishes
         on a wrong label however large ``|z|`` grows.
         """
         z = logits.value
-        labels = np.asarray(labels, dtype=np.float64).reshape(z.shape)
-        weights = np.asarray(weights, dtype=np.float64).reshape(z.shape)
+        labels = np.asarray(labels, dtype=z.dtype).reshape(z.shape)
+        weights = np.asarray(weights, dtype=z.dtype).reshape(z.shape)
         denom = float(weights.sum())
         if denom <= 0.0:
             raise NumericsError("bce weights sum to zero")

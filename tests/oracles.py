@@ -6,7 +6,29 @@ importing model code, so a bug in the main path cannot hide in its own test.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
+
+
+def float64_copy(params):
+    """A deep copy of a model (``blocks()``), a layer (``block``) or a
+    parameter block whose weights, grads and Adam moments are float64.
+
+    The library's weights are float32; finite differences at eps = 1e-5 and
+    comparisons against float64 oracles to 1e-9 need float64 to resolve.
+    """
+    out = copy.deepcopy(params)
+    if hasattr(out, "blocks"):
+        blocks = out.blocks()
+    elif hasattr(out, "block"):
+        blocks = [out.block]
+    else:
+        blocks = [out]
+    for b in blocks:
+        for buffers in (b.weights, b.grads, b.adam_m, b.adam_v):
+            buffers[:] = [a.astype(np.float64) for a in buffers]
+    return out
 
 
 def fd_gradient(loss_fn, array: np.ndarray, eps: float = 1e-5) -> np.ndarray:

@@ -9,7 +9,7 @@ from uncertrack.model import ModelConfig, init_model
 from uncertrack.numerics import Tape, mlp_forward
 from uncertrack.world import NoiseConfig, corrupt_to_detections, generate_world
 
-from oracles import fd_gradient, frame_columns_loop, rel_err
+from oracles import fd_gradient, float64_copy, frame_columns_loop, rel_err
 
 
 def _det(pos=(0.0, 0.0), velo=(1.0, 0.5), size=(4.2, 1.8, 1.5),
@@ -57,6 +57,7 @@ def test_zero_weights_give_zero_embedding(params):
 
 
 def test_embedding_gradient_wrt_fusion_weights(params):
+    params = float64_copy(params)
     frame = _frame((0.0, 0.0))
 
     def forward():

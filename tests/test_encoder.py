@@ -10,8 +10,8 @@ from uncertrack.model import ModelConfig, init_model, variant_config
 from uncertrack.numerics import Tape, mlp_forward
 from uncertrack.world import NoiseConfig, corrupt_to_detections, generate_world
 
-from oracles import (best_prev_loop, chains_from, fd_gradient, msa_direct,
-                     rel_err)
+from oracles import (best_prev_loop, chains_from, fd_gradient, float64_copy,
+                     msa_direct, rel_err)
 
 
 def _small_config(**kw):
@@ -86,7 +86,7 @@ def test_asu_coupling_gradient_through_affinity_gru():
     # sum(h_mot) must have nonzero, finite-difference-consistent gradients
     # w.r.t. the affinity-chain GRU parameters: the ASU path is live.
     cfg = _small_config()
-    params = init_model(cfg, seed=2)
+    params = float64_copy(init_model(cfg, seed=2))
     rng = np.random.default_rng(3)
     x = rng.standard_normal((2, cfg.x_dim))
     a = rng.standard_normal((2, cfg.aff_dim))
@@ -293,7 +293,7 @@ def test_gating_isolation_between_far_agents():
             frames.append(FrameArrays.from_detections(dets))
         return frames
 
-    params = init_model(ModelConfig(), seed=22)
+    params = float64_copy(init_model(ModelConfig(), seed=22))
     both = encode_sequence(Tape(), params, mk_frames([0.0, 30.0]))
     alone0 = encode_sequence(Tape(), params, mk_frames([0.0]))
     alone1 = encode_sequence(Tape(), params, mk_frames([30.0]))
@@ -333,7 +333,7 @@ def test_alpha_sums_per_detection_in_full_world():
     tracks = generate_world(8, 100, seed=25)
     log = corrupt_to_detections(tracks, NoiseConfig(), seed=26)
     frames = _frames_from_log(log, 30, 12)
-    params = init_model(ModelConfig(), seed=27)
+    params = float64_copy(init_model(ModelConfig(), seed=27))
     enc = encode_sequence(Tape(), params, frames)
     for rec in enc.transitions:
         if len(rec.seg) == 0:
@@ -352,7 +352,7 @@ def test_affinity_parameters_reach_forecast_path():
                             burst_prob=0.0), seed=29)
     # K above the candidate counts so the selected set is perturbation-stable
     cfg = _small_config(theta_d=10.0, k_candidates=10)
-    params = init_model(cfg, seed=30)
+    params = float64_copy(init_model(cfg, seed=30))
     start = max(t.birth_frame for t in tracks)
     frames = _frames_from_log(log, start, 5)
 

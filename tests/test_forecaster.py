@@ -6,16 +6,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import mean_pool_reference
+from oracles import float64_copy, mean_pool_reference
 from uncertrack import forecaster
 from uncertrack.detections import FrameArrays, stack_windows
 from uncertrack.encoder import TransitionRecord, encode_sequence
 from uncertrack.errors import ConfigError
 from uncertrack.forecaster import (PACK_DETECTIONS, MeanPoolSIM, SequenceSample,
                                    TrainConfig, augment_sample, build_sample,
-                                   decode_trajectory, forecast_sequence,
-                                   pack_ranges, pack_samples, total_loss,
-                                   train)
+                                   cut_window, decode_trajectory,
+                                   forecast_sequence, pack_ranges,
+                                   pack_samples, total_loss, train)
 from uncertrack.model import VARIANTS, ModelConfig, init_model, variant_config
 from uncertrack.numerics import Tape, grad_check, mlp_forward
 from uncertrack.world import (FP_ID, NoiseConfig, corrupt_to_detections,
@@ -112,7 +112,7 @@ def test_pack_ranges_keep_order_and_budget():
 @pytest.mark.parametrize("variant", ["full", "baseline"])
 def test_packed_loss_and_gradients_equal_per_window_sum(variant):
     config = variant_config(variant, SMALL)
-    params = init_model(config, seed=5)
+    params = float64_copy(init_model(config, seed=5))
     samples = _samples(config)
 
     loss_sum, l_traj_sum, l_aff_sum, n_traj_sum = 0.0, 0.0, 0.0, 0
@@ -147,7 +147,7 @@ def test_packed_loss_and_gradients_equal_per_window_sum(variant):
 def test_end_to_end_gradients_match_finite_differences(variant, sim):
     # encoder, (SIM,) decoder and joint loss together, at full model size
     config = variant_config(variant)
-    params = init_model(config, seed=0)
+    params = float64_copy(init_model(config, seed=0))
     log = corrupt_to_detections(generate_world(4, 60, seed=5), NoiseConfig(),
                                 seed=5)
     sample = build_sample(log, 10, 4, config)
@@ -266,7 +266,7 @@ def test_window_with_empty_frames_packs_like_alone(variant):
     # into and out of them have no pairs, and it forecasts zero rows, on the
     # same path as every other window
     config = variant_config(variant, SMALL)
-    params = init_model(config, seed=10)
+    params = float64_copy(init_model(config, seed=10))
     samples = _samples(config)
     gappy = samples[3]
     for t in (9, len(gappy.frames) - 1):
@@ -329,6 +329,59 @@ def test_forecasts_record_nothing_and_equal_a_recording_tape(monkeypatch,
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert np.array_equal(g.waypoints, w.waypoints)
+
+
+def _record_dtypes(monkeypatch):
+    # every tape op's value, and every gradient its backward receives
+    seen = []
+    node = Tape._node
+
+    def spy(self, value, parents, backward):
+        seen.append(value.dtype)
+
+        def checked(g):
+            seen.append(g.dtype)
+            backward(g)
+
+        return node(self, value, parents, checked)
+
+    monkeypatch.setattr(Tape, "_node", spy)
+    return seen
+
+
+def test_float32_training_and_forecasts_hold_only_float32(monkeypatch):
+    # one float64 constant would silently promote the whole pass back to
+    # float64, and every other test would stay green
+    seen = _record_dtypes(monkeypatch)
+    cfg = TrainConfig(batch_sequences=4, windows_per_world=2, epochs=1,
+                      model=SMALL)
+    worlds = [_world(seed, frames=60) for seed in (10, 11)]
+    params, _ = train(cfg, worlds, sim=MeanPoolSIM())
+    assert all(w.dtype == np.float32 for b in params.blocks() for w in b.weights)
+    n_train = len(seen)
+    forecast_sequence(params, stack_windows([s.frames for s in _samples(SMALL)]),
+                      sim=MeanPoolSIM())
+    assert n_train > 1000 and len(seen) > n_train + 100
+    assert set(seen) == {np.dtype(np.float32)}
+
+
+def test_float32_forecasts_match_float64_on_a_dense_window():
+    # the same weights in both dtypes; the decoder is scaled so that the
+    # offsets span metres, as a trained model's do (measured: ~4e-6 m apart
+    # at 10-19 m offsets, ~95 detections and ~200 gated pairs per frame)
+    log = corrupt_to_detections(generate_world(100, 60, seed=0),
+                                NoiseConfig(), seed=0, num_frames=60)
+    frames = cut_window(log, 20, 20)[0]
+    params = init_model(ModelConfig(), seed=0)
+    params.mlp_dec.block.weights[2] *= 200.0
+    params.mlp_dec.block.weights[3] += 1.0
+    _, f32 = forecast_sequence(params, frames)
+    _, f64 = forecast_sequence(float64_copy(params), frames)
+    assert len(f32) == len(f64) > 80
+    offsets = np.array([f.waypoints - p for f, p in zip(f64, frames[-1].pos)])
+    assert np.abs(offsets).max() > 10.0
+    gap = max(np.abs(a.waypoints - b.waypoints).max() for a, b in zip(f32, f64))
+    assert gap < 1e-3
 
 
 def test_training_is_bitwise_repeatable():

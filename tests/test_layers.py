@@ -6,7 +6,7 @@ import pytest
 from uncertrack.numerics import (MlpParams, NumericsError, ParamBlock, Tape,
                                  gru_step, make_gru, make_mlp, mlp_forward)
 
-from oracles import fd_gradient, gru_direct, rel_err
+from oracles import fd_gradient, float64_copy, gru_direct, rel_err
 
 
 def _zero_mlp(dims, activations):
@@ -41,7 +41,7 @@ def test_mlp_dimension_mismatch():
 def test_mlp_gradients_match_finite_differences(dims):
     rng = np.random.default_rng(17)
     acts = ["relu"] * (len(dims) - 2) + ["identity"]
-    mlp = make_mlp("m", dims, acts, rng)
+    mlp = float64_copy(make_mlp("m", dims, acts, rng))
     x = rng.standard_normal(dims[0])
 
     def forward():
@@ -81,7 +81,7 @@ def test_gru_deterministic_and_bounded():
 
 def test_gru_matches_hand_oracle():
     rng = np.random.default_rng(11)
-    gru = make_gru("g", 4, 8, rng)
+    gru = float64_copy(make_gru("g", 4, 8, rng))
     for w in gru.block.weights:  # give the zero biases some life too
         if w.shape[0] == 1:
             w[...] = rng.standard_normal(w.shape) * 0.1
@@ -96,7 +96,7 @@ def test_gru_matches_hand_oracle():
 def test_gru_gradients_match_finite_differences(dims):
     in_dim, hid = dims
     rng = np.random.default_rng(23)
-    gru = make_gru("g", in_dim, hid, rng)
+    gru = float64_copy(make_gru("g", in_dim, hid, rng))
     x = rng.standard_normal(in_dim)
     h = np.tanh(rng.standard_normal(hid))
 

@@ -14,6 +14,8 @@ from uncertrack.model import (VARIANTS, ModelConfig, ModelParams, init_model,
 from uncertrack.numerics import GruParams, Tape, mlp_forward
 from uncertrack.world import NoiseConfig, corrupt_to_detections, generate_world
 
+from oracles import float64_copy
+
 
 def _non_bias_tensors(params: ModelParams):
     for f in fields(ModelParams):
@@ -87,7 +89,29 @@ def test_save_load_round_trip_bitwise(tmp_path, variant):
     for a, b in zip(params.blocks(), loaded.blocks()):
         assert len(a.weights) == len(b.weights)
         for x, y in zip(a.weights, b.weights):
+            assert x.dtype == y.dtype == np.float32
             assert x.tobytes() == y.tobytes()
+
+
+def test_load_keeps_the_model_dtype(tmp_path):
+    # a float64 file loads rounded into a float32 model, and a value beyond
+    # float32's range is refused instead of loading as infinity
+    config = variant_config("baseline")
+    wide = float64_copy(init_model(config, seed=3))
+    wide.mlp_dec.block.weights[0] += 1e-9  # not representable in float32
+    path = tmp_path / "wide.bin"
+    save_model(path, wide)
+    loaded = load_model(path, config)
+    for a, b in zip(wide.blocks(), loaded.blocks()):
+        for x, y in zip(a.weights, b.weights):
+            assert y.dtype == np.float32
+            assert np.array_equal(y, x.astype(np.float32))
+
+    wide.mlp_dec.block.weights[1][0, 2] = 1e39
+    save_model(path, wide)
+    with pytest.raises(ConfigError, match=r"wide\.bin: block 'mlp_dec' tensor "
+                                          r"1 holds a value beyond float32"):
+        load_model(path, config)
 
 
 def test_load_under_another_variant_names_unexpected_blocks(tmp_path):

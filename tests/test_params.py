@@ -6,7 +6,7 @@ import pytest
 from uncertrack.numerics import (NumericsError, ParamBlock, Tape, adam_step,
                                  grad_check, make_block)
 
-from oracles import adam_single
+from oracles import adam_single, float64_copy
 
 
 def _scalar_block(w0=0.0):
@@ -77,7 +77,7 @@ def test_grad_check_quadratic():
 
 
 def test_grad_check_flags_corrupted_backward():
-    b = make_block("broken", [(2, 2)], np.random.default_rng(1))
+    b = float64_copy(make_block("broken", [(2, 2)], np.random.default_rng(1)))
 
     def loss():
         w = b.weights[0]
@@ -92,7 +92,7 @@ def test_grad_check_flags_corrupted_backward():
 
 def test_grad_check_through_tape_loss():
     rng = np.random.default_rng(9)
-    b = make_block("layer", [(4, 3), (1, 3)], rng)
+    b = float64_copy(make_block("layer", [(4, 3), (1, 3)], rng))
     x = rng.standard_normal((5, 4))
 
     def loss():
@@ -108,6 +108,25 @@ def test_grad_check_through_tape_loss():
     report = grad_check(loss, [b], samples=15, eps=1e-5,
                         rng=np.random.default_rng(2))
     assert report.passed(1e-6)
+
+
+def test_blocks_are_float32_and_buffers_share_their_dtype():
+    b = make_block("layer", [(4, 3), (1, 3)], np.random.default_rng(9))
+    for buffers in (b.weights, b.grads, b.adam_m, b.adam_v):
+        assert all(a.dtype == np.float32 for a in buffers)
+    w = np.zeros((2, 2), dtype=np.float32)
+    # a float64 grad would round silently into float32 weights
+    with pytest.raises(NumericsError, match="block mixed: buffer dtypes"):
+        ParamBlock("mixed", [w], grads=[np.zeros((2, 2))])
+    with pytest.raises(NumericsError, match="block mixed: buffer dtypes"):
+        ParamBlock("mixed", [w], adam_v=[np.zeros((2, 2))])
+
+
+def test_grad_check_refuses_float32_weights():
+    # float32 finite differences at eps = 1e-5 are rounding noise
+    b = make_block("layer", [(2, 2)], np.random.default_rng(1))
+    with pytest.raises(NumericsError, match="block 'layer' holds float32"):
+        grad_check(lambda: 0.0, [_scalar_block(), b])
 
 
 def test_grad_check_rejects_zero_samples():

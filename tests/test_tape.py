@@ -217,6 +217,60 @@ def test_scatters_over_zero_rows_stay_float():
     assert np.array_equal(inner.grad, [[1.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
 
 
+def test_float32_operands_give_float32_values_and_gradients():
+    # every op computes in its operands' dtype: float64 labels, targets,
+    # weights and index-built zeros must not promote a float32 pass
+    rng = np.random.default_rng(4)
+
+    def leaf(tape, shape):
+        v = rng.standard_normal(shape).astype(np.float32)
+        return tape.param(v, np.zeros_like(v))
+
+    tape = Tape()
+    x = leaf(tape, (4, 3))
+    seg = np.array([0, 0, 1, 2])
+    outs = [
+        tape.gru(x, tape.const(np.tanh(x.value)),
+                 *[leaf(tape, s) for s in [(3, 3), (3, 3), (1, 3)] * 3]),
+        tape.sigmoid(tape.relu(tape.abs(tape.sub(x, leaf(tape, (1, 3)))))),
+        tape.scatter_rows(x, np.array([0, 2, 3, 5]), 6),
+        tape.segment_sum(tape.gather_rows(x, np.array([3, 0, 0, 1])), seg, 3),
+        tape.mul(x, tape.segment_softmax(leaf(tape, (4, 1)), seg, 3)),
+    ]
+    loss = tape.add(
+        tape.smooth_l1(outs[0], np.zeros((4, 3)), 1.0, np.ones((4, 3))),
+        tape.bce(tape.concat([tape.sum(o) for o in outs], axis=0),
+                 np.array([0.0, 1.0, 0.0, 1.0, 0.0]), np.ones(5)))
+    nodes = list(tape._nodes)  # held, so backward keeps their gradients
+    tape.backward(loss)
+    assert all(n.value.dtype == np.float32 for n in nodes)
+    assert all(n.grad.dtype == np.float32 for n in nodes)
+    assert x.grad.dtype == np.float32 and np.any(x.grad != 0.0)
+
+
+def test_float32_sigmoid_and_gru_saturate_without_warning():
+    # exp(100) overflows float32 (but not float64); the limit, 0, is right,
+    # and the suite turns any RuntimeWarning into a failure
+    tape = Tape()
+    a = np.full((2, 3), -100.0, dtype=np.float32)
+    s = tape.sigmoid(tape.param(a, np.zeros_like(a)))
+    assert s.value.dtype == np.float32 and np.array_equal(s.value, np.zeros((2, 3)))
+    tape.backward(tape.sum(s))
+
+    tape = Tape()
+    x = np.ones((2, 3), dtype=np.float32)
+    h = np.full((2, 3), 0.5, dtype=np.float32)
+    zero = np.zeros((3, 3), dtype=np.float32)
+    gate_bias = np.full((1, 3), -100.0, dtype=np.float32)  # z = r = 0
+    leaves = [tape.param(v, np.zeros_like(v)) for v in
+              (zero, zero, gate_bias, zero, zero, gate_bias,
+               zero, zero, np.zeros((1, 3), dtype=np.float32))]
+    out = tape.gru(tape.const(x), tape.const(h), *leaves)
+    assert out.value.dtype == np.float32
+    assert np.array_equal(out.value, h)  # z = 0 keeps the previous state
+    tape.backward(tape.sum(out))
+
+
 def test_forward_only_tape_records_nothing_and_refuses_backward():
     tape = Tape(grad=False)
     w = np.array([[2.0, -1.0]])
