@@ -28,23 +28,44 @@ def gate_positions(prev_pos: np.ndarray, curr_pos: np.ndarray, theta_d: float,
     """All (prev, curr) pairs within theta_d, ordered by (curr, prev).
 
     Given per-row window indices (``FrameArrays.window``) for both frames,
-    only pairs inside one window are kept; each pair and its distance are
-    then bitwise what gating that window alone gives, shifted by the rows of
-    the windows stacked before it.
+    only pairs inside one window are kept: each window's contiguous row block
+    is gated alone, so its pairs and distances are bitwise what gating that
+    window alone gives, shifted by the rows of the windows stacked before it,
+    and the cost is linear in the number of windows.  The ids must ascend,
+    as :func:`~uncertrack.detections.stack_windows` lays them out.
     """
     if theta_d <= 0:
         raise ConfigError("gating distance must be positive")
-    dx = curr_pos[:, 0, None] - prev_pos[None, :, 0]  # (N, M)
-    dy = curr_pos[:, 1, None] - prev_pos[None, :, 1]
-    d2 = dx * dx + dy * dy
-    near = d2 <= theta_d * theta_d
-    if prev_window is not None:
-        near &= curr_window[:, None] == prev_window[None, :]
-    curr_idx, prev_idx = np.nonzero(near)  # row-major: (curr, prev) order
+    if prev_window is None:  # one block
+        ps, cs = [0, len(prev_pos)], [0, len(curr_pos)]
+    else:
+        if (prev_window[1:] < prev_window[:-1]).any() or (
+                curr_window[1:] < curr_window[:-1]).any():
+            raise ConfigError("gate_positions: window ids must ascend")
+        ids = np.arange(max(prev_window[-1:].max(initial=0),
+                            curr_window[-1:].max(initial=0)) + 2)
+        ps, cs = np.searchsorted(prev_window, ids), np.searchsorted(curr_window, ids)
+    r2 = theta_d * theta_d
+    blocks = [_gate_block(prev_pos[ps[w]:ps[w + 1]], curr_pos[cs[w]:cs[w + 1]], r2)
+              for w in range(len(ps) - 1)]
+    prev_idx = np.concatenate([b[0] + p0 for b, p0 in zip(blocks, ps)])
+    curr_idx = np.concatenate([b[1] + c0 for b, c0 in zip(blocks, cs)])
+    d2 = np.concatenate([b[2] for b in blocks])
     pairs = np.empty((len(curr_idx), 2), dtype=curr_idx.dtype)
     pairs[:, 0] = prev_idx
     pairs[:, 1] = curr_idx
-    return pairs, np.sqrt(d2[curr_idx, prev_idx])
+    return pairs, np.sqrt(d2)
+
+
+def _gate_block(prev_pos: np.ndarray, curr_pos: np.ndarray, r2: float
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(prev index, curr index, squared distance) of the pairs within
+    ``sqrt(r2)``, in (curr, prev) order."""
+    dx = curr_pos[:, 0, None] - prev_pos[None, :, 0]  # (N, M)
+    dy = curr_pos[:, 1, None] - prev_pos[None, :, 1]
+    d2 = dx * dx + dy * dy
+    curr_idx, prev_idx = np.nonzero(d2 <= r2)  # row-major: (curr, prev) order
+    return prev_idx, curr_idx, d2[curr_idx, prev_idx]
 
 
 def pair_features(tape: Tape, params: ModelParams, prev: FrameArrays,

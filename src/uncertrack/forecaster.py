@@ -271,19 +271,22 @@ def build_sample(log: WorldLog, t0: int, t_obs: int, config: ModelConfig,
 
 
 # A pack stops growing before its windows' summed detections per frame pass
-# this budget, so ~17-detection windows go ~7 to a tape pass and ~70-detection
-# windows one at a time.  Measured with one-epoch train() calls over the 16
-# augmented windows of four 120-frame worlds (single BLAS thread, 2-vCPU
-# x86-64, medians of 5 calls after a first; process peak RSS, ~41 MB of it
-# before training).  At ~17 detections/frame one window per pass took
-# 0.86-0.92 s; every budget from 64 to all 16 windows in one pass took
-# 0.33-0.48 s over three scans, within their noise of each other, while peak
-# RSS grew with the budget: 93 MB at 64, 133 MB at 128, 217 MB at 256,
-# 235 MB for all 16.  At ~69 detections/frame, one window per pass (budget
-# 128) took 2.1 s at 170 MB and ~3 per pass (256) 2.2 s at 286 MB.  128 sits
-# inside the plateau with room on both sides; bigger packs buy memory use,
-# not speed.
-PACK_DETECTIONS = 128
+# this budget, so a batch's sixteen ~17-detection windows go in one tape pass
+# and ~70-detection windows ~7 to a pass.  Measured in float32 with gating
+# per window (linear in the windows of a pack): one-epoch train() over the 16
+# augmented windows of four 120-frame worlds, then evaluate_model on the
+# held-out worlds, budgets alternated in one process for 8 rounds (single
+# BLAS thread, 2-vCPU x86-64, medians); peak RSS from one process per budget,
+# 46 MB (sparse) or 70 MB (dense) of it before training.
+#   budget                     128    256    384    512
+#   ~17 det/frame  windows/s  58.5   64.9   71.4   72.5
+#                  peak MB      90    131    144    144
+#   ~69 det/frame  windows/s  11.3   13.3   13.4   13.6
+#                  peak MB     122    184    243    302
+# Evaluation per world took 0.101 -> 0.087 s (sparse) and 0.546 -> 0.446 s
+# (dense) from 128 to 512.  From 384 up a default 16-window sparse batch
+# is one pass, so only dense packs still grow; 512 is the best measured.
+PACK_DETECTIONS = 512
 
 
 def pack_ranges(windows: list[list[FrameArrays]]) -> list[tuple[int, int]]:

@@ -104,13 +104,19 @@ def _acc_bcast(parent: Var, g: np.ndarray) -> None:
 def _scatter_add(idx: np.ndarray, rows: np.ndarray, n_rows: int) -> np.ndarray:
     """``out[idx[k]] += rows[k]`` into zeros, summing in ``idx`` order.
 
-    One ``bincount`` over flattened (row, column) slots instead of the slow
+    An index without repeats (a permutation, a subset, or empty) gives each
+    slot at most one addend, so the rows are written into zeros.  Otherwise
+    one ``bincount`` over flattened (row, column) slots replaces the slow
     ``ufunc.at`` loop.  ``bincount`` sums in float64, so float64 rows give
     bitwise ``np.add.at`` on a zero matrix, and float32 rows their float64
-    sum rounded once.  The cast returns the rows' dtype, also for an empty
-    index, where ``bincount`` gives int64 zeros.
+    sum rounded once; the cast returns the rows' dtype.  (A written -0.0
+    stays -0.0 where ``np.add.at`` gives 0.0; the two compare equal.)
     """
     cols = rows.shape[1]
+    if np.bincount(idx).max(initial=0) <= 1:
+        out = np.zeros((n_rows, cols), dtype=rows.dtype)
+        out[idx] = rows
+        return out
     slots = (idx[:, None] * cols + np.arange(cols)).ravel()
     return np.bincount(slots, weights=rows.ravel(), minlength=n_rows * cols
                        ).reshape(n_rows, cols).astype(rows.dtype, copy=False)

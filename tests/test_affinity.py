@@ -134,6 +134,18 @@ def test_gating_rejects_nonpositive_theta():
         gate_positions(np.zeros((1, 2)), np.zeros((1, 2)), 0.0)
 
 
+def test_gating_rejects_descending_window_ids():
+    # windows are gated as contiguous row blocks in ascending id order
+    pos = np.zeros((3, 2))
+    ascending = np.array([0, 0, 1])
+    for prev_win, curr_win in [(ascending, np.array([1, 0, 0])),
+                               (np.array([0, 2, 1]), ascending)]:
+        with pytest.raises(ConfigError, match="ascend"):
+            gate_positions(pos, pos, 5.0, prev_win, curr_win)
+    pairs, _ = gate_positions(pos, pos, 5.0, ascending, ascending)
+    assert pairs.tolist() == [[0, 0], [1, 0], [0, 1], [1, 1], [2, 2]]
+
+
 def _predecessor_recall(worlds):
     """Share of (true predecessor, detection) pairs that the default gate
     keeps, over every transition of the worlds."""

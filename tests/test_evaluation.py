@@ -120,6 +120,15 @@ def test_windows_whose_final_frames_are_empty_score_nothing():
     assert constant_velocity_fde([log], config=SMALL) == want
 
 
+def test_world_shorter_than_one_window_scores_nothing():
+    log = _world(3)
+    log = replace(log, frames=log.frames[:T_OBS + 5],
+                  true_ids=log.true_ids[:T_OBS + 5])
+    assert window_starts(log, T_OBS, SMALL) == 0
+    report = evaluate_model(init_model(SMALL, seed=1), [log])
+    assert report.num_windows == 0 and report.fde_cm is None
+
+
 def test_kinematic_baselines_on_one_noiseless_cv_agent():
     # one constant-velocity agent seen without noise: constant velocity
     # forecasts it exactly, and standing still misses by speed x 3 s

@@ -97,7 +97,10 @@ def _loss(params, sample, tape, sim=None):
 
 
 def test_pack_ranges_keep_order_and_budget():
-    sizes = [17, 15, 20, 17, 16, 18, 17, 14, 200, 60, 70, 3]
+    # sizes are fractions of the budget, so the rule is checked at any budget
+    fractions = [0.13, 0.12, 0.16, 0.13, 0.125, 0.14, 0.13, 0.11, 1.6, 0.47,
+                 0.55, 0.02]
+    sizes = [max(1, round(f * PACK_DETECTIONS)) for f in fractions]
     ranges = pack_ranges([_frames(n) for n in sizes])
     assert ranges[0][0] == 0 and ranges[-1][1] == len(sizes)
     assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
@@ -107,6 +110,7 @@ def test_pack_ranges_keep_order_and_budget():
         if hi < len(sizes):  # stopped only because the next window overflows
             assert load + sizes[hi] > PACK_DETECTIONS
     assert (8, 9) in ranges  # above the budget: runs alone
+    assert pack_ranges([]) == []
 
 
 @pytest.mark.parametrize("variant", ["full", "baseline"])

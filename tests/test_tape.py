@@ -179,24 +179,34 @@ def test_bce_gradient_does_not_saturate():
 
 
 def test_scatters_bitwise_equal_np_add_at_with_duplicate_indices():
-    # np.add.at is the reference for the bincount scatters in segment_sum
-    # (forward) and gather_rows (backward)
+    # np.add.at is the reference for the scatters in segment_sum (forward)
+    # and gather_rows (backward): summed in float64 and rounded once, so a
+    # float32 scatter equals the float64 reference cast to float32.  An index
+    # without repeats takes the write-into-zeros path, the others bincount.
     rng = np.random.default_rng(8)
-    seg = np.sort(rng.integers(0, 9, size=40))
-    rows = rng.standard_normal((40, 5))
-    want = np.zeros((9, 5))
-    np.add.at(want, seg, rows)
-    tape = Tape()
-    assert np.array_equal(tape.segment_sum(tape.const(rows), seg, 9).value, want)
+    cases = {
+        "sorted, repeats": np.sort(rng.integers(0, 9, size=40)),
+        "unsorted, repeats": rng.integers(0, 9, size=40),
+        "permutation": rng.permutation(9),
+        "strict subset": rng.permutation(9)[:5],
+        "empty": np.zeros(0, dtype=np.intp),
+    }
+    for dtype in (np.float64, np.float32):
+        for name, idx in cases.items():
+            rows = rng.standard_normal((len(idx), 5)).astype(dtype)
+            want = np.zeros((9, 5))
+            np.add.at(want, idx, rows.astype(np.float64))
+            want = want.astype(dtype)
+            tape = Tape()
+            summed = tape.segment_sum(tape.const(rows), idx, 9).value
+            assert summed.dtype == dtype and np.array_equal(summed, want), name
 
-    idx = rng.integers(0, 9, size=40)  # unsorted, with repeats
-    src = rng.standard_normal((9, 5))
-    inner = tape.affine(tape.param(src, np.zeros_like(src)), 1.0)
-    gathered = tape.gather_rows(inner, idx)
-    tape.backward(tape.sum(tape.mul(gathered, tape.const(rows))))
-    want = np.zeros((9, 5))
-    np.add.at(want, idx, rows)
-    assert np.array_equal(inner.grad, want)
+            src = rng.standard_normal((9, 5)).astype(dtype)
+            inner = tape.affine(tape.param(src, np.zeros_like(src)), 1.0)
+            gathered = tape.gather_rows(inner, idx)
+            tape.backward(tape.sum(tape.mul(gathered, tape.const(rows))))
+            assert inner.grad.dtype == dtype, name
+            assert np.array_equal(inner.grad, want), name
 
 
 def test_scatters_over_zero_rows_stay_float():
