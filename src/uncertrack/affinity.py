@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .detections import FrameArrays
 from .errors import ConfigError
 from .model import ModelParams
 from .numerics import Tape, Var, mlp_forward
 
-__all__ = ["gate_positions", "pair_features", "select_top_k"]
+__all__ = ["gate_positions", "movement_features", "pair_features",
+           "select_top_k"]
 
 
 def gate_positions(prev_pos: np.ndarray, curr_pos: np.ndarray, theta_d: float,
@@ -27,12 +27,15 @@ def gate_positions(prev_pos: np.ndarray, curr_pos: np.ndarray, theta_d: float,
                    ) -> tuple[np.ndarray, np.ndarray]:
     """All (prev, curr) pairs within theta_d, ordered by (curr, prev).
 
-    Given per-row window indices (``FrameArrays.window``) for both frames,
-    only pairs inside one window are kept: each window's contiguous row block
-    is gated alone, so its pairs and distances are bitwise what gating that
-    window alone gives, shifted by the rows of the windows stacked before it,
-    and the cost is linear in the number of windows.  The ids must ascend,
-    as :func:`~uncertrack.detections.stack_windows` lays them out.
+    Given per-row block ids for both sides, only pairs inside one block are
+    kept: each block's contiguous rows are gated alone, so its pairs and
+    distances are bitwise what gating that block alone gives, shifted by the
+    rows of the blocks stacked before it, and the cost is linear in the
+    number of blocks.  The ids must ascend.  A block is one window of a pack
+    (``FrameArrays.window``, as :func:`~uncertrack.detections.stack_windows`
+    lays them out), or, when the encoder gates every transition of a pass in
+    one call, one (transition, window) pair with the compound id
+    ``transition * n_windows + window``.
     """
     if theta_d <= 0:
         raise ConfigError("gating distance must be positive")
@@ -68,19 +71,32 @@ def _gate_block(prev_pos: np.ndarray, curr_pos: np.ndarray, r2: float
     return prev_idx, curr_idx, d2[curr_idx, prev_idx]
 
 
-def pair_features(tape: Tape, params: ModelParams, prev: FrameArrays,
-                  curr: FrameArrays, x_det_prev: Var, x_det_curr: Var,
-                  h_mot_prev: Var, pairs: np.ndarray) -> tuple[Var, Var, Var]:
+def movement_features(tape: Tape, params: ModelParams, prev_pos: np.ndarray,
+                      curr_pos: np.ndarray, pairs: np.ndarray) -> Var:
+    """The movement embedding x_mov of gated pairs: ``mlp_mov`` of each
+    pair's offset ``curr_pos - prev_pos``, (P, mov_dim).
+
+    It depends on the frames alone, so the encoder runs it once over every
+    pair of a pass and cuts each transition's rows from the result.
+    """
+    return mlp_forward(tape, params.mlp_mov,
+                       curr_pos[pairs[:, 1]] - prev_pos[pairs[:, 0]])
+
+
+def pair_features(tape: Tape, params: ModelParams, x_det_prev: Var,
+                  x_det_curr: Var, x_mov: Var, h_mot_prev: Var,
+                  pairs: np.ndarray) -> tuple[Var, Var, Var]:
     """Features and affinity logits for already-gated (prev, curr) pairs.
 
-    Returns ``(x, a, logits)``: the pair input x = [x_det_curr ; x_mov],
-    (P, x_dim); the affinity feature a = [a_mot ; a_det], (P, aff_dim), whose
-    first ``hidden_dim`` columns are the long-term motion coherence a_mot and
-    the rest the componentwise |difference| of unary embeddings a_det; and
-    the affinity logits, the affinity MLP's output, (P, 1).
+    ``x_mov`` holds one row per pair (:func:`movement_features`).  Returns
+    ``(x, a, logits)``: the pair input x = [x_det_curr ; x_mov], (P, x_dim);
+    the affinity feature a = [a_mot ; a_det], (P, aff_dim), whose first
+    ``hidden_dim`` columns are the long-term motion coherence a_mot, the
+    motion MLP of [x_mov ; h_mot_prev], and the rest the componentwise
+    |difference| of unary embeddings a_det; and the affinity logits, the
+    affinity MLP's output, (P, 1).
     """
     pi, ci = pairs[:, 0], pairs[:, 1]
-    x_mov = mlp_forward(tape, params.mlp_mov, curr.pos[ci] - prev.pos[pi])
     det_curr = tape.gather_rows(x_det_curr, ci)
     x = tape.concat([det_curr, x_mov])
     a_det = tape.abs(tape.sub(det_curr, tape.gather_rows(x_det_prev, pi)))

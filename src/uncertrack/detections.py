@@ -16,7 +16,8 @@ from .errors import ConfigError
 from .model import ModelParams
 from .numerics import Tape, Var, mlp_forward
 
-__all__ = ["Detection", "FrameArrays", "embed_frame", "stack_windows"]
+__all__ = ["Detection", "FrameArrays", "concat_frames", "embed_frame",
+           "stack_windows"]
 
 
 @dataclass
@@ -65,6 +66,21 @@ class FrameArrays:
         return self.pos.shape[0]
 
 
+def concat_frames(frames: list[FrameArrays],
+                  window: np.ndarray | None = None) -> FrameArrays:
+    """All rows of ``frames`` in order, as one frame; ``window`` replaces the
+    rows' own window indices."""
+    if window is None:
+        window = np.concatenate([f.window for f in frames])
+    return FrameArrays(
+        pos=np.concatenate([f.pos for f in frames]),
+        velo=np.concatenate([f.velo for f in frames]),
+        size=np.concatenate([f.size for f in frames]),
+        heading=np.concatenate([f.heading for f in frames]),
+        score=np.concatenate([f.score for f in frames]),
+        window=window)
+
+
 def stack_windows(windows: list[list[FrameArrays]]) -> list[FrameArrays]:
     """Stack equally long windows row-wise at every time step.
 
@@ -77,18 +93,14 @@ def stack_windows(windows: list[list[FrameArrays]]) -> list[FrameArrays]:
     out = []
     for t in range(steps):
         frames = [w[t] for w in windows]
-        out.append(FrameArrays(
-            pos=np.concatenate([f.pos for f in frames]),
-            velo=np.concatenate([f.velo for f in frames]),
-            size=np.concatenate([f.size for f in frames]),
-            heading=np.concatenate([f.heading for f in frames]),
-            score=np.concatenate([f.score for f in frames]),
-            window=np.repeat(np.arange(len(frames)), [len(f) for f in frames])))
+        out.append(concat_frames(frames, np.repeat(np.arange(len(frames)),
+                                                   [len(f) for f in frames])))
     return out
 
 
 def embed_frame(tape: Tape, params: ModelParams, frame: FrameArrays) -> Var:
-    """Unary embeddings for a whole frame, (N, det_dim)."""
+    """Unary embeddings for a whole frame, (N, det_dim): row by row, so a
+    frame stacked from several (:func:`concat_frames`) embeds them all."""
     head = np.stack([np.cos(frame.heading), np.sin(frame.heading)], axis=1)
     parts = [
         mlp_forward(tape, params.mlp_velo, frame.velo),

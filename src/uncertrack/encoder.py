@@ -1,6 +1,10 @@
 """Uncertainty-aware motion encoding over raw detection frames.
 
-Per frame transition: gate pairs, score affinities, keep the top-K candidate
+The stages that read only the frames run once per observation window (or
+pack of windows): the unary embedding of every detection, the distance gate
+of every frame transition and the movement features of every gated pair.
+Then, per frame transition: score the affinities of the gated pairs from
+those features and the previous motion states, keep the top-K candidate
 predecessors of each current detection, update per-candidate states (the
 affinity chain GRU feeding the motion GRU when ASU is on), then fuse the
 candidates' states with attention, a softmax of the affinity logits, and
@@ -15,11 +19,13 @@ aggregation is reproducible and independent of input pair order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
-from .affinity import gate_positions, pair_features, select_top_k
-from .detections import FrameArrays, embed_frame
+from .affinity import (gate_positions, movement_features, pair_features,
+                       select_top_k)
+from .detections import FrameArrays, concat_frames, embed_frame
 from .errors import ConfigError
 from .model import ModelParams
 from .numerics import Tape, Var, gru_step, mlp_forward
@@ -100,31 +106,56 @@ def _zero_state(tape: Tape, n: int, hidden: int, like: Var) -> Var:
 
 def encode_sequence(tape: Tape, params: ModelParams,
                     frames: list[FrameArrays]) -> SequenceEncoding:
-    """Run the per-frame pipeline over an observation window, or over a pack
-    of windows stacked by :func:`~uncertrack.detections.stack_windows`.
+    """Run the encoder over an observation window, or over a pack of windows
+    stacked by :func:`~uncertrack.detections.stack_windows`.
 
-    Pairs are gated only within a window, so a pack encodes each of its
-    windows as if alone.  Returns the final-frame motion states for decoding
-    plus all per-transition affinity logits for the matching loss.
+    The frame-local stages run once per call: one embedding of every row of
+    every frame, one gate over every transition (compound block id
+    ``transition * n_windows + window``, so each window of each transition
+    is gated alone) and one movement MLP over every gated pair.  Each
+    transition then cuts its rows from those results with ``slice_rows`` and
+    runs only the stages that read the recurrent state.  Pairs are gated only
+    within a window, so a pack encodes each of its windows as if alone.
+    Returns the final-frame motion states for decoding plus all
+    per-transition affinity logits for the matching loss.
     """
     if len(frames) < 2:
         raise ConfigError("encode_sequence needs at least 2 frames")
     cfg = params.config
 
-    x_det_prev = embed_frame(tape, params, frames[0])
-    h_mot = _zero_state(tape, len(frames[0]), cfg.hidden_dim, x_det_prev)
-    h_aff = _zero_state(tape, len(frames[0]), cfg.hidden_dim, x_det_prev)
+    # row offsets of each frame in the stack of all frames
+    sizes = [len(f) for f in frames]
+    off = [0, *accumulate(sizes)]
+    stacked = concat_frames(frames)
+    x_det_all = embed_frame(tape, params, stacked)
+    # the gate's previous side is frames 0..T-2, its current side 1..T-1
+    n_win = int(stacked.window.max(initial=0)) + 1
+    block = np.repeat(np.arange(len(frames)), sizes) * n_win + stacked.window
+    prev_end, curr_start = off[-2], off[1]
+    prev_pos, curr_pos = stacked.pos[:prev_end], stacked.pos[curr_start:]
+    pairs_all, dists_all = gate_positions(prev_pos, curr_pos, cfg.theta_d,
+                                          block[:prev_end],
+                                          block[curr_start:] - n_win)
+    x_mov_all = movement_features(tape, params, prev_pos, curr_pos, pairs_all)
+    # pairs come in (curr, prev) order, so transition t's are one run
+    cut = np.searchsorted(pairs_all[:, 1],
+                          np.array(off[1:]) - curr_start).tolist()
+
+    x_det_prev = tape.slice_rows(x_det_all, 0, off[1])
+    h_mot = _zero_state(tape, sizes[0], cfg.hidden_dim, x_det_prev)
+    h_aff = _zero_state(tape, sizes[0], cfg.hidden_dim, x_det_prev)
 
     transitions: list[TransitionRecord] = []
     for t in range(1, len(frames)):
-        prev, curr = frames[t - 1], frames[t]
-        n_curr = len(curr)
-        x_det_curr = embed_frame(tape, params, curr)
-        pairs, dists = gate_positions(prev.pos, curr.pos, cfg.theta_d,
-                                      prev.window, curr.window)
-        x, a, logits = pair_features(tape, params, prev, curr, x_det_prev,
-                                     x_det_curr, h_mot, pairs)
-        sel, seg, seg_curr = select_top_k(pairs, dists, logits.value[:, 0],
+        n_curr = sizes[t]
+        lo, hi = cut[t - 1], cut[t]
+        pairs = pairs_all[lo:hi] - [off[t - 1], off[t] - curr_start]
+        x_det_curr = tape.slice_rows(x_det_all, off[t], off[t + 1])
+        x, a, logits = pair_features(tape, params, x_det_prev, x_det_curr,
+                                     tape.slice_rows(x_mov_all, lo, hi),
+                                     h_mot, pairs)
+        sel, seg, seg_curr = select_top_k(pairs, dists_all[lo:hi],
+                                          logits.value[:, 0],
                                           cfg.k_candidates)
         n_seg = len(seg_curr)
         pi = pairs[sel, 0]

@@ -277,6 +277,22 @@ class Tape:
 
         return self._node(val, (a,), backward)
 
+    def slice_rows(self, a: Var, lo: int, hi: int) -> Var:
+        """Rows ``lo:hi`` of ``a`` as a view.
+
+        Backward adds into those rows of ``a``'s gradient, zeroed once for
+        all of ``a``'s slices, so cutting one array into T blocks costs
+        O(rows) in total, not the O(T x rows) of T ``gather_rows``.
+        """
+        val = a.value[lo:hi]
+
+        def backward(g):
+            if a.grad is None:
+                a.grad = np.zeros_like(a.value)
+            a.grad[lo:hi] += g
+
+        return self._node(val, (a,), backward)
+
     def scatter_rows(self, a: Var, idx: np.ndarray, n_rows: int) -> Var:
         """Place rows of ``a`` at ``idx`` in a zero matrix of ``n_rows`` rows."""
         val = np.zeros((n_rows, a.value.shape[1]), dtype=a.value.dtype)

@@ -2,6 +2,9 @@
 
 Everything here is written straight from the defining formulas, without
 importing model code, so a bug in the main path cannot hide in its own test.
+The one exception is :func:`encode_loop`, which runs the encoder's own
+stages one transition at a time to check how ``encode_sequence`` batches
+them.
 """
 
 from __future__ import annotations
@@ -303,6 +306,68 @@ def chains_from(best_prevs, n_final):
             chain.append(curr)
         chains.append(chain)
     return chains
+
+
+# ---- the encoder, one transition at a time ----------------------------------
+
+def encode_loop(tape, params, frames):
+    """The encoder with every stage called per frame or per transition: each
+    frame embedded alone, each transition gated alone and its movement MLP
+    run on that transition's pairs only.
+
+    Returns the final motion states (a Var) and, per transition,
+    ``(pairs, logits, selected, alphas)`` with the logits as a Var.
+    """
+    from uncertrack.affinity import (gate_positions, movement_features,
+                                     pair_features, select_top_k)
+    from uncertrack.detections import embed_frame
+    from uncertrack.encoder import asu_update, msa_aggregate
+
+    cfg = params.config
+    x_prev = embed_frame(tape, params, frames[0])
+    dtype = x_prev.value.dtype
+
+    def zeros(n):
+        return tape.const(np.zeros((n, cfg.hidden_dim), dtype=dtype))
+
+    h_mot, h_aff = zeros(len(frames[0])), zeros(len(frames[0]))
+    records = []
+    for prev, curr in zip(frames, frames[1:]):
+        x_curr = embed_frame(tape, params, curr)
+        pairs, dists = gate_positions(prev.pos, curr.pos, cfg.theta_d,
+                                      prev.window, curr.window)
+        x_mov = movement_features(tape, params, prev.pos, curr.pos, pairs)
+        x, a, logits = pair_features(tape, params, x_prev, x_curr, x_mov,
+                                     h_mot, pairs)
+        sel, seg, seg_curr = select_top_k(pairs, dists, logits.value[:, 0],
+                                          cfg.k_candidates)
+        pi = pairs[sel, 0]
+        x_sel, a_sel, z_sel = (tape.gather_rows(v, sel)
+                               for v in (x, a, logits))
+        prev_mot = tape.gather_rows(h_mot, pi)
+        prev_aff = tape.gather_rows(h_aff, pi)
+        h_mot_k, h_aff_k = asu_update(tape, params, x_sel, a_sel, prev_mot,
+                                      prev_aff)
+        first = np.flatnonzero(np.diff(seg, prepend=-1) != 0)
+        if cfg.use_msa:
+            agg_mot, agg_aff, alpha = msa_aggregate(
+                tape, params, seg, len(seg_curr), h_mot_k, prev_mot, x_sel,
+                z_sel, h_aff_k=h_aff_k,
+                prev_aff=prev_aff if cfg.use_asu else None,
+                a=a_sel if cfg.use_asu else None)
+            alphas = alpha.value[:, 0]
+        else:
+            agg_mot = tape.gather_rows(h_mot_k, first)
+            agg_aff = (tape.gather_rows(h_aff_k, first)
+                       if h_aff_k is not None else None)
+            alphas = np.zeros(len(sel))
+            alphas[first] = 1.0
+        h_mot = tape.scatter_rows(agg_mot, seg_curr, len(curr))
+        h_aff = (tape.scatter_rows(agg_aff, seg_curr, len(curr))
+                 if agg_aff is not None else zeros(len(curr)))
+        x_prev = x_curr
+        records.append((pairs, logits, sel, alphas))
+    return h_mot, records
 
 
 # ---- the detector-noise channel, one numpy call per draw --------------------

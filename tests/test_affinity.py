@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from uncertrack.affinity import gate_positions, pair_features, select_top_k
+from uncertrack.affinity import (gate_positions, movement_features,
+                                 pair_features, select_top_k)
 from uncertrack.detections import Detection, FrameArrays, embed_frame
 from uncertrack.errors import ConfigError
 from uncertrack.model import ModelConfig, init_model
@@ -24,10 +25,11 @@ def _frame(positions):
 def _features(tape, params, prev, curr, h_mot_prev):
     """Gate two frames and run ``pair_features`` on the gated pairs."""
     pairs, _ = gate_positions(prev.pos, curr.pos, params.config.theta_d)
-    _, a, logits = pair_features(tape, params, prev, curr,
-                                 embed_frame(tape, params, prev),
-                                 embed_frame(tape, params, curr),
-                                 tape.lift(h_mot_prev), pairs)
+    _, a, logits = pair_features(
+        tape, params, embed_frame(tape, params, prev),
+        embed_frame(tape, params, curr),
+        movement_features(tape, params, prev.pos, curr.pos, pairs),
+        tape.lift(h_mot_prev), pairs)
     return pairs, a, logits
 
 
@@ -54,9 +56,9 @@ def test_short_term_feature_basics():
 
     def a_det(u, v):
         tape = Tape()
-        _, a, _ = pair_features(tape, params, frame, frame, tape.const(u),
-                                tape.const(v), tape.const(np.zeros((1, 6))),
-                                pairs)
+        x_mov = movement_features(tape, params, frame.pos, frame.pos, pairs)
+        _, a, _ = pair_features(tape, params, tape.const(u), tape.const(v),
+                                x_mov, tape.const(np.zeros((1, 6))), pairs)
         return a.value[:, 6:]
 
     u = np.array([1.0, -2.0])
@@ -319,3 +321,33 @@ def test_window_gating_matches_each_window_alone():
         want = gate_reference(prev_pos, curr_pos, 6.0, prev_win, curr_win)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
+
+
+def test_compound_ids_gate_each_transition_alone():
+    # the encoder gates every transition of a pass in one call: previous
+    # side frames 0..T-2, current side 1..T-1, block id
+    # transition * n_windows + window; cut at the transitions' first current
+    # rows, the pairs and distances are bitwise those of one call per
+    # transition
+    rng = np.random.default_rng(35)
+    n_win = 3
+    frames = []  # (positions, window ids) per frame
+    for t in range(7):
+        sizes = [0] * n_win if t == 3 else rng.integers(0, 9, n_win)
+        frames.append((rng.uniform(-8, 8, (sum(sizes), 2)),
+                       np.repeat(np.arange(n_win), sizes)))
+    off = np.cumsum([0] + [len(p) for p, _ in frames])
+    pos = np.concatenate([p for p, _ in frames])
+    block = np.concatenate([t * n_win + w for t, (_, w) in enumerate(frames)])
+    pairs, dists = gate_positions(pos[:off[-2]], pos[off[1]:], 6.0,
+                                  block[:off[-2]], block[off[1]:] - n_win)
+    cut = np.searchsorted(pairs[:, 1], off[1:] - off[1])
+    for t in range(1, len(frames)):
+        (prev, prev_win), (curr, curr_win) = frames[t - 1], frames[t]
+        want_pairs, want_dists = gate_positions(prev, curr, 6.0, prev_win,
+                                                curr_win)
+        lo, hi = cut[t - 1], cut[t]
+        assert np.array_equal(pairs[lo:hi] - [off[t - 1], off[t] - off[1]],
+                              want_pairs)
+        assert np.array_equal(dists[lo:hi], want_dists)
+    assert cut[-1] == len(pairs) and cut[2] == cut[3] == cut[4]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from uncertrack.affinity import pair_features
+from uncertrack.affinity import movement_features, pair_features
 from uncertrack.detections import Detection, FrameArrays, embed_frame
 from uncertrack.model import ModelConfig, init_model
 from uncertrack.numerics import Tape, mlp_forward
@@ -28,10 +28,11 @@ def _pair_input(params, prev_pos, curr_positions):
     prev, curr = _frame(prev_pos), _frame(*curr_positions)
     pairs = np.array([[0, n] for n in range(len(curr))])
     hidden = params.config.hidden_dim
-    x, _, _ = pair_features(tape, params, prev, curr,
-                            embed_frame(tape, params, prev),
-                            embed_frame(tape, params, curr),
-                            tape.const(np.zeros((1, hidden))), pairs)
+    x, _, _ = pair_features(
+        tape, params, embed_frame(tape, params, prev),
+        embed_frame(tape, params, curr),
+        movement_features(tape, params, prev.pos, curr.pos, pairs),
+        tape.const(np.zeros((1, hidden))), pairs)
     return x.value
 
 

@@ -1,8 +1,12 @@
 """ASU, MSA, and the full per-sequence encoding loop."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import uncertrack.affinity as affinity
+import uncertrack.encoder as encoder
 from uncertrack.detections import Detection, FrameArrays, stack_windows
 from uncertrack.encoder import (asu_update, encode_sequence, implicit_chains,
                                 msa_aggregate)
@@ -10,8 +14,8 @@ from uncertrack.model import ModelConfig, init_model, variant_config
 from uncertrack.numerics import Tape, mlp_forward
 from uncertrack.world import NoiseConfig, corrupt_to_detections, generate_world
 
-from oracles import (best_prev_loop, chains_from, fd_gradient, float64_copy,
-                     msa_direct, rel_err)
+from oracles import (best_prev_loop, chains_from, encode_loop, fd_gradient,
+                     float64_copy, msa_direct, rel_err)
 
 
 def _small_config(**kw):
@@ -400,3 +404,100 @@ def test_diagnostics_match_segment_loop_oracle(variant):
         best_prevs.append(want)
     assert _ages(enc) == ages.tolist()
     assert implicit_chains(enc) == chains_from(best_prevs, len(frames[-1]))
+
+
+def _lone_window():
+    log = corrupt_to_detections(generate_world(24, 100, seed=44),
+                                NoiseConfig(), seed=44)
+    return _frames_from_log(log, 30, 20)
+
+
+def _random_pack(seed):
+    # three windows of 8 frames in one 12 m square: frame 4 is empty in
+    # every window, and a window may have no rows in any other frame
+    rng = np.random.default_rng(seed)
+    windows = []
+    for _ in range(3):
+        sizes = [0 if t == 4 else int(rng.integers(0, 9)) for t in range(8)]
+        windows.append([FrameArrays(
+            pos=rng.uniform(0, 12, (n, 2)), velo=rng.normal(0, 3, (n, 2)),
+            size=rng.uniform(1, 5, (n, 3)), heading=rng.uniform(-3, 3, n),
+            score=rng.uniform(0.1, 0.9, n)) for n in sizes])
+    return stack_windows(windows)
+
+
+def _grads(params, tape, h_final, logits):
+    # gradients of a loss that reaches every encoder weight through the
+    # final states and through every transition's logits
+    w = np.linspace(0.5, 1.5, h_final.value.size, dtype=h_final.value.dtype)
+    loss = tape.sum(tape.mul(h_final, tape.const(w.reshape(h_final.shape))))
+    for z in logits:
+        loss = tape.add(loss, tape.sum(z))
+    params.zero_grads()
+    tape.backward(loss)
+    grads = [g.copy() for b in params.blocks() for g in b.grads]
+    params.zero_grads()
+    return grads
+
+
+@pytest.mark.parametrize("variant", ["full", "baseline"])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("layout", ["lone", "pack"])
+def test_encoding_matches_the_per_transition_loop(layout, dtype, variant):
+    # one embedding, one gate call and one movement MLP per pass, cut per
+    # transition, give bitwise what calling them per frame or per transition
+    # gives; gradients differ only by summation order
+    frames = _lone_window() if layout == "lone" else _random_pack(45)
+    params = init_model(variant_config(variant, ModelConfig()), seed=46)
+    if dtype == "float64":
+        params = float64_copy(params)
+    tape, loop_tape = Tape(), Tape()
+    enc = encode_sequence(tape, params, frames)
+    h_final, records = encode_loop(loop_tape, params, frames)
+
+    assert enc.h_mot_final.value.dtype == np.dtype(dtype)
+    assert np.array_equal(enc.h_mot_final.value, h_final.value)
+    assert len(enc.transitions) == len(records) == len(frames) - 1
+    if layout == "pack":  # the empty frame 4 leaves two transitions pairless
+        assert [len(enc.transitions[i].pairs) for i in (3, 4)] == [0, 0]
+    for rec, (pairs, logits, sel, alphas) in zip(enc.transitions, records):
+        assert rec.pairs.dtype == pairs.dtype
+        assert np.array_equal(rec.pairs, pairs)
+        assert np.array_equal(rec.logits.value, logits.value)
+        assert np.array_equal(rec.selected, sel)
+        assert np.array_equal(rec.alphas, alphas)
+
+    got = _grads(params, tape, enc.h_mot_final,
+                 [r.logits for r in enc.transitions])
+    want = _grads(params, loop_tape, h_final, [z for _, z, _, _ in records])
+    tol = 100 * np.finfo(dtype).eps
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g - w), initial=0.0) <= tol * np.max(np.abs(w),
+                                                                 initial=0.0)
+
+
+def test_frame_local_stages_run_once_per_pass(monkeypatch):
+    params = init_model(ModelConfig(), seed=47)
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("embed_frame", "gate_positions", "select_top_k"):
+        monkeypatch.setattr(encoder, name,
+                            counted(name, getattr(encoder, name)))
+    mlp_forward_ = affinity.mlp_forward
+
+    def mlp_forward_counted(tape, layer, x):
+        calls["mlp_mov"] += layer is params.mlp_mov
+        return mlp_forward_(tape, layer, x)
+
+    monkeypatch.setattr(affinity, "mlp_forward", mlp_forward_counted)
+    for frames in (_lone_window(), _random_pack(48)):
+        calls.clear()
+        encode_sequence(Tape(), params, frames)
+        assert calls == {"embed_frame": 1, "gate_positions": 1, "mlp_mov": 1,
+                         "select_top_k": len(frames) - 1}

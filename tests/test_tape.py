@@ -77,6 +77,9 @@ def test_concat_gather_scatter(rows, cols):
            [(rows, cols), (rows + 1, cols)], seed=24)
     idx = np.random.default_rng(0).integers(0, rows, size=rows + 2)
     _check(lambda t, xs: t.gather_rows(xs[0], idx), [(rows, cols)], seed=16)
+    _check(lambda t, xs: t.concat([t.slice_rows(xs[0], 1, rows),
+                                   t.slice_rows(xs[0], 0, 2)], axis=0),
+           [(rows, cols)], seed=26)
     place = np.random.default_rng(1).permutation(rows + 3)[:rows]
     _check(lambda t, xs: t.scatter_rows(xs[0], place, rows + 3),
            [(rows, cols)], seed=17)
@@ -207,6 +210,36 @@ def test_scatters_bitwise_equal_np_add_at_with_duplicate_indices():
             tape.backward(tape.sum(tape.mul(gathered, tape.const(rows))))
             assert inner.grad.dtype == dtype, name
             assert np.array_equal(inner.grad, want), name
+
+
+def test_slice_rows_adds_each_slice_into_its_rows():
+    # the value is a view of rows lo:hi; backward adds each slice's gradient
+    # into those rows of one zeroed array: disjoint slices give each block
+    # its gradient exactly, repeated and overlapping slices accumulate, and
+    # an empty slice is zero rows
+    rng = np.random.default_rng(13)
+    for dtype in (np.float64, np.float32):
+        src = rng.standard_normal((7, 3)).astype(dtype)
+        for cuts in ([(0, 2), (2, 5), (5, 7)], [(1, 4), (1, 4), (2, 6)],
+                     [(3, 3)], [(0, 7), (7, 7)]):
+            tape = Tape()
+            inner = tape.affine(tape.param(src, np.zeros_like(src)), 1.0)
+            weights = [rng.standard_normal((hi - lo, 3)).astype(dtype)
+                       for lo, hi in cuts]
+            loss = tape.const(np.zeros((1, 1), dtype=dtype))
+            for (lo, hi), w in zip(cuts, weights):
+                part = tape.slice_rows(inner, lo, hi)
+                assert part.value.shape == (hi - lo, 3)
+                assert part.value.dtype == dtype
+                assert np.array_equal(part.value, src[lo:hi])
+                assert hi == lo or np.shares_memory(part.value, inner.value)
+                loss = tape.add(loss, tape.sum(tape.mul(part, tape.const(w))))
+            tape.backward(loss)
+            want = np.zeros_like(src)
+            for (lo, hi), w in reversed(list(zip(cuts, weights))):
+                want[lo:hi] += w  # backward runs the newest slice first
+            assert inner.grad.dtype == dtype
+            assert np.array_equal(inner.grad, want)
 
 
 def test_scatters_over_zero_rows_stay_float():

@@ -434,6 +434,22 @@ def test_load_world_rejects_missing_fields_and_non_finite(tmp_path, kind, edit):
         load_world(path)
 
 
+def test_load_world_names_the_first_bad_field_of_a_frame(tmp_path):
+    # a frame line is checked in one scan; when that fails, the refusal
+    # still names the line's first bad field, in detection order
+    path, lines = _saved_lines(tmp_path)
+    i = next(i for i, line in enumerate(lines)
+             if len(json.loads(line).get("detections", ())) >= 2)
+    rec = json.loads(lines[i])
+    rec["detections"][0]["true_id"] = -1
+    rec["detections"][1]["pos"] = ["1", "2"]
+    lines[i] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=re.escape(
+            f'{path}:{i + 1}: true_id -1 must be written "FP"')):
+        load_world(path)
+
+
 @pytest.mark.parametrize("drop, message", [
     (lambda lines: lines[1:], "no world line"),
     (lambda lines: lines[:-10], "frame 44 of 54 has no line"),
