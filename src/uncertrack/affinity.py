@@ -108,16 +108,16 @@ def pair_features(tape: Tape, params: ModelParams, x_det_prev: Var,
 
 def select_top_k(pairs: np.ndarray, distances: np.ndarray,
                  logit_values: np.ndarray, k: int):
-    """Array form of top-K: indices of kept pairs plus their segment layout.
+    """Array form of top-K: indices of the kept pairs, and which of them
+    ranks first for its current detection.
 
     Each current detection's pairs rank by logit (descending), then distance,
     then previous-frame index.
 
-    Returns (sel, seg, seg_curr): ``sel`` indexes into the pair arrays ordered
-    by (curr detection, rank), ``seg[i]`` is the compact segment id of
-    ``sel[i]``, and ``seg_curr[s]`` is the current-detection index of segment
-    ``s``.  A current detection without pairs gets no segment (a birth), so
-    zero pairs give three empty arrays.
+    Returns (sel, top): ``sel`` indexes into the pair arrays ordered by
+    (curr detection, rank), and ``top[i]`` marks ``sel[i]`` as its
+    detection's rank-0 pair.  A current detection without pairs keeps none
+    (a birth), so zero pairs give two empty arrays.
     """
     if k < 1:
         raise ConfigError("top-K requires K >= 1")
@@ -128,11 +128,6 @@ def select_top_k(pairs: np.ndarray, distances: np.ndarray,
     new_group[:1] = True
     new_group[1:] = curr_sorted[1:] != curr_sorted[:-1]
     starts = np.flatnonzero(new_group)
-    group_of = np.cumsum(new_group) - 1
-    rank = np.arange(len(order)) - starts[group_of]
+    rank = np.arange(len(order)) - starts[np.cumsum(new_group) - 1]
     keep = rank < k
-    sel = order[keep]
-    seg = group_of[keep]
-    seg_curr = curr_sorted[starts]
-    return sel, seg, seg_curr
-
+    return order[keep], new_group[keep]

@@ -5,20 +5,24 @@ pack of windows): the unary embedding of every detection, the distance gate
 of every frame transition and the movement features of every gated pair.
 Then, per frame transition: score the affinities of the gated pairs from
 those features and the previous motion states, keep the top-K candidate
-predecessors of each current detection, update per-candidate states (the
-affinity chain GRU feeding the motion GRU when ASU is on), then fuse the
-candidates' states with attention, a softmax of the affinity logits, and
-learned sigmoid gates (MSA).  A detection with zero candidates is a track
-birth with zero hidden states; a transition without any gated pair is the
-same rule applied to every row, and runs the same path on zero rows.
+predecessors of each current detection (one without MSA), update
+per-candidate states (the affinity chain GRU feeding the motion GRU when ASU
+is on), then fuse the candidates' states with attention, a softmax of the
+affinity logits, and learned sigmoid gates (MSA).  A candidate's segment is
+its current detection's row, so the fused states land straight in the
+current frame's rows; a detection with zero candidates is a track birth with
+zero hidden states, and a transition without any gated pair is the same rule
+applied to every row, run on the same path with zero rows.
 
+The pass returns one :class:`SequenceEncoding` whose pairs, logits and
+predecessors are indexed by stacked rows, the rows of all frames in order.
 Candidate summation runs in (logit desc, distance, prev index) order so the
 aggregation is reproducible and independent of input pair order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
@@ -30,8 +34,8 @@ from .errors import ConfigError
 from .model import ModelParams
 from .numerics import Tape, Var, gru_step, mlp_forward
 
-__all__ = ["TransitionRecord", "SequenceEncoding", "asu_update",
-           "msa_aggregate", "encode_sequence", "implicit_chains"]
+__all__ = ["SequenceEncoding", "asu_update", "msa_aggregate",
+           "encode_sequence", "implicit_chains"]
 
 
 def asu_update(tape: Tape, params: ModelParams, x, a, prev_mot,
@@ -57,13 +61,14 @@ def msa_aggregate(tape: Tape, params: ModelParams, seg: np.ndarray, n_seg: int,
                   h_mot_k: Var, prev_mot: Var, x: Var, logits: Var,
                   h_aff_k: Var | None = None, prev_aff: Var | None = None,
                   a: Var | None = None) -> tuple[Var, Var | None, Var]:
-    """Fuse candidate states per segment (one segment = one current detection).
+    """Fuse candidate states per segment (one segment = one current
+    detection, ``seg`` its row, ``n_seg`` the frame's rows).
 
     Attention weights are a softmax of the affinity logits within each
     segment and are shared between the motion and affinity aggregations;
     per-candidate sigmoid gates select features before the weighted sum.
-    A detection with zero candidates has no segment (it is a birth), so zero
-    candidates give zero segments and (0, H) states.
+    A detection with zero candidates (a birth) is a zero row of the output,
+    so zero candidates give (n_seg, H) zero states.
     """
     if params.gate_mot is None:
         raise ConfigError("MSA enabled but gate parameters are missing")
@@ -80,22 +85,17 @@ def msa_aggregate(tape: Tape, params: ModelParams, seg: np.ndarray, n_seg: int,
 
 
 @dataclass
-class TransitionRecord:
-    """Everything retained from one frame transition."""
+class SequenceEncoding:
+    """One encode pass, indexed by stacked rows: the rows of
+    :func:`~uncertrack.detections.concat_frames` of the pass's frames."""
 
-    frame: int                      # index of the current frame
-    pairs: np.ndarray               # (P, 2) gated [prev, curr]
+    pairs: np.ndarray               # (P, 2) gated [prev, curr], (curr, prev) order
+    pair_block: np.ndarray          # (P,) gate block: transition * n_windows + window
     logits: Var                     # (P, 1) affinity logits of the pairs
     selected: np.ndarray            # indices into pairs, (curr, rank) order
-    seg: np.ndarray                 # segment id per selected pair
-    seg_curr: np.ndarray            # current-detection index per segment
-    alphas: np.ndarray              # (S,) aggregation weights (values)
-    best_prev: dict[int, int] = field(default_factory=dict)  # curr -> argmax-alpha prev
-
-
-@dataclass
-class SequenceEncoding:
-    transitions: list[TransitionRecord]
+    alphas: np.ndarray              # (S,) aggregation weight of each selected pair
+    best_prev: np.ndarray           # (R,) argmax-alpha predecessor row, -1 if none
+    offsets: np.ndarray             # (T + 1,) first row of each frame, then R
     h_mot_final: Var                # (N_T, hidden)
 
 
@@ -114,14 +114,16 @@ def encode_sequence(tape: Tape, params: ModelParams,
     ``transition * n_windows + window``, so each window of each transition
     is gated alone) and one movement MLP over every gated pair.  Each
     transition then cuts its rows from those results with ``slice_rows`` and
-    runs only the stages that read the recurrent state.  Pairs are gated only
-    within a window, so a pack encodes each of its windows as if alone.
-    Returns the final-frame motion states for decoding plus all
-    per-transition affinity logits for the matching loss.
+    runs only the stages that read the recurrent state, in frame-local rows.
+    Pairs are gated only within a window, so a pack encodes each of its
+    windows as if alone.  Returns the final-frame motion states for decoding
+    plus the pass's pairs, affinity logits and diagnostics in stacked rows.
     """
     if len(frames) < 2:
         raise ConfigError("encode_sequence needs at least 2 frames")
     cfg = params.config
+    # without MSA only the top-ranked candidate's state is kept
+    k = cfg.k_candidates if cfg.use_msa else 1
 
     # row offsets of each frame in the stack of all frames
     sizes = [len(f) for f in frames]
@@ -133,91 +135,83 @@ def encode_sequence(tape: Tape, params: ModelParams,
     block = np.repeat(np.arange(len(frames)), sizes) * n_win + stacked.window
     prev_end, curr_start = off[-2], off[1]
     prev_pos, curr_pos = stacked.pos[:prev_end], stacked.pos[curr_start:]
-    pairs_all, dists_all = gate_positions(prev_pos, curr_pos, cfg.theta_d,
-                                          block[:prev_end],
-                                          block[curr_start:] - n_win)
-    x_mov_all = movement_features(tape, params, prev_pos, curr_pos, pairs_all)
+    pairs, dists = gate_positions(prev_pos, curr_pos, cfg.theta_d,
+                                  block[:prev_end], block[curr_start:] - n_win)
+    x_mov_all = movement_features(tape, params, prev_pos, curr_pos, pairs)
+    pairs[:, 1] += curr_start  # stacked rows on both sides
     # pairs come in (curr, prev) order, so transition t's are one run
-    cut = np.searchsorted(pairs_all[:, 1],
-                          np.array(off[1:]) - curr_start).tolist()
+    cut = np.searchsorted(pairs[:, 1], off[1:]).tolist()
 
     x_det_prev = tape.slice_rows(x_det_all, 0, off[1])
     h_mot = _zero_state(tape, sizes[0], cfg.hidden_dim, x_det_prev)
-    h_aff = _zero_state(tape, sizes[0], cfg.hidden_dim, x_det_prev)
+    h_aff = (_zero_state(tape, sizes[0], cfg.hidden_dim, x_det_prev)
+             if cfg.use_asu else None)
 
-    transitions: list[TransitionRecord] = []
+    logits_all, selected, tops, alphas = [], [], [], []
     for t in range(1, len(frames)):
         n_curr = sizes[t]
         lo, hi = cut[t - 1], cut[t]
-        pairs = pairs_all[lo:hi] - [off[t - 1], off[t] - curr_start]
+        local = pairs[lo:hi] - [off[t - 1], off[t]]
         x_det_curr = tape.slice_rows(x_det_all, off[t], off[t + 1])
         x, a, logits = pair_features(tape, params, x_det_prev, x_det_curr,
                                      tape.slice_rows(x_mov_all, lo, hi),
-                                     h_mot, pairs)
-        sel, seg, seg_curr = select_top_k(pairs, dists_all[lo:hi],
-                                          logits.value[:, 0],
-                                          cfg.k_candidates)
-        n_seg = len(seg_curr)
-        pi = pairs[sel, 0]
+                                     h_mot, local)
+        sel, top = select_top_k(local, dists[lo:hi], logits.value[:, 0], k)
+        # a candidate's segment is its current detection's row
+        pi, row = local[sel, 0], local[sel, 1]
         x_sel = tape.gather_rows(x, sel)
-        a_sel = tape.gather_rows(a, sel)
-        z_sel = tape.gather_rows(logits, sel)
         prev_mot = tape.gather_rows(h_mot, pi)
-        prev_aff = tape.gather_rows(h_aff, pi)
+        a_sel = prev_aff = None
+        if cfg.use_asu:
+            a_sel = tape.gather_rows(a, sel)
+            prev_aff = tape.gather_rows(h_aff, pi)
 
         h_mot_k, h_aff_k = asu_update(tape, params, x_sel, a_sel,
                                       prev_mot, prev_aff)
-        # each segment's first (top-ranked) entry
-        new_seg = np.empty(len(seg), dtype=bool)
-        new_seg[:1] = True
-        new_seg[1:] = seg[1:] != seg[:-1]
-        first = np.flatnonzero(new_seg)
+        # a detection no candidate reaches is a birth: its rows stay zero
         if cfg.use_msa:
-            agg_mot, agg_aff, alpha = msa_aggregate(
-                tape, params, seg, n_seg, h_mot_k, prev_mot, x_sel, z_sel,
-                h_aff_k=h_aff_k, prev_aff=prev_aff if cfg.use_asu else None,
-                a=a_sel if cfg.use_asu else None)
-            alpha_vals = alpha.value[:, 0].copy()
+            h_mot, h_aff, alpha = msa_aggregate(
+                tape, params, row, n_curr, h_mot_k, prev_mot, x_sel,
+                tape.gather_rows(logits, sel), h_aff_k=h_aff_k,
+                prev_aff=prev_aff, a=a_sel)
+            alphas.append(alpha.value[:, 0])
         else:
-            # single-candidate mode: the top-ranked state is used directly
-            agg_mot = tape.gather_rows(h_mot_k, first)
-            agg_aff = (tape.gather_rows(h_aff_k, first)
-                       if h_aff_k is not None else None)
-            alpha_vals = np.zeros(len(sel))
-            alpha_vals[first] = 1.0
-
-        # a detection no segment reaches is a birth: its rows stay zero
-        h_mot = tape.scatter_rows(agg_mot, seg_curr, n_curr)
-        h_aff = (tape.scatter_rows(agg_aff, seg_curr, n_curr)
-                 if agg_aff is not None
-                 else _zero_state(tape, n_curr, cfg.hidden_dim, x_det_curr))
+            # single-candidate mode: the one kept state is used directly
+            h_mot = tape.segment_sum(h_mot_k, row, n_curr)
+            if h_aff_k is not None:
+                h_aff = tape.segment_sum(h_aff_k, row, n_curr)
+            alphas.append(np.ones(len(sel)))
         x_det_prev = x_det_curr
+        logits_all.append(logits)
+        selected.append(sel + lo)
+        tops.append(top)
 
-        # the argmax-alpha predecessor, for diagnostics: alpha is monotone
-        # in the logit, so a segment's first (top-ranked) candidate is its
-        # argmax, the first on ties
-        transitions.append(TransitionRecord(
-            frame=t, pairs=pairs, logits=logits,
-            selected=sel, seg=seg, seg_curr=seg_curr, alphas=alpha_vals,
-            best_prev=dict(zip(seg_curr.tolist(), pi[first].tolist()))))
+    selected = np.concatenate(selected)
+    # the argmax-alpha predecessor, for diagnostics: alpha is monotone in
+    # the logit, so a detection's top-ranked candidate is its argmax, the
+    # first on ties
+    best = pairs[selected[np.concatenate(tops)]]
+    best_prev = np.full(off[-1], -1, dtype=pairs.dtype)
+    best_prev[best[:, 1]] = best[:, 0]
+    return SequenceEncoding(
+        pairs=pairs, pair_block=block[pairs[:, 0]],
+        logits=tape.concat(logits_all, axis=0), selected=selected,
+        alphas=np.concatenate(alphas), best_prev=best_prev,
+        offsets=np.array(off), h_mot_final=h_mot)
 
-    return SequenceEncoding(transitions=transitions, h_mot_final=h_mot)
 
-
-def implicit_chains(encoding: SequenceEncoding) -> list[list[int | None]]:
+def implicit_chains(encoding: SequenceEncoding) -> np.ndarray:
     """Walk each final detection's argmax-alpha predecessors back in time.
 
-    Entry ``chains[n]`` starts at detection n of the final frame and lists one
-    detection index per earlier frame (None once the chain breaks at a birth).
+    Row n starts at detection n of the final frame; column j holds the
+    frame-local row of its chain in frame ``T - 1 - j``, and -1 once the
+    chain has broken at a birth.  One gather over ``best_prev`` per frame.
     """
-    n_final = encoding.h_mot_final.value.shape[0]
-    chains = []
-    for n in range(n_final):
-        chain: list[int | None] = [n]
-        curr = n
-        for rec in reversed(encoding.transitions):
-            nxt = rec.best_prev.get(curr) if curr is not None else None
-            chain.append(nxt)
-            curr = nxt
-        chains.append(chain)
-    return chains
+    off = encoding.offsets
+    # a trailing -1 maps a broken chain's -1 to -1
+    step = np.append(encoding.best_prev, -1)
+    chains = np.empty((off[-1] - off[-2], len(off) - 1), dtype=step.dtype)
+    chains[:, 0] = np.arange(off[-2], off[-1])
+    for j in range(1, chains.shape[1]):
+        chains[:, j] = step[chains[:, j - 1]]
+    return np.where(chains >= 0, chains - off[-2::-1], -1)

@@ -31,7 +31,7 @@ __all__ = ["Forecast", "TrainConfig", "SequenceSample", "EpochStats",
            "MeanPoolSIM", "decode_trajectory",
            "total_loss", "lambda_schedule", "lr_schedule", "augment_sample",
            "build_sample", "cut_window", "gt_future", "window_starts",
-           "sequence_labels", "train", "forecast_sequence",
+           "pair_labels", "train", "forecast_sequence",
            "model_config_from_train", "PACK_DETECTIONS", "pack_ranges",
            "pack_samples"]
 
@@ -87,35 +87,30 @@ def decode_trajectory(tape: Tape, params: ModelParams, p_n: Var,
 # ---- loss ----------------------------------------------------------------------
 
 
-def sequence_labels(transitions, true_ids) -> list[np.ndarray]:
-    """Same-identity labels aligned with each transition's gated pairs."""
-    labels = []
-    for rec in transitions:
-        ids_prev = true_ids[rec.frame - 1]
-        ids_curr = true_ids[rec.frame]
-        prev = ids_prev[rec.pairs[:, 0]]
-        curr = ids_curr[rec.pairs[:, 1]]
-        labels.append(((prev != FP_ID) & (prev == curr)).astype(float))
-    return labels
+def pair_labels(pairs: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Same-identity labels of [prev, curr] row pairs, given every row's
+    hidden identity."""
+    prev, curr = ids[pairs[:, 0]], ids[pairs[:, 1]]
+    return ((prev != FP_ID) & (prev == curr)).astype(float)
 
 
 def total_loss(tape: Tape, pred_offsets: Var, sample: SequenceSample,
-               transitions, lam: float, beta: float = 1.0):
+               encoding: SequenceEncoding, lam: float, beta: float = 1.0):
     """Joint matching/forecasting loss, summed over the windows of a pack.
 
     A window's loss is its masked smooth-L1 over the final-frame targets plus
-    ``lam`` times its affinity loss: the per-transition mean BCE over gated
-    pairs (labelled by :func:`sequence_labels`), summed over transitions that
-    have pairs and divided by the window's ``t_obs - 1`` transitions.
-    Per-window normalisation is carried by the weights, so one smooth-L1 and
-    one BCE on the concatenated affinity logits cover the whole pack.
+    ``lam`` times its affinity loss: the mean BCE over each transition's
+    gated pairs (labelled by :func:`pair_labels`), summed over transitions
+    that have pairs and divided by the window's ``t_obs - 1`` transitions.
+    Per-window normalisation is carried by the weights: a pair weighs one
+    over the pairs of its gate block (one transition of one window), so one
+    smooth-L1 and one BCE over the encoding's logits cover the whole pack.
 
     Returns (loss Var, summed l_traj, summed l_aff, windows with targets).
     Raises when a window has neither supervised forecasts nor gated pairs.
     """
     n_win = sample.num_windows
     n_trans = len(sample.frames) - 1
-    labels = sequence_labels(transitions, sample.true_ids)
     row_window = sample.frames[-1].window
     terms = []
     row_mask = sample.target_mask.sum(axis=1)
@@ -132,22 +127,17 @@ def total_loss(tape: Tape, pred_offsets: Var, sample: SequenceSample,
         terms.append(tape.affine(l_traj, float(n_traj)))
         l_traj_val = float(terms[-1].value[0, 0])
 
-    logits, aff_labels, aff_weights = [], [], []
-    win_scored = np.zeros(n_win, dtype=bool)
-    n_scored = 0  # (window, transition) combinations with gated pairs
-    for rec, lab in zip(transitions, labels):
-        pair_window = sample.frames[rec.frame].window[rec.pairs[:, 1]]
-        per_window = np.bincount(pair_window, minlength=n_win)
-        win_scored |= per_window > 0
-        n_scored += int(np.count_nonzero(per_window))
-        logits.append(rec.logits)
-        aff_labels.append(lab)
-        aff_weights.append(1.0 / per_window[pair_window])
+    pairs, block = encoding.pairs, encoding.pair_block
+    per_block = np.bincount(block)
+    # (window, transition) combinations with gated pairs
+    n_scored = int(np.count_nonzero(per_block))
+    pair_window = np.concatenate([f.window for f in sample.frames])[pairs[:, 1]]
+    win_scored = np.bincount(pair_window, minlength=n_win) > 0
     l_aff_val = 0.0
     if n_scored:
-        bce = tape.bce(tape.concat(logits, axis=0),
-                       np.concatenate(aff_labels)[:, None],
-                       weights=np.concatenate(aff_weights))
+        labels = pair_labels(pairs, np.concatenate(sample.true_ids))
+        bce = tape.bce(encoding.logits, labels[:, None],
+                       weights=1.0 / per_block[block])
         # the weights sum to n_scored, so the weighted mean times n_scored
         # sums every window's per-transition means
         l_aff_val = float(bce.value[0, 0]) * n_scored / n_trans
@@ -403,7 +393,7 @@ def _sequence_loss(tape, params, sample, lam, beta, sim):
     if sim is not None:
         p_n = sim(tape, p_n, sample.frames[-1])
     offsets = mlp_forward(tape, params.mlp_dec, p_n)
-    return total_loss(tape, offsets, sample, enc.transitions, lam, beta)
+    return total_loss(tape, offsets, sample, enc, lam, beta)
 
 
 def train(cfg: TrainConfig, worlds: list[WorldLog], variant: str = "full",

@@ -98,8 +98,8 @@ def variant_config(name: str, base: ModelConfig | None = None) -> ModelConfig:
     """Ablation variants: single-candidate baseline up to the full model."""
     base = base or ModelConfig()
     table = {
-        "baseline": dict(use_asu=False, use_msa=False, k_candidates=1),
-        "asu": dict(use_asu=True, use_msa=False, k_candidates=1),
+        "baseline": dict(use_asu=False, use_msa=False),
+        "asu": dict(use_asu=True, use_msa=False),
         "msa": dict(use_asu=False, use_msa=True),
         "full": dict(use_asu=True, use_msa=True),
     }

@@ -293,16 +293,6 @@ class Tape:
 
         return self._node(val, (a,), backward)
 
-    def scatter_rows(self, a: Var, idx: np.ndarray, n_rows: int) -> Var:
-        """Place rows of ``a`` at ``idx`` in a zero matrix of ``n_rows`` rows."""
-        val = np.zeros((n_rows, a.value.shape[1]), dtype=a.value.dtype)
-        val[idx] = a.value
-
-        def backward(g):
-            _acc_own(a, g[idx])
-
-        return self._node(val, (a,), backward)
-
     def segment_sum(self, a: Var, seg: np.ndarray, n_seg: int) -> Var:
         """Row-wise sums over contiguous-by-id segments (summation in row order)."""
         val = _scatter_add(seg, a.value, n_seg)

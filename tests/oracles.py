@@ -279,33 +279,44 @@ def circle_positions(center, radius, phase0, omega, dt, n):
 
 # ---- encoder diagnostics (one segment at a time) -----------------------------
 
-def best_prev_loop(seg, seg_curr, alphas, prev_index, ages, n_curr):
-    """Argmax-alpha predecessor (first on ties) and ages, segment by segment.
+def best_prev_loop(pairs, selected, alphas, n_rows):
+    """Argmax-alpha predecessor (first on ties) and age of every stacked row,
+    one segment (current row) at a time.
 
-    ``prev_index`` is the previous-frame detection of each selected pair.
-    Returns ({curr: prev}, ages of the current frame).
+    ``pairs[selected]`` are the selected [prev, curr] rows and ``alphas``
+    their weights.  Returns (predecessor row, -1 for a birth or a first-frame
+    row; age, the linked predecessors behind the row).
     """
-    best_prev = {}
-    new_ages = np.zeros(n_curr, dtype=int)
-    for s in range(len(seg_curr)):
-        members = np.flatnonzero(seg == s)
-        top = members[np.argmax(alphas[members])]
-        c = int(seg_curr[s])
-        best_prev[c] = int(prev_index[top])
-        new_ages[c] = ages[prev_index[top]] + 1
-    return best_prev, new_ages
+    best_prev = np.full(n_rows, -1)
+    chosen = pairs[selected]
+    for c in np.unique(chosen[:, 1]):
+        members = np.flatnonzero(chosen[:, 1] == c)
+        best_prev[c] = chosen[members[np.argmax(alphas[members])], 0]
+    ages = np.zeros(n_rows, dtype=int)
+    for r in range(n_rows):  # a predecessor is an earlier row
+        if best_prev[r] >= 0:
+            ages[r] = ages[best_prev[r]] + 1
+    return best_prev, ages
 
 
-def chains_from(best_prevs, n_final):
-    """Walk each final detection back through per-transition predecessor maps."""
+def chains_from(best_prev, offsets):
+    """Walk each final-frame row back through the predecessors, one frame at
+    a time: frame-local rows, latest frame first, -1 once the chain breaks."""
     chains = []
-    for n in range(n_final):
-        chain, curr = [n], n
-        for best_prev in reversed(best_prevs):
-            curr = best_prev.get(curr) if curr is not None else None
-            chain.append(curr)
+    for row in range(offsets[-2], offsets[-1]):
+        chain = []
+        for lo in offsets[-2::-1]:
+            chain.append(int(row - lo) if row >= 0 else -1)
+            row = best_prev[row] if row >= 0 else -1
         chains.append(chain)
     return chains
+
+
+def pairs_per_transition(encoding):
+    """The gated pairs into each frame after the first, from stacked rows."""
+    off = encoding.offsets
+    frame = np.searchsorted(off, encoding.pairs[:, 1], side="right") - 1
+    return np.bincount(frame - 1, minlength=len(off) - 2).tolist()
 
 
 # ---- the encoder, one transition at a time ----------------------------------
@@ -315,8 +326,9 @@ def encode_loop(tape, params, frames):
     frame embedded alone, each transition gated alone and its movement MLP
     run on that transition's pairs only.
 
-    Returns the final motion states (a Var) and, per transition,
-    ``(pairs, logits, selected, alphas)`` with the logits as a Var.
+    Returns the final motion states (a Var) and the pass in stacked rows:
+    ``(pairs, logits, selected, alphas)``, with one logits Var per
+    transition.
     """
     from uncertrack.affinity import (gate_positions, movement_features,
                                      pair_features, select_top_k)
@@ -324,14 +336,17 @@ def encode_loop(tape, params, frames):
     from uncertrack.encoder import asu_update, msa_aggregate
 
     cfg = params.config
+    k = cfg.k_candidates if cfg.use_msa else 1
     x_prev = embed_frame(tape, params, frames[0])
     dtype = x_prev.value.dtype
 
     def zeros(n):
         return tape.const(np.zeros((n, cfg.hidden_dim), dtype=dtype))
 
-    h_mot, h_aff = zeros(len(frames[0])), zeros(len(frames[0]))
-    records = []
+    h_mot = zeros(len(frames[0]))
+    h_aff = zeros(len(frames[0])) if cfg.use_asu else None
+    pairs_all, logits_all, selected, alphas = [], [], [], []
+    lo, n_pairs = 0, 0  # first row of the previous frame, pairs so far
     for prev, curr in zip(frames, frames[1:]):
         x_curr = embed_frame(tape, params, curr)
         pairs, dists = gate_positions(prev.pos, curr.pos, cfg.theta_d,
@@ -339,35 +354,31 @@ def encode_loop(tape, params, frames):
         x_mov = movement_features(tape, params, prev.pos, curr.pos, pairs)
         x, a, logits = pair_features(tape, params, x_prev, x_curr, x_mov,
                                      h_mot, pairs)
-        sel, seg, seg_curr = select_top_k(pairs, dists, logits.value[:, 0],
-                                          cfg.k_candidates)
-        pi = pairs[sel, 0]
-        x_sel, a_sel, z_sel = (tape.gather_rows(v, sel)
-                               for v in (x, a, logits))
+        sel, _ = select_top_k(pairs, dists, logits.value[:, 0], k)
+        pi, ci = pairs[sel, 0], pairs[sel, 1]
+        x_sel, z_sel = tape.gather_rows(x, sel), tape.gather_rows(logits, sel)
         prev_mot = tape.gather_rows(h_mot, pi)
-        prev_aff = tape.gather_rows(h_aff, pi)
+        a_sel = tape.gather_rows(a, sel) if cfg.use_asu else None
+        prev_aff = tape.gather_rows(h_aff, pi) if cfg.use_asu else None
         h_mot_k, h_aff_k = asu_update(tape, params, x_sel, a_sel, prev_mot,
                                       prev_aff)
-        first = np.flatnonzero(np.diff(seg, prepend=-1) != 0)
         if cfg.use_msa:
-            agg_mot, agg_aff, alpha = msa_aggregate(
-                tape, params, seg, len(seg_curr), h_mot_k, prev_mot, x_sel,
-                z_sel, h_aff_k=h_aff_k,
-                prev_aff=prev_aff if cfg.use_asu else None,
-                a=a_sel if cfg.use_asu else None)
-            alphas = alpha.value[:, 0]
+            h_mot, h_aff, alpha = msa_aggregate(
+                tape, params, ci, len(curr), h_mot_k, prev_mot, x_sel, z_sel,
+                h_aff_k=h_aff_k, prev_aff=prev_aff, a=a_sel)
+            alphas.append(alpha.value[:, 0])
         else:
-            agg_mot = tape.gather_rows(h_mot_k, first)
-            agg_aff = (tape.gather_rows(h_aff_k, first)
-                       if h_aff_k is not None else None)
-            alphas = np.zeros(len(sel))
-            alphas[first] = 1.0
-        h_mot = tape.scatter_rows(agg_mot, seg_curr, len(curr))
-        h_aff = (tape.scatter_rows(agg_aff, seg_curr, len(curr))
-                 if agg_aff is not None else zeros(len(curr)))
+            h_mot = tape.segment_sum(h_mot_k, ci, len(curr))
+            if cfg.use_asu:
+                h_aff = tape.segment_sum(h_aff_k, ci, len(curr))
+            alphas.append(np.ones(len(sel)))
         x_prev = x_curr
-        records.append((pairs, logits, sel, alphas))
-    return h_mot, records
+        pairs_all.append(pairs + [lo, lo + len(prev)])
+        logits_all.append(logits)
+        selected.append(sel + n_pairs)
+        lo, n_pairs = lo + len(prev), n_pairs + len(pairs)
+    return h_mot, (np.concatenate(pairs_all), logits_all,
+                   np.concatenate(selected), np.concatenate(alphas))
 
 
 # ---- the detector-noise channel, one numpy call per draw --------------------

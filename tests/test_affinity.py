@@ -238,14 +238,14 @@ def _links(entries):
 
 def test_top_k_keeps_all_when_fewer():
     pairs, dists, scores = _links([(i, 0, 0.5 + 0.1 * i, 1.0) for i in range(3)])
-    sel, seg, seg_curr = select_top_k(pairs, dists, scores, 10)
-    assert list(seg_curr) == [0] and list(seg) == [0, 0, 0]
+    sel, top = select_top_k(pairs, dists, scores, 10)
+    assert list(pairs[sel, 1]) == [0, 0, 0] and list(top) == [True, False, False]
     assert list(pairs[sel, 0]) == [2, 1, 0]
 
 
 def test_top_k_tie_broken_by_distance():
     pairs, dists, scores = _links([(0, 0, 0.5, 2.0), (1, 0, 0.5, 1.0)])
-    sel, _, _ = select_top_k(pairs, dists, scores, 1)
+    sel, _ = select_top_k(pairs, dists, scores, 1)
     assert list(pairs[sel, 0]) == [1]
 
 
@@ -257,14 +257,17 @@ def test_top_k_matches_brute_force():
                     float(rng.random()), float(rng.uniform(0, 10)))
                    for _ in range(n_links)]
         pairs, dists, scores = _links(entries)
-        sel, seg, seg_curr = select_top_k(pairs, dists, scores, 10)
+        sel, top = select_top_k(pairs, dists, scores, 10)
         by_curr = {}
         for p, c, s, d in entries:
             by_curr.setdefault(c, []).append((s, d, p))
-        assert sorted(seg_curr.tolist()) == sorted(by_curr)
-        for s, c in enumerate(seg_curr):
-            want = topk_brute_force(by_curr[int(c)], 10)
-            got = [(scores[i], dists[i], pairs[i, 0]) for i in sel[seg == s]]
+        curr = pairs[sel, 1]
+        assert np.all(np.diff(curr) >= 0)  # (curr, rank) order
+        assert np.array_equal(top, np.diff(curr, prepend=-1) != 0)
+        assert sorted(np.unique(curr).tolist()) == sorted(by_curr)
+        for c in by_curr:
+            want = topk_brute_force(by_curr[c], 10)
+            got = [(scores[i], dists[i], pairs[i, 0]) for i in sel[curr == c]]
             assert got == want
 
 
@@ -272,19 +275,20 @@ def test_select_top_k_segment_layout():
     pairs = np.array([[0, 0], [1, 0], [2, 0], [0, 1]])
     dists = np.array([1.0, 2.0, 3.0, 4.0])
     scores = np.array([0.9, 0.8, 0.95, 0.5])
-    sel, seg, seg_curr = select_top_k(pairs, dists, scores, 2)
-    assert list(seg_curr) == [0, 1]
-    assert list(seg) == [0, 0, 1]
+    sel, top = select_top_k(pairs, dists, scores, 2)
+    assert list(pairs[sel, 1]) == [0, 0, 1]
+    assert list(top) == [True, False, True]
     # best two for det 0: prev 2 (0.95) then prev 0 (0.9)
     assert list(pairs[sel, 0]) == [2, 0, 0]
 
 
 def test_select_top_k_zero_pairs():
-    # a transition without pairs has no segment: every detection is a birth
+    # a transition without pairs keeps none: every detection is a birth
     pairs, dists = gate_positions(np.zeros((0, 2)), np.zeros((3, 2)), 5.0)
     assert pairs.shape == (0, 2) and dists.shape == (0,)
-    for out in select_top_k(pairs, dists, np.zeros(0), 4):
-        assert out.shape == (0,) and out.dtype.kind == "i"
+    sel, top = select_top_k(pairs, dists, np.zeros(0), 4)
+    assert sel.shape == top.shape == (0,)
+    assert sel.dtype.kind == "i" and top.dtype == bool
 
 
 def test_window_gating_matches_each_window_alone():

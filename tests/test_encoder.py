@@ -1,6 +1,7 @@
 """ASU, MSA, and the full per-sequence encoding loop."""
 
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from uncertrack.numerics import Tape, mlp_forward
 from uncertrack.world import NoiseConfig, corrupt_to_detections, generate_world
 
 from oracles import (best_prev_loop, chains_from, encode_loop, fd_gradient,
-                     float64_copy, msa_direct, rel_err)
+                     float64_copy, msa_direct, pairs_per_transition, rel_err)
 
 
 def _small_config(**kw):
@@ -32,8 +33,7 @@ def _frames_from_log(log, start, length):
 
 def _ages(enc):
     # a final detection's age: the linked predecessors in its implicit chain
-    return [sum(p is not None for p in chain[1:])
-            for chain in implicit_chains(enc)]
+    return (implicit_chains(enc)[:, 1:] >= 0).sum(axis=1).tolist()
 
 
 def test_birth_state_is_zero():
@@ -46,7 +46,7 @@ def test_birth_state_is_zero():
 
     params = init_model(ModelConfig(), seed=9)
     born = encode_sequence(Tape(), params, [frame(0.0), frame(50.0)])
-    assert [len(r.pairs) for r in born.transitions] == [0]
+    assert pairs_per_transition(born) == [0]
     assert np.array_equal(born.h_mot_final.value, np.zeros((1, 64)))
     assert _ages(born) == [0]
     # the affinity state of a birth reaches the next update through ASU
@@ -246,25 +246,28 @@ def test_msa_gates_bounded():
 
 
 def test_msa_zero_candidates_give_zero_states():
-    # zero candidates are zero segments: (0, H) states, and a backward pass
-    # through them adds zeros to the previous states' gradient
+    # a segment without candidates (a birth) is a zero row: zero candidates
+    # give (n_seg, H) zero states, and a backward pass through them adds
+    # zeros to the previous states' gradient
     cfg = _small_config()
     params = init_model(cfg, seed=19)
-    tape = Tape()
-    prev_mot = tape.param(np.zeros((3, 6)), np.zeros((3, 6)))
+    for n_seg in (0, 3):
+        tape = Tape()
+        prev_mot = tape.param(np.zeros((3, 6)), np.zeros((3, 6)))
 
-    def rows(n_cols):
-        return tape.const(np.zeros((0, n_cols)))
+        def rows(n_cols):
+            return tape.const(np.zeros((0, n_cols)))
 
-    h_mot, h_aff, alpha = msa_aggregate(
-        tape, params, np.zeros(0, dtype=int), 0,
-        rows(6), tape.gather_rows(prev_mot, np.zeros(0, dtype=int)),
-        rows(cfg.x_dim), rows(1), h_aff_k=rows(6), prev_aff=rows(6),
-        a=rows(cfg.aff_dim))
-    assert h_mot.value.shape == h_aff.value.shape == (0, 6)
-    assert alpha.value.shape == (0, 1)
-    tape.backward(tape.sum(h_mot))
-    assert np.array_equal(prev_mot.grad, np.zeros((3, 6)))
+        h_mot, h_aff, alpha = msa_aggregate(
+            tape, params, np.zeros(0, dtype=int), n_seg,
+            rows(6), tape.gather_rows(prev_mot, np.zeros(0, dtype=int)),
+            rows(cfg.x_dim), rows(1), h_aff_k=rows(6), prev_aff=rows(6),
+            a=rows(cfg.aff_dim))
+        assert np.array_equal(h_mot.value, np.zeros((n_seg, 6)))
+        assert np.array_equal(h_aff.value, np.zeros((n_seg, 6)))
+        assert alpha.value.shape == (0, 1)
+        tape.backward(tape.sum(h_mot))
+        assert np.array_equal(prev_mot.grad, np.zeros((3, 6)))
 
 
 # ---- encode_sequence ---------------------------------------------------------
@@ -278,9 +281,8 @@ def test_single_agent_unambiguous_world():
     params = init_model(ModelConfig(), seed=21)
     enc = encode_sequence(Tape(), params, frames)
     assert enc.h_mot_final.value.shape == (1, 64)
-    for rec in enc.transitions:
-        assert len(rec.pairs) == 1
-        assert np.allclose(rec.alphas, 1.0)
+    assert pairs_per_transition(enc) == [1] * 19
+    assert len(enc.alphas) == 19 and np.allclose(enc.alphas, 1.0)
     assert _ages(enc) == [19]
 
 
@@ -318,10 +320,9 @@ def test_dropped_frame_births_new_state():
     params = init_model(ModelConfig(), seed=23)
     enc = encode_sequence(Tape(), params, frames)
     # hand-traced schedule: transitions have 1, 0, 0, 1 candidates
-    assert [len(r.pairs) for r in enc.transitions] == [1, 0, 0, 1]
+    assert pairs_per_transition(enc) == [1, 0, 0, 1]
     assert _ages(enc) == [1]  # reborn at frame 3, one update since
-    chains = implicit_chains(enc)
-    assert chains[0][0] == 0 and chains[0][1] == 0 and chains[0][2] is None
+    assert implicit_chains(enc).tolist() == [[0, 0, -1, -1, -1]]
 
 
 def test_empty_final_frame_gives_empty_encoding():
@@ -339,12 +340,12 @@ def test_alpha_sums_per_detection_in_full_world():
     frames = _frames_from_log(log, 30, 12)
     params = float64_copy(init_model(ModelConfig(), seed=27))
     enc = encode_sequence(Tape(), params, frames)
-    for rec in enc.transitions:
-        if len(rec.seg) == 0:
-            continue
-        sums = np.zeros(len(rec.seg_curr))
-        np.add.at(sums, rec.seg, rec.alphas)
-        assert np.max(np.abs(sums - 1.0)) < 1e-9
+    # a detection's candidates are the selected pairs into its row
+    curr = enc.pairs[enc.selected, 1]
+    assert len(curr) > 0
+    sums = np.zeros(enc.offsets[-1])
+    np.add.at(sums, curr, enc.alphas)
+    assert np.max(np.abs(sums[np.unique(curr)] - 1.0)) < 1e-9
 
 
 def test_affinity_parameters_reach_forecast_path():
@@ -394,16 +395,11 @@ def test_diagnostics_match_segment_loop_oracle(variant):
     params = init_model(variant_config(variant, _small_config()), seed=43)
     enc = encode_sequence(Tape(), params, frames)
 
-    ages = np.zeros(len(frames[0]), dtype=int)
-    best_prevs = []
-    for rec in enc.transitions:
-        want, ages = best_prev_loop(rec.seg, rec.seg_curr, rec.alphas,
-                                    rec.pairs[rec.selected, 0], ages,
-                                    len(frames[rec.frame]))
-        assert rec.best_prev == want
-        best_prevs.append(want)
-    assert _ages(enc) == ages.tolist()
-    assert implicit_chains(enc) == chains_from(best_prevs, len(frames[-1]))
+    want, ages = best_prev_loop(enc.pairs, enc.selected, enc.alphas,
+                                enc.offsets[-1])
+    assert np.array_equal(enc.best_prev, want)
+    assert _ages(enc) == ages[enc.offsets[-2]:].tolist()
+    assert implicit_chains(enc).tolist() == chains_from(want, enc.offsets)
 
 
 def _lone_window():
@@ -412,7 +408,7 @@ def _lone_window():
     return _frames_from_log(log, 30, 20)
 
 
-def _random_pack(seed):
+def _random_windows(seed):
     # three windows of 8 frames in one 12 m square: frame 4 is empty in
     # every window, and a window may have no rows in any other frame
     rng = np.random.default_rng(seed)
@@ -423,7 +419,11 @@ def _random_pack(seed):
             pos=rng.uniform(0, 12, (n, 2)), velo=rng.normal(0, 3, (n, 2)),
             size=rng.uniform(1, 5, (n, 3)), heading=rng.uniform(-3, 3, n),
             score=rng.uniform(0.1, 0.9, n)) for n in sizes])
-    return stack_windows(windows)
+    return windows
+
+
+def _random_pack(seed):
+    return stack_windows(_random_windows(seed))
 
 
 def _grads(params, tape, h_final, logits):
@@ -453,23 +453,23 @@ def test_encoding_matches_the_per_transition_loop(layout, dtype, variant):
         params = float64_copy(params)
     tape, loop_tape = Tape(), Tape()
     enc = encode_sequence(tape, params, frames)
-    h_final, records = encode_loop(loop_tape, params, frames)
+    h_final, (pairs, logits, sel, alphas) = encode_loop(loop_tape, params,
+                                                         frames)
 
     assert enc.h_mot_final.value.dtype == np.dtype(dtype)
     assert np.array_equal(enc.h_mot_final.value, h_final.value)
-    assert len(enc.transitions) == len(records) == len(frames) - 1
+    assert len(logits) == len(frames) - 1
     if layout == "pack":  # the empty frame 4 leaves two transitions pairless
-        assert [len(enc.transitions[i].pairs) for i in (3, 4)] == [0, 0]
-    for rec, (pairs, logits, sel, alphas) in zip(enc.transitions, records):
-        assert rec.pairs.dtype == pairs.dtype
-        assert np.array_equal(rec.pairs, pairs)
-        assert np.array_equal(rec.logits.value, logits.value)
-        assert np.array_equal(rec.selected, sel)
-        assert np.array_equal(rec.alphas, alphas)
+        assert pairs_per_transition(enc)[3:5] == [0, 0]
+    assert enc.pairs.dtype == pairs.dtype
+    assert np.array_equal(enc.pairs, pairs)
+    assert np.array_equal(enc.logits.value,
+                          np.concatenate([z.value for z in logits]))
+    assert np.array_equal(enc.selected, sel)
+    assert np.array_equal(enc.alphas, alphas)
 
-    got = _grads(params, tape, enc.h_mot_final,
-                 [r.logits for r in enc.transitions])
-    want = _grads(params, loop_tape, h_final, [z for _, z, _, _ in records])
+    got = _grads(params, tape, enc.h_mot_final, [enc.logits])
+    want = _grads(params, loop_tape, h_final, logits)
     tol = 100 * np.finfo(dtype).eps
     for g, w in zip(got, want):
         assert np.max(np.abs(g - w), initial=0.0) <= tol * np.max(np.abs(w),
@@ -501,3 +501,65 @@ def test_frame_local_stages_run_once_per_pass(monkeypatch):
         encode_sequence(Tape(), params, frames)
         assert calls == {"embed_frame": 1, "gate_positions": 1, "mlp_mov": 1,
                          "select_top_k": len(frames) - 1}
+
+
+@pytest.mark.parametrize("variant", ["full", "baseline"])
+@pytest.mark.parametrize("layout", ["random", "worlds"])
+def test_diagnostics_of_a_pack_equal_each_window_alone(layout, variant):
+    # best_prev and implicit_chains of a pack (with an empty frame, or of
+    # seeded worlds with long chains) are each window's own, shifted by the
+    # rows of the windows stacked before it
+    if layout == "random":
+        windows = _random_windows(49)
+    else:
+        windows = [_frames_from_log(corrupt_to_detections(
+            generate_world(8, 100, seed=seed), NoiseConfig(), seed=seed), 30, 12)
+            for seed in (40, 41, 42)]
+    params = init_model(variant_config(variant, ModelConfig()), seed=50)
+    pack = encode_sequence(Tape(), params, stack_windows(windows))
+    pack_chains = implicit_chains(pack)
+    # before[w][t]: rows of windows 0..w-1 in frame t
+    before = np.cumsum([[0] * len(windows[0])]
+                       + [[len(f) for f in w] for w in windows], axis=0)
+    final = 0
+    for w, frames in enumerate(windows):
+        alone = encode_sequence(Tape(), params, frames)
+        # stacked row of the pack for each of the window's stacked rows
+        to_pack = np.concatenate([
+            pack.offsets[t] + before[w][t] + np.arange(len(f))
+            for t, f in enumerate(frames)])
+        linked = alone.best_prev >= 0
+        assert linked.any() and not linked.all()
+        assert np.all(pack.best_prev[to_pack][~linked] == -1)
+        assert np.array_equal(pack.best_prev[to_pack][linked],
+                              to_pack[alone.best_prev[linked]])
+        chains = implicit_chains(alone)
+        shift = before[w][::-1]  # columns run from the final frame back
+        want = np.where(chains >= 0, chains + shift, -1)
+        n = len(frames[-1])
+        assert np.array_equal(pack_chains[final:final + n], want)
+        final += n
+    assert final == len(pack_chains)
+    assert np.any(pack_chains[:, 1:] >= 0)
+
+
+def test_k_candidates_do_nothing_without_msa():
+    # without MSA only the top-ranked candidate is kept, whatever K is
+    frames = _lone_window()
+    runs = []
+    for k in (1, 10):
+        params = init_model(variant_config("asu", replace(ModelConfig(),
+                                                          k_candidates=k)),
+                            seed=51)
+        tape = Tape()
+        enc = encode_sequence(tape, params, frames)
+        runs.append((enc, _grads(params, tape, enc.h_mot_final, [enc.logits])))
+    (one, g_one), (ten, g_ten) = runs
+    assert np.array_equal(one.h_mot_final.value, ten.h_mot_final.value)
+    assert np.array_equal(one.logits.value, ten.logits.value)
+    assert np.array_equal(one.selected, ten.selected)
+    # every current detection with candidates keeps exactly one
+    curr = ten.pairs[ten.selected, 1]
+    assert len(curr) > 0 and len(np.unique(curr)) == len(curr)
+    assert len(np.unique(ten.pairs[:, 1])) == len(curr) < len(ten.pairs)
+    assert all(np.array_equal(a, b) for a, b in zip(g_one, g_ten))

@@ -6,10 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import float64_copy, mean_pool_reference
+from oracles import float64_copy, mean_pool_reference, pairs_per_transition
 from uncertrack import forecaster
 from uncertrack.detections import FrameArrays, stack_windows
-from uncertrack.encoder import TransitionRecord, encode_sequence
+from uncertrack.encoder import SequenceEncoding, encode_sequence
 from uncertrack.errors import ConfigError
 from uncertrack.forecaster import (PACK_DETECTIONS, MeanPoolSIM, SequenceSample,
                                    TrainConfig, augment_sample, build_sample,
@@ -93,7 +93,7 @@ def _loss(params, sample, tape, sim=None):
     if sim is not None:
         p_n = sim(tape, p_n, sample.frames[-1])
     offsets = mlp_forward(tape, params.mlp_dec, p_n)
-    return enc, total_loss(tape, offsets, sample, enc.transitions, lam=0.7)
+    return enc, total_loss(tape, offsets, sample, enc, lam=0.7)
 
 
 def test_pack_ranges_keep_order_and_budget():
@@ -137,7 +137,7 @@ def test_packed_loss_and_gradients_equal_per_window_sum(variant):
     packed = [g.copy() for b in params.blocks() for g in b.grads]
     params.zero_grads()
 
-    assert len(enc.transitions[5].pairs) > 0  # other windows still pair there
+    assert pairs_per_transition(enc)[5] > 0  # other windows still pair there
     assert abs(loss.value[0, 0] - loss_sum) < 1e-10
     assert abs(l_traj - l_traj_sum) < 1e-10 and abs(l_aff - l_aff_sum) < 1e-10
     assert n_traj == n_traj_sum == 3
@@ -171,7 +171,8 @@ def test_end_to_end_gradients_match_finite_differences(variant, sim):
 
 
 def test_loss_adds_a_fixed_number_of_nodes():
-    # one smooth-L1 and one BCE, whatever the number of transitions
+    # one smooth-L1 and one BCE, whatever the number of transitions: gather,
+    # smooth-L1, scale, BCE over the encoder's concatenated logits, scale, add
     params = init_model(SMALL, seed=6)
     counts = []
     for sample in _samples(SMALL)[:1] + [pack_samples(_samples(SMALL))]:
@@ -179,9 +180,9 @@ def test_loss_adds_a_fixed_number_of_nodes():
         enc = encode_sequence(tape, params, sample.frames)
         offsets = mlp_forward(tape, params.mlp_dec, enc.h_mot_final)
         before = len(tape._nodes)
-        total_loss(tape, offsets, sample, enc.transitions, 0.7)
+        total_loss(tape, offsets, sample, enc, 0.7)
         counts.append(len(tape._nodes) - before)
-    assert counts[0] == counts[1] <= 8
+    assert counts[0] == counts[1] == 6
 
 
 def test_confident_wrong_affinities_keep_their_gradient():
@@ -203,13 +204,17 @@ def test_confident_wrong_affinities_keep_their_gradient():
     weights = np.array([1.0, 0.5, 0.5])  # 1 / pairs in the pair's window
     grad = np.zeros_like(z)
     tape = Tape()
+    # stacked rows: frame 0 is rows 0-3, frame 1 rows 4-7, two per window
     empty = np.zeros(0, dtype=int)
-    rec = TransitionRecord(frame=1, pairs=np.array([[1, 0], [2, 2], [3, 2]]),
+    enc = SequenceEncoding(pairs=np.array([[1, 4], [2, 6], [3, 6]]),
+                           pair_block=np.array([0, 1, 1]),
                            logits=tape.param(z, grad), selected=empty,
-                           seg=empty, seg_curr=empty, alphas=np.zeros(0))
+                           alphas=np.zeros(0), best_prev=np.full(8, -1),
+                           offsets=np.array([0, 4, 8]),
+                           h_mot_final=tape.const(np.zeros((4, 6))))
     lam = 0.7
     loss, _, _, _ = total_loss(tape, tape.const(np.zeros((4, 12))), pack,
-                               [rec], lam)
+                               enc, lam)
     tape.backward(loss)
     scale = lam * 2 / 1  # two scored (window, transition)s over one transition
     want = scale * (1.0 / (1.0 + np.exp(-z[:, 0])) - labels) * weights / weights.sum()

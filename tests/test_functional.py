@@ -73,15 +73,16 @@ def test_masked_softmax_empty_mask():
 def test_segment_softmax_properties(n, seed):
     rng = np.random.default_rng(seed)
     scores = rng.standard_normal(n) * 3
-    # sorted segment ids, every segment nonempty, as select_top_k lays them out
+    # sorted segment ids as the encoder lays them out: one segment per
+    # current row, and a row without candidates (a birth) an empty segment
     starts = np.r_[True, rng.random(n - 1) < 0.4]
-    seg = np.cumsum(starts) - 1
-    n_seg = int(seg[-1]) + 1
+    seg = np.cumsum(starts * rng.integers(1, 3, n)) - 1
+    n_seg = int(seg[-1]) + 2
     out = _softmax(scores, seg, n_seg)
     assert np.all(out > 0.0)
     shift = rng.uniform(-5, 5, n_seg)
     shifted = _softmax(scores + shift[seg], seg, n_seg)
-    for s in range(n_seg):
+    for s in np.unique(seg):
         members = np.flatnonzero(seg == s)
         assert abs(out[members].sum() - 1.0) < 1e-9
         assert np.argmax(out[members]) == np.argmax(scores[members])

@@ -73,7 +73,7 @@ def test_init_leaves_no_weight_dead(variant):
     tape = Tape()
     enc = encode_sequence(tape, params, sample.frames)
     offsets = mlp_forward(tape, params.mlp_dec, enc.h_mot_final)
-    loss = total_loss(tape, offsets, sample, enc.transitions, lam=0.7)[0]
+    loss = total_loss(tape, offsets, sample, enc, lam=0.7)[0]
     tape.backward(loss)
     assert np.any(params.mlp_score.block.grads[0] != 0.0)
 

@@ -80,15 +80,16 @@ def test_concat_gather_scatter(rows, cols):
     _check(lambda t, xs: t.concat([t.slice_rows(xs[0], 1, rows),
                                    t.slice_rows(xs[0], 0, 2)], axis=0),
            [(rows, cols)], seed=26)
-    place = np.random.default_rng(1).permutation(rows + 3)[:rows]
-    _check(lambda t, xs: t.scatter_rows(xs[0], place, rows + 3),
-           [(rows, cols)], seed=17)
 
 
 @pytest.mark.parametrize("rows,cols", SIZES)
 def test_segment_ops(rows, cols):
     seg = np.sort(np.random.default_rng(2).integers(0, 3, size=rows))
     _check(lambda t, xs: t.segment_sum(xs[0], seg, 3), [(rows, cols)], seed=18)
+    # no repeated id: rows written into zeros at unordered places
+    place = np.random.default_rng(1).permutation(rows + 3)[:rows]
+    _check(lambda t, xs: t.segment_sum(xs[0], place, rows + 3),
+           [(rows, cols)], seed=17)
     _check(lambda t, xs: t.linear(t.segment_softmax(t.sigmoid(xs[0]), seg, 3),
                                   xs[1], t.const(np.zeros((1, 4)))),
            [(rows, 1), (1, 4)], seed=19)
@@ -276,7 +277,7 @@ def test_float32_operands_give_float32_values_and_gradients():
         tape.gru(x, tape.const(np.tanh(x.value)),
                  *[leaf(tape, s) for s in [(3, 3), (3, 3), (1, 3)] * 3]),
         tape.sigmoid(tape.relu(tape.abs(tape.sub(x, leaf(tape, (1, 3)))))),
-        tape.scatter_rows(x, np.array([0, 2, 3, 5]), 6),
+        tape.segment_sum(x, np.array([0, 2, 3, 5]), 6),
         tape.segment_sum(tape.gather_rows(x, np.array([3, 0, 0, 1])), seg, 3),
         tape.mul(x, tape.segment_softmax(leaf(tape, (4, 1)), seg, 3)),
     ]

@@ -11,7 +11,7 @@ from uncertrack.detections import FrameArrays
 from uncertrack.encoder import encode_sequence
 from uncertrack.errors import ConfigError
 from uncertrack.evaluation import evaluate_model
-from uncertrack.forecaster import build_sample, sequence_labels
+from uncertrack.forecaster import build_sample, pair_labels
 from uncertrack.model import ModelConfig, init_model, stride_and_horizon
 from uncertrack.numerics import Tape
 from uncertrack.rng import substream
@@ -273,8 +273,9 @@ def _affinity_labels(log, t):
     computes them."""
     frames = [FrameArrays.from_detections(log.frames[f]) for f in (t - 1, t)]
     enc = encode_sequence(Tape(), init_model(ModelConfig(), seed=0), frames)
-    ids = [log.true_ids[t - 1], log.true_ids[t]]
-    return enc.transitions[0].pairs, sequence_labels(enc.transitions, ids)[0]
+    ids = np.concatenate([log.true_ids[t - 1], log.true_ids[t]])
+    # stacked current rows follow the previous frame's rows
+    return enc.pairs - [0, enc.offsets[1]], pair_labels(enc.pairs, ids)
 
 
 def test_single_agent_label():
