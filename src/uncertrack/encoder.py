@@ -50,7 +50,7 @@ def asu_update(tape: Tape, params: ModelParams, x, a, prev_mot,
         if params.gru_aff is None:
             raise ConfigError("ASU enabled but gru_aff parameters are missing")
         h_aff_k = gru_step(tape, params.gru_aff, a, prev_aff)
-        x = tape.concat([tape.lift(x), h_aff_k])
+        x = tape.concat([x, h_aff_k])
         h_mot_k = gru_step(tape, params.gru_mot, x, prev_mot)
         return h_mot_k, h_aff_k
     h_mot_k = gru_step(tape, params.gru_mot, x, prev_mot)

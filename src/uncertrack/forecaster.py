@@ -73,15 +73,20 @@ class MeanPoolSIM:
 # ---- decoding ------------------------------------------------------------------
 
 
-def decode_trajectory(tape: Tape, params: ModelParams, p_n: Var,
-                      positions: np.ndarray) -> tuple[Var, list[Forecast]]:
-    """Decode per-step offsets and assemble absolute waypoint forecasts."""
-    offsets = mlp_forward(tape, params.mlp_dec, p_n)
-    steps = params.config.pred_steps
-    forecasts = [Forecast(waypoints=positions[n][None, :]
-                          + offsets.value[n].reshape(steps, 2))
-                 for n in range(positions.shape[0])]
-    return offsets, forecasts
+def decode_trajectory(tape: Tape, params: ModelParams, p_n: Var) -> Var:
+    """The decoder, in training and in inference: per-step offsets from the
+    final detections' positions, (N, 2 * pred_steps), step-major (x, y)."""
+    return mlp_forward(tape, params.mlp_dec, p_n)
+
+
+def _forward(tape: Tape, params: ModelParams, frames: list[FrameArrays],
+             sim) -> tuple[SequenceEncoding, Var]:
+    # encoder, (SIM,) decoder: the one forward pass of training and inference
+    enc = encode_sequence(tape, params, frames)
+    p_n = enc.h_mot_final
+    if sim is not None:
+        p_n = sim(tape, p_n, frames[-1])
+    return enc, decode_trajectory(tape, params, p_n)
 
 
 # ---- loss ----------------------------------------------------------------------
@@ -95,16 +100,19 @@ def pair_labels(pairs: np.ndarray, ids: np.ndarray) -> np.ndarray:
 
 
 def total_loss(tape: Tape, pred_offsets: Var, sample: SequenceSample,
-               encoding: SequenceEncoding, lam: float, beta: float = 1.0):
+               encoding: SequenceEncoding, lam: float):
     """Joint matching/forecasting loss, summed over the windows of a pack.
 
-    A window's loss is its masked smooth-L1 over the final-frame targets plus
-    ``lam`` times its affinity loss: the mean BCE over each transition's
-    gated pairs (labelled by :func:`pair_labels`), summed over transitions
-    that have pairs and divided by the window's ``t_obs - 1`` transitions.
-    Per-window normalisation is carried by the weights: a pair weighs one
-    over the pairs of its gate block (one transition of one window), so one
-    smooth-L1 and one BCE over the encoding's logits cover the whole pack.
+    A window's loss is its masked smooth-L1 over the final-frame targets,
+    averaged over its supervised components, plus ``lam`` times its affinity
+    loss: the mean BCE over each transition's gated pairs (labelled by
+    :func:`pair_labels`), summed over transitions and divided by the
+    window's ``t_obs - 1`` transitions.  Per-window normalisation is carried
+    by the weights of two weighted sums over the whole pack: a target
+    component weighs one over its window's supervised components (a window
+    without targets weighs 0), and a pair one over the pairs of its gate
+    block (one transition of one window).  The same expression serves every
+    pack, also one without targets or without pairs.
 
     Returns (loss Var, summed l_traj, summed l_aff, windows with targets).
     Raises when a window has neither supervised forecasts nor gated pairs.
@@ -112,45 +120,26 @@ def total_loss(tape: Tape, pred_offsets: Var, sample: SequenceSample,
     n_win = sample.num_windows
     n_trans = len(sample.frames) - 1
     row_window = sample.frames[-1].window
-    terms = []
-    row_mask = sample.target_mask.sum(axis=1)
-    win_mask = np.bincount(row_window, weights=row_mask, minlength=n_win)
+    win_mask = np.bincount(row_window, weights=sample.target_mask.sum(axis=1),
+                           minlength=n_win)
     n_traj = int(np.count_nonzero(win_mask))
-    l_traj_val = 0.0
-    matched = np.flatnonzero(row_mask > 0)
-    if len(matched):
-        weights = (sample.target_mask[matched]
-                   / win_mask[row_window[matched], None])
-        l_traj = tape.smooth_l1(tape.gather_rows(pred_offsets, matched),
-                                sample.target_offsets[matched], beta,
-                                weights=weights)
-        terms.append(tape.affine(l_traj, float(n_traj)))
-        l_traj_val = float(terms[-1].value[0, 0])
+    l_traj = tape.smooth_l1(
+        pred_offsets, sample.target_offsets,
+        sample.target_mask / np.maximum(win_mask[row_window], 1.0)[:, None])
 
     pairs, block = encoding.pairs, encoding.pair_block
-    per_block = np.bincount(block)
-    # (window, transition) combinations with gated pairs
-    n_scored = int(np.count_nonzero(per_block))
+    labels = pair_labels(pairs, np.concatenate(sample.true_ids))
+    l_aff = tape.bce(encoding.logits, labels, 1.0 / np.bincount(block)[block])
+
     pair_window = np.concatenate([f.window for f in sample.frames])[pairs[:, 1]]
     win_scored = np.bincount(pair_window, minlength=n_win) > 0
-    l_aff_val = 0.0
-    if n_scored:
-        labels = pair_labels(pairs, np.concatenate(sample.true_ids))
-        bce = tape.bce(encoding.logits, labels[:, None],
-                       weights=1.0 / per_block[block])
-        # the weights sum to n_scored, so the weighted mean times n_scored
-        # sums every window's per-transition means
-        l_aff_val = float(bce.value[0, 0]) * n_scored / n_trans
-        terms.append(tape.affine(bce, lam * n_scored / n_trans))
-
     empty = np.flatnonzero((win_mask == 0) & ~win_scored)
     if len(empty):
         raise ConfigError(f"degenerate window {int(empty[0])} of the pack: no "
                           "supervised forecasts and no gated pairs")
-    loss = terms[0]
-    for t in terms[1:]:
-        loss = tape.add(loss, t)
-    return loss, l_traj_val, l_aff_val, n_traj
+    loss = tape.add(l_traj, tape.affine(l_aff, lam / n_trans))
+    return (loss, float(l_traj.value[0, 0]), float(l_aff.value[0, 0]) / n_trans,
+            n_traj)
 
 
 # ---- schedules -----------------------------------------------------------------
@@ -355,21 +344,17 @@ class TrainConfig:
     lambda_start: float = 1.0
     lambda_end: float = 0.1
     seed: int = 0
-    augmentation: bool = True
     windows_per_world: int = 4
-    smooth_l1_beta: float = 1.0
     model: ModelConfig = ModelConfig()
 
     def __post_init__(self):
         # lr_num_decays may be 0, meaning no decay; seed is any integer
         check_fields(self, "an integer", ("seed",))
-        check_fields(self, "a bool", ("augmentation",))
         check_fields(self, "a positive integer",
                      ("batch_sequences", "max_detections", "t_obs", "epochs",
                       "windows_per_world"))
         check_fields(self, "a non-negative integer", ("lr_num_decays",))
-        check_fields(self, "a positive finite number",
-                     ("lr", "lr_decay", "smooth_l1_beta"))
+        check_fields(self, "a positive finite number", ("lr", "lr_decay"))
         check_fields(self, "a non-negative finite number",
                      ("lambda_start", "lambda_end"))
 
@@ -385,15 +370,6 @@ class EpochStats:
     l_aff: float
     lam: float
     lr: float
-
-
-def _sequence_loss(tape, params, sample, lam, beta, sim):
-    enc = encode_sequence(tape, params, sample.frames)
-    p_n = enc.h_mot_final
-    if sim is not None:
-        p_n = sim(tape, p_n, sample.frames[-1])
-    offsets = mlp_forward(tape, params.mlp_dec, p_n)
-    return total_loss(tape, offsets, sample, enc, lam, beta)
 
 
 def train(cfg: TrainConfig, worlds: list[WorldLog], variant: str = "full",
@@ -431,18 +407,16 @@ def train(cfg: TrainConfig, worlds: list[WorldLog], variant: str = "full",
         traj_n = aff_n = 0
         for lo in range(0, len(windows), cfg.batch_sequences):
             batch = windows[lo: lo + cfg.batch_sequences]
-            samples = []
-            for wi, t0 in batch:
-                sample = build_sample(worlds[wi], t0, cfg.t_obs, model_cfg,
-                                      cfg.max_detections)
-                if cfg.augmentation:
-                    sample = augment_sample(sample, aug_rng)
-                samples.append(sample)
+            samples = [augment_sample(build_sample(worlds[wi], t0, cfg.t_obs,
+                                                   model_cfg, cfg.max_detections),
+                                      aug_rng)
+                       for wi, t0 in batch]
             for p_lo, p_hi in pack_ranges([s.frames for s in samples]):
                 tape = Tape()
-                loss, l_traj, l_aff, n_traj = _sequence_loss(
-                    tape, params, pack_samples(samples[p_lo:p_hi]), lam,
-                    cfg.smooth_l1_beta, sim)
+                pack = pack_samples(samples[p_lo:p_hi])
+                enc, offsets = _forward(tape, params, pack.frames, sim)
+                loss, l_traj, l_aff, n_traj = total_loss(tape, offsets, pack,
+                                                         enc, lam)
                 value = float(loss.value[0, 0])
                 if not np.isfinite(value):
                     raise NumericsError(
@@ -474,10 +448,8 @@ def forecast_sequence(params: ModelParams, frames: list[FrameArrays],
     a float64 copy in float64).  The returned encoding's logits are
     constants.
     """
-    tape = Tape(grad=False)
-    enc = encode_sequence(tape, params, frames)
-    p_n = enc.h_mot_final
-    if sim is not None:
-        p_n = sim(tape, p_n, frames[-1])
-    _, forecasts = decode_trajectory(tape, params, p_n, frames[-1].pos)
-    return enc, forecasts
+    enc, offsets = _forward(Tape(grad=False), params, frames, sim)
+    final = frames[-1]
+    waypoints = (final.pos[:, None]
+                 + offsets.value.reshape(len(final), params.config.pred_steps, 2))
+    return enc, [Forecast(waypoints=w) for w in waypoints]

@@ -173,9 +173,6 @@ class Tape:
     def const(self, value) -> Var:
         return Var(_as2d(value), no_grad=True)
 
-    def lift(self, x) -> Var:
-        return x if isinstance(x, Var) else self.const(x)
-
     # ---- arithmetic ----------------------------------------------------
 
     def linear(self, x: Var, w: Var, b: Var) -> Var:
@@ -389,12 +386,11 @@ class Tape:
 
         return self._node(val, (a,), backward)
 
-    def smooth_l1(self, pred: Var, target: np.ndarray, beta: float,
-                  weights: np.ndarray) -> Var:
-        """Weighted mean smooth-L1 over all components; ``weights`` has the
-        shape of ``pred``.  Target and weights are cast to ``pred``'s dtype."""
-        if beta <= 0.0:
-            raise NumericsError("smooth_l1 beta must be positive")
+    def smooth_l1(self, pred: Var, target: np.ndarray, weights: np.ndarray) -> Var:
+        """Weighted sum of the smooth-L1 (beta 1) of every component;
+        ``weights`` has the shape of ``pred``.  Target and weights are cast
+        to ``pred``'s dtype.  No rows, or zero weights, give 0 and a zero
+        gradient."""
         target = np.asarray(target, dtype=pred.value.dtype)
         weights = np.asarray(weights, dtype=pred.value.dtype)
         if target.shape != pred.value.shape:
@@ -402,42 +398,35 @@ class Tape:
                 f"smooth_l1 shape mismatch: {pred.value.shape} vs {target.shape}")
         d = pred.value - target
         ad = np.abs(d)
-        per = np.where(ad < beta, 0.5 * d * d / beta, ad - 0.5 * beta)
-        denom = float(weights.sum())
-        if denom <= 0.0:
-            raise NumericsError("smooth_l1 weights sum to zero")
-        val = np.array([[(per * weights).sum() / denom]])
+        per = np.where(ad < 1.0, 0.5 * d * d, ad - 0.5)
+        val = np.array([[(per * weights).sum()]])
 
         def backward(g):
-            g = g[0, 0] / denom
-            dd = np.where(ad < beta, d / beta, np.sign(d)) * weights
-            _acc_own(pred, g * dd)
+            dd = np.where(ad < 1.0, d, np.sign(d)) * weights
+            _acc_own(pred, g[0, 0] * dd)
 
         return self._node(val, (pred,), backward)
 
     def bce(self, logits: Var, labels: np.ndarray, weights: np.ndarray) -> Var:
-        """Weighted mean binary cross entropy of ``sigmoid(logits)``; labels
-        and weights hold one entry per logit, and are cast to the logits'
-        dtype.
+        """Weighted sum of the binary cross entropy of ``sigmoid(logits)``;
+        labels and weights hold one entry per logit, and are cast to the
+        logits' dtype.  No logits, or zero weights, give 0 and a zero
+        gradient.
 
         Computed as ``max(z, 0) - z y + log1p(exp(-|z|))``, finite for every
-        finite logit, with gradient ``sigmoid(z) - y``, which never vanishes
-        on a wrong label however large ``|z|`` grows.
+        finite logit, with gradient ``w (sigmoid(z) - y)``, which never
+        vanishes on a wrong label however large ``|z|`` grows.
         """
         z = logits.value
         labels = np.asarray(labels, dtype=z.dtype).reshape(z.shape)
         weights = np.asarray(weights, dtype=z.dtype).reshape(z.shape)
-        denom = float(weights.sum())
-        if denom <= 0.0:
-            raise NumericsError("bce weights sum to zero")
         e = np.exp(-np.abs(z))
         per = np.maximum(z, 0.0) - z * labels + np.log1p(e)
-        val = np.array([[(per * weights).sum() / denom]])
+        val = np.array([[(per * weights).sum()]])
 
         def backward(g):
-            g = g[0, 0] / denom
             p = np.where(z >= 0.0, 1.0, e) / (1.0 + e)  # sigmoid(z), no overflow
-            _acc_own(logits, g * ((p - labels) * weights))
+            _acc_own(logits, g[0, 0] * ((p - labels) * weights))
 
         return self._node(val, (logits,), backward)
 

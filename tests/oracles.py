@@ -71,12 +71,13 @@ def sigmoid_direct(x):
     return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float)))
 
 
-def smooth_l1_direct(pred, target, beta=1.0) -> float:
-    out = []
+def smooth_l1_direct(pred, target) -> float:
+    """Sum of the smooth-L1 (beta 1) of every component."""
+    out = 0.0
     for p, t in zip(np.ravel(pred), np.ravel(target)):
         d = abs(p - t)
-        out.append(0.5 * d * d / beta if d < beta else d - 0.5 * beta)
-    return float(np.mean(out))
+        out += 0.5 * d * d if d < 1.0 else d - 0.5
+    return out
 
 
 def bce_direct(logit, label) -> float:

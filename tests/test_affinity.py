@@ -29,7 +29,7 @@ def _features(tape, params, prev, curr, h_mot_prev):
         tape, params, embed_frame(tape, params, prev),
         embed_frame(tape, params, curr),
         movement_features(tape, params, prev.pos, curr.pos, pairs),
-        tape.lift(h_mot_prev), pairs)
+        h_mot_prev, pairs)
     return pairs, a, logits
 
 
@@ -72,12 +72,14 @@ def test_long_term_feature_zero_weights(params):
     zeroed = init_model(ModelConfig(), seed=31)
     for w in zeroed.mlp_mot.block.weights:
         w[...] = 0.0
-    a, hidden = _long_term(Tape(), zeroed, np.zeros((2, 64)))
+    tape = Tape()
+    a, hidden = _long_term(tape, zeroed, tape.const(np.zeros((2, 64))))
     assert np.array_equal(a.value[:, :hidden], np.zeros((len(a.value), 64)))
 
 
 def test_long_term_feature_birth_state_defined(params):
-    a, hidden = _long_term(Tape(), params, np.zeros((2, 64)))
+    tape = Tape()
+    a, hidden = _long_term(tape, params, tape.const(np.zeros((2, 64))))
     assert a.value[:, :hidden].shape == (4, 64)
     assert np.all(np.isfinite(a.value[:, :hidden]))
 
@@ -189,7 +191,9 @@ def test_zero_affinity_net_scores_half(params):
         w[...] = 0.0
     prev = _frame([(0.0, 0.0), (3.0, 0.0)])
     curr = _frame([(0.5, 0.0), (3.5, 0.0)])
-    pairs, _, logits = _features(Tape(), zeroed, prev, curr, np.zeros((2, 64)))
+    tape = Tape()
+    pairs, _, logits = _features(tape, zeroed, prev, curr,
+                                 tape.const(np.zeros((2, 64))))
     assert len(pairs) == 4
     assert np.all(logits.value == 0.0)
 
@@ -203,9 +207,11 @@ def test_scores_invariant_under_translation(params):
         curr_pos = rng.uniform(-10, 10, (n, 2))
         h = rng.standard_normal((m, 64)) * 0.3
         shift = rng.uniform(-40, 40, 2)
-        pa, _, a = _features(Tape(), params, _frame(prev_pos), _frame(curr_pos), h)
-        pb, _, b = _features(Tape(), params, _frame(prev_pos + shift),
-                             _frame(curr_pos + shift), h)
+        tape = Tape()
+        pa, _, a = _features(tape, params, _frame(prev_pos), _frame(curr_pos),
+                             tape.const(h))
+        pb, _, b = _features(tape, params, _frame(prev_pos + shift),
+                             _frame(curr_pos + shift), tape.const(h))
         assert len(pa) == len(pb)
         # offsets (p+s)-(q+s) round differently from p-q, so allow 1e-9
         assert np.all(np.abs(a.value - b.value) < 1e-9)
@@ -219,8 +225,8 @@ def test_logits_finite_and_loss_finite(params):
     curr = _frame(rng.uniform(-10, 10, (6, 2)))
     for scale in (0.2, 1e3):
         tape = Tape()
-        pairs, _, logits = _features(tape, params, prev, curr,
-                                     rng.standard_normal((6, 64)) * scale)
+        h = tape.const(rng.standard_normal((6, 64)) * scale)
+        pairs, _, logits = _features(tape, params, prev, curr, h)
         assert len(pairs) and np.all(np.isfinite(logits.value))
         for label in (0.0, 1.0):
             loss = tape.bce(logits, np.full(len(pairs), label),

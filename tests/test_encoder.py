@@ -65,7 +65,7 @@ def test_asu_zero_params_zero_outputs():
             w[...] = 0.0
     tape = Tape()
     h_mot, h_aff = asu_update(tape, params,
-                              np.zeros((1, cfg.x_dim)),
+                              tape.const(np.zeros((1, cfg.x_dim))),
                               np.zeros((1, cfg.aff_dim)),
                               np.zeros((1, 6)), np.zeros((1, 6)))
     assert np.array_equal(h_mot.value, np.zeros((1, 6)))
@@ -80,8 +80,8 @@ def test_asu_deterministic():
     a = rng.standard_normal((3, cfg.aff_dim))
     pm = np.tanh(rng.standard_normal((3, 6)))
     pa = np.tanh(rng.standard_normal((3, 6)))
-    one = asu_update(Tape(), params, x, a, pm, pa)
-    two = asu_update(Tape(), params, x, a, pm, pa)
+    one, two = (asu_update(tape, params, tape.const(x), a, pm, pa)
+                for tape in (Tape(), Tape()))
     assert np.array_equal(one[0].value, two[0].value)
     assert np.array_equal(one[1].value, two[1].value)
 
@@ -99,7 +99,7 @@ def test_asu_coupling_gradient_through_affinity_gru():
 
     def forward():
         tape = Tape()
-        h_mot, _ = asu_update(tape, params, x, a, pm, pa)
+        h_mot, _ = asu_update(tape, params, tape.const(x), a, pm, pa)
         return tape, tape.sum(h_mot)
 
     params.zero_grads()

@@ -6,7 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import float64_copy, mean_pool_reference, pairs_per_transition
+from oracles import (bce_direct, float64_copy, mean_pool_reference,
+                     pairs_per_transition)
 from uncertrack import forecaster
 from uncertrack.detections import FrameArrays, stack_windows
 from uncertrack.encoder import SequenceEncoding, encode_sequence
@@ -17,7 +18,7 @@ from uncertrack.forecaster import (PACK_DETECTIONS, MeanPoolSIM, SequenceSample,
                                    forecast_sequence, pack_ranges,
                                    pack_samples, total_loss, train)
 from uncertrack.model import VARIANTS, ModelConfig, init_model, variant_config
-from uncertrack.numerics import Tape, grad_check, mlp_forward
+from uncertrack.numerics import Tape, grad_check
 from uncertrack.world import (FP_ID, NoiseConfig, corrupt_to_detections,
                               generate_world)
 
@@ -88,11 +89,8 @@ def _samples(config):
 
 
 def _loss(params, sample, tape, sim=None):
-    enc = encode_sequence(tape, params, sample.frames)
-    p_n = enc.h_mot_final
-    if sim is not None:
-        p_n = sim(tape, p_n, sample.frames[-1])
-    offsets = mlp_forward(tape, params.mlp_dec, p_n)
+    # the forward pass and loss of one training pack, as train() runs them
+    enc, offsets = forecaster._forward(tape, params, sample.frames, sim)
     return enc, total_loss(tape, offsets, sample, enc, lam=0.7)
 
 
@@ -139,6 +137,16 @@ def test_packed_loss_and_gradients_equal_per_window_sum(variant):
 
     assert pairs_per_transition(enc)[5] > 0  # other windows still pair there
     assert abs(loss.value[0, 0] - loss_sum) < 1e-10
+    # l_aff sums each window's mean over transitions of its per-transition
+    # mean BCE, and the loss adds lam times it
+    ids = np.concatenate(pack_samples(samples).true_ids)[enc.pairs]
+    labels = (ids[:, 0] == ids[:, 1]) & (ids[:, 0] != FP_ID)
+    terms = np.array([bce_direct(z, y)
+                      for z, y in zip(enc.logits.value[:, 0], labels)])
+    want_aff = sum(terms[enc.pair_block == b].mean()
+                   for b in np.unique(enc.pair_block)) / 19
+    assert abs(l_aff - want_aff) < 1e-10
+    assert abs(loss.value[0, 0] - (l_traj + 0.7 * l_aff)) < 1e-10
     assert abs(l_traj - l_traj_sum) < 1e-10 and abs(l_aff - l_aff_sum) < 1e-10
     assert n_traj == n_traj_sum == 3
     assert max(np.max(np.abs(a - b)) for a, b in zip(per_window, packed)) < 1e-10
@@ -171,26 +179,63 @@ def test_end_to_end_gradients_match_finite_differences(variant, sim):
 
 
 def test_loss_adds_a_fixed_number_of_nodes():
-    # one smooth-L1 and one BCE, whatever the number of transitions: gather,
-    # smooth-L1, scale, BCE over the encoder's concatenated logits, scale, add
+    # one smooth-L1 and one BCE, whatever the number of transitions: smooth-L1
+    # over every final row, BCE over the encoder's concatenated logits, scale,
+    # add
     params = init_model(SMALL, seed=6)
     counts = []
     for sample in _samples(SMALL)[:1] + [pack_samples(_samples(SMALL))]:
         tape = Tape()
         enc = encode_sequence(tape, params, sample.frames)
-        offsets = mlp_forward(tape, params.mlp_dec, enc.h_mot_final)
+        offsets = decode_trajectory(tape, params, enc.h_mot_final)
         before = len(tape._nodes)
         total_loss(tape, offsets, sample, enc, 0.7)
         counts.append(len(tape._nodes) - before)
-    assert counts[0] == counts[1] == 6
+    assert counts[0] == counts[1] == 4
+
+
+def test_loss_without_targets_has_no_trajectory_term():
+    # no window of the pack supervises a forecast, but every window pairs:
+    # the smooth-L1 weighs every row 0, so it reads 0 and trains no decoder
+    params = float64_copy(init_model(SMALL, seed=11))
+    samples = _samples(SMALL)
+    for s in samples:
+        s.target_mask[...] = 0.0
+    tape = Tape()
+    enc, (loss, l_traj, l_aff, n_traj) = _loss(params, pack_samples(samples),
+                                               tape)
+    tape.backward(loss)
+    assert l_traj == 0.0 and n_traj == 0
+    assert l_aff > 0.0 and len(enc.pairs) > 0
+    assert all(np.all(g == 0.0) for g in params.mlp_dec.block.grads)
+    assert np.any(params.mlp_aff.block.grads[0] != 0.0)
+
+
+def test_loss_without_pairs_has_no_affinity_term():
+    # every row of every frame is a birth: a km from every other row of any
+    # frame, no pair is gated, and the BCE over zero logits reads 0 while
+    # the targets still train
+    config = variant_config("full", SMALL)
+    params = float64_copy(init_model(config, seed=12))
+    sample = build_sample(_world(5), 10, 20, config)
+    for t, f in enumerate(sample.frames):
+        f.pos[:] = 1e3 * (100 * t + np.arange(len(f)))[:, None]
+    tape = Tape()
+    enc, (loss, l_traj, l_aff, n_traj) = _loss(params, sample, tape)
+    tape.backward(loss)
+    assert len(enc.pairs) == 0 and enc.logits.value.shape == (0, 1)
+    assert l_aff == 0.0 and l_traj > 0.0 and n_traj == 1
+    assert loss.value[0, 0] == l_traj
+    # births decode zero states, so the decoder trains through its biases
+    assert np.any(params.mlp_dec.block.grads[-1] != 0.0)
 
 
 def test_confident_wrong_affinities_keep_their_gradient():
     # a pack of two one-transition windows: a label-0 pair at logit +20 in
     # window 0, a label-1 pair at logit -20 and a label-0 pair at 0.5 in
-    # window 1.  Each logit gets the BCE gradient (sigmoid(z) - y) w / sum(w),
-    # scaled by the loss's lam * (window, transition) count / transitions;
-    # none vanishes, however confident the wrong affinity
+    # window 1.  Each logit gets the BCE gradient (sigmoid(z) - y) w, scaled
+    # by the loss's lam / transitions; none vanishes, however confident the
+    # wrong affinity
     frame = FrameArrays(pos=np.zeros((2, 2)), velo=np.zeros((2, 2)),
                         size=np.ones((2, 3)), heading=np.zeros(2),
                         score=np.ones(2))
@@ -216,8 +261,8 @@ def test_confident_wrong_affinities_keep_their_gradient():
     loss, _, _, _ = total_loss(tape, tape.const(np.zeros((4, 12))), pack,
                                enc, lam)
     tape.backward(loss)
-    scale = lam * 2 / 1  # two scored (window, transition)s over one transition
-    want = scale * (1.0 / (1.0 + np.exp(-z[:, 0])) - labels) * weights / weights.sum()
+    scale = lam / 1  # one transition
+    want = scale * (1.0 / (1.0 + np.exp(-z[:, 0])) - labels) * weights
     assert np.all(grad[:, 0] != 0.0)
     assert np.allclose(grad[:, 0], want, rtol=1e-12, atol=0.0)
 
@@ -322,8 +367,11 @@ def test_forecasts_record_nothing_and_equal_a_recording_tape(monkeypatch,
     p_n = encode_sequence(tape, params, frames).h_mot_final
     if sim is not None:
         p_n = sim(tape, p_n, frames[-1])
-    _, want = decode_trajectory(tape, params, p_n, frames[-1].pos)
+    offsets = decode_trajectory(tape, params, p_n).value
     assert tape._nodes
+    steps = params.config.pred_steps
+    want = [pos[None, :] + row.reshape(steps, 2)
+            for pos, row in zip(frames[-1].pos, offsets)]
 
     tapes = []
 
@@ -337,7 +385,7 @@ def test_forecasts_record_nothing_and_equal_a_recording_tape(monkeypatch,
     assert len(tapes) == 1 and tapes[0]._nodes == []
     assert len(got) == len(want)
     for g, w in zip(got, want):
-        assert np.array_equal(g.waypoints, w.waypoints)
+        assert np.array_equal(g.waypoints, w)
 
 
 def _record_dtypes(monkeypatch):
@@ -421,7 +469,6 @@ def _assert_refused(cls, name, value):
 @pytest.mark.parametrize("cls, name, value", [
     (TrainConfig, "lr", float("nan")), (TrainConfig, "lr_decay", float("inf")),
     (TrainConfig, "lambda_end", -float("inf")),
-    (TrainConfig, "smooth_l1_beta", float("nan")),
     (ModelConfig, "theta_d", float("inf")),
     (ModelConfig, "step_seconds", float("nan"))])
 def test_config_rejects_non_finite(cls, name, value):
@@ -431,7 +478,7 @@ def test_config_rejects_non_finite(cls, name, value):
 @pytest.mark.parametrize("cls, name, value", [
     (TrainConfig, "epochs", 0), (TrainConfig, "epochs", -3),
     (TrainConfig, "batch_sequences", 0), (TrainConfig, "lr", 0.0),
-    (TrainConfig, "smooth_l1_beta", 0.0), (TrainConfig, "t_obs", 0),
+    (TrainConfig, "t_obs", 0),
     (TrainConfig, "lr_num_decays", -1), (TrainConfig, "lambda_start", -0.5),
     # a count must be an integer, not a float or a bool
     (TrainConfig, "epochs", 2.0), (TrainConfig, "windows_per_world", True),
@@ -445,7 +492,6 @@ def test_config_rejects_non_positive(cls, name, value):
 
 @pytest.mark.parametrize("cls, name, value", [
     (TrainConfig, "seed", 1.5), (TrainConfig, "seed", True),
-    (TrainConfig, "augmentation", 1), (TrainConfig, "augmentation", "no"),
     (ModelConfig, "use_asu", "no"), (ModelConfig, "use_msa", 0)])
 def test_config_rejects_non_integer_seed_and_non_bool_flags(cls, name, value):
     _assert_refused(cls, name, value)

@@ -26,10 +26,10 @@ def _softmax(scores, seg, n_seg) -> np.ndarray:
     return tape.segment_softmax(column, np.asarray(seg), n_seg).value[:, 0]
 
 
-def _smooth_l1(pred, target, beta=1.0) -> float:
+def _smooth_l1(pred, target) -> float:
     tape = Tape()
     target = np.asarray(target)[None, :]
-    return _value(tape.smooth_l1(tape.const(pred), target, beta,
+    return _value(tape.smooth_l1(tape.const(pred), target,
                                  np.ones(target.shape)))
 
 
@@ -95,8 +95,9 @@ def test_segment_softmax_properties(n, seed):
 
 def test_smooth_l1_values():
     assert _smooth_l1([1.0, 2.0], [1.0, 2.0]) == 0.0
-    assert abs(_smooth_l1([0.5], [0.0], beta=1.0) - 0.125) < 1e-12
-    assert abs(_smooth_l1([2.0], [0.0], beta=1.0) - 1.5) < 1e-12
+    assert abs(_smooth_l1([0.5], [0.0]) - 0.125) < 1e-12
+    assert abs(_smooth_l1([2.0], [0.0]) - 1.5) < 1e-12
+    assert abs(_smooth_l1([0.5, 2.0], [0.0, 0.0]) - 1.625) < 1e-12  # a sum
 
 
 @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=2 ** 31))
@@ -104,7 +105,7 @@ def test_smooth_l1_matches_piecewise_oracle(n, seed):
     rng = np.random.default_rng(seed)
     pred = rng.standard_normal(n) * 2
     target = rng.standard_normal(n) * 2
-    got = _smooth_l1(pred, target, beta=1.0)
+    got = _smooth_l1(pred, target)
     assert got >= 0.0
     assert abs(got - smooth_l1_direct(pred, target)) < 1e-12
 
@@ -112,8 +113,6 @@ def test_smooth_l1_matches_piecewise_oracle(n, seed):
 def test_smooth_l1_errors():
     with pytest.raises(NumericsError):
         _smooth_l1([1.0], [1.0, 2.0])
-    with pytest.raises(NumericsError):
-        _smooth_l1([1.0], [1.0], beta=0.0)
 
 
 def test_bce_values():

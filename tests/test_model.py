@@ -7,11 +7,11 @@ import pytest
 
 from uncertrack.encoder import encode_sequence
 from uncertrack.errors import ConfigError
-from uncertrack.forecaster import (TrainConfig, build_sample,
+from uncertrack.forecaster import (TrainConfig, build_sample, decode_trajectory,
                                    model_config_from_train, total_loss)
 from uncertrack.model import (VARIANTS, ModelConfig, ModelParams, init_model,
                               load_model, save_model, variant_config)
-from uncertrack.numerics import GruParams, Tape, mlp_forward
+from uncertrack.numerics import GruParams, Tape
 from uncertrack.world import NoiseConfig, corrupt_to_detections, generate_world
 
 from oracles import float64_copy
@@ -72,7 +72,7 @@ def test_init_leaves_no_weight_dead(variant):
     sample = build_sample(log, 10, 4, config)
     tape = Tape()
     enc = encode_sequence(tape, params, sample.frames)
-    offsets = mlp_forward(tape, params.mlp_dec, enc.h_mot_final)
+    offsets = decode_trajectory(tape, params, enc.h_mot_final)
     loss = total_loss(tape, offsets, sample, enc, lam=0.7)[0]
     tape.backward(loss)
     assert np.any(params.mlp_score.block.grads[0] != 0.0)

@@ -99,10 +99,17 @@ def test_segment_ops(rows, cols):
 def test_reductions_and_losses(rows, cols):
     _check(lambda t, xs: t.mean(t.mul(xs[0], xs[0])), [(rows, cols)], seed=20)
 
-    target = np.random.default_rng(3).standard_normal((rows, cols))
+    # residuals on both sides of |d| = 1, away from the kink; the leaf is
+    # the array _check draws from seed 22
+    pred = np.random.default_rng(22).standard_normal((rows, cols))
+    rng = np.random.default_rng(3)
+    d = rng.choice([-2.5, -1.6, -0.6, -0.2, 0.3, 0.7, 1.4, 2.2], (rows, cols))
+    d.flat[:2] = [0.5, -1.8]
     weights = (np.random.default_rng(4).random((rows, cols)) > 0.3).astype(float)
-    weights[0, 0] = 1.0
-    _check(lambda t, xs: t.smooth_l1(xs[0], target, beta=0.7, weights=weights),
+    weights.flat[:2] = 1.0
+    assert np.any((np.abs(d) < 1) & (weights > 0))
+    assert np.any((np.abs(d) > 1) & (weights > 0))
+    _check(lambda t, xs: t.smooth_l1(xs[0], pred - d, weights=weights),
            [(rows, cols)], seed=22)
 
     labels = np.random.default_rng(5).integers(0, 2, size=(rows, 1)).astype(float)
@@ -150,7 +157,7 @@ def test_no_grad_constants_stay_untouched():
     assert np.array_equal(g, np.ones((2, 2)))
 
 
-def test_weighted_bce_is_weighted_mean_of_oracle_terms():
+def test_weighted_bce_is_weighted_sum_of_oracle_terms():
     rng = np.random.default_rng(7)
     logits = rng.uniform(-30.0, 30.0, size=(6, 1))
     labels = rng.integers(0, 2, size=6).astype(float)
@@ -158,15 +165,35 @@ def test_weighted_bce_is_weighted_mean_of_oracle_terms():
     tape = Tape()
     got = tape.bce(tape.const(logits), labels, weights=weights).value[0, 0]
     terms = [bce_direct(z, lab) for z, lab in zip(logits[:, 0], labels)]
-    assert abs(got - np.dot(weights, terms) / weights.sum()) <= 1e-12 * got
-    with pytest.raises(NumericsError):
-        tape.bce(tape.const(logits), labels, weights=np.zeros(6))
+    assert abs(got - np.dot(weights, terms)) <= 1e-12 * got
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_losses_over_nothing_are_zero(dtype):
+    # zero rows, or rows that all weigh 0, give a loss of 0 and a zero
+    # gradient, without a warning (the suite turns warnings into failures)
+    rng = np.random.default_rng(14)
+    for rows in (0, 5):
+        pred = rng.standard_normal((rows, 4)).astype(dtype)
+        logits = rng.uniform(-30.0, 30.0, (rows, 1)).astype(dtype)
+        grads = np.ones_like(pred), np.ones_like(logits)
+        tape = Tape()
+        l1 = tape.smooth_l1(tape.param(pred, grads[0]),
+                            rng.standard_normal((rows, 4)), np.zeros((rows, 4)))
+        bce = tape.bce(tape.param(logits, grads[1]),
+                       rng.integers(0, 2, rows), np.zeros(rows))
+        assert l1.value.dtype == bce.value.dtype == dtype
+        assert l1.value[0, 0] == 0.0 and bce.value[0, 0] == 0.0
+        grads[0][...] = grads[1][...] = 0.0
+        tape.backward(tape.add(l1, bce))
+        assert grads[0].shape == (rows, 4) and not np.any(grads[0])
+        assert grads[1].shape == (rows, 1) and not np.any(grads[1])
 
 
 def test_bce_gradient_does_not_saturate():
     # confidently wrong pairs still pull their logits back: the gradient is
-    # (sigmoid(z) - y) w / sum(w), however large |z| grows, and the loss
-    # stays finite where exp(|z|) is far beyond any clamp
+    # (sigmoid(z) - y) w, however large |z| grows, and the loss stays finite
+    # where exp(|z|) is far beyond any clamp
     logits = np.array([[20.0], [-20.0], [40.0], [-40.0], [0.5]])
     labels = np.array([0.0, 1.0, 0.0, 1.0, 1.0])
     weights = np.array([1.0, 2.0, 0.5, 1.0, 0.5])
@@ -175,9 +202,9 @@ def test_bce_gradient_does_not_saturate():
     loss = tape.bce(tape.param(logits, grad), labels, weights)
     tape.backward(loss)
     terms = [bce_direct(z, lab) for z, lab in zip(logits[:, 0], labels)]
-    want_loss = np.dot(weights, terms) / weights.sum()
+    want_loss = np.dot(weights, terms)
     assert abs(loss.value[0, 0] - want_loss) <= 1e-12 * want_loss
-    want = (1.0 / (1.0 + np.exp(-logits[:, 0])) - labels) * weights / weights.sum()
+    want = (1.0 / (1.0 + np.exp(-logits[:, 0])) - labels) * weights
     assert np.all(grad[:, 0] != 0.0)
     assert np.allclose(grad[:, 0], want, rtol=1e-12, atol=0.0)
 
@@ -282,7 +309,7 @@ def test_float32_operands_give_float32_values_and_gradients():
         tape.mul(x, tape.segment_softmax(leaf(tape, (4, 1)), seg, 3)),
     ]
     loss = tape.add(
-        tape.smooth_l1(outs[0], np.zeros((4, 3)), 1.0, np.ones((4, 3))),
+        tape.smooth_l1(outs[0], np.zeros((4, 3)), np.ones((4, 3))),
         tape.bce(tape.concat([tape.sum(o) for o in outs], axis=0),
                  np.array([0.0, 1.0, 0.0, 1.0, 0.0]), np.ones(5)))
     nodes = list(tape._nodes)  # held, so backward keeps their gradients
