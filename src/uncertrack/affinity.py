@@ -33,9 +33,9 @@ def gate_positions(prev_pos: np.ndarray, curr_pos: np.ndarray, theta_d: float,
     rows of the blocks stacked before it, and the cost is linear in the
     number of blocks.  The ids must ascend.  A block is one window of a pack
     (``FrameArrays.window``, as :func:`~uncertrack.detections.stack_windows`
-    lays them out), or, when the encoder gates every transition of a pass in
-    one call, one (transition, window) pair with the compound id
-    ``transition * n_windows + window``.
+    lays them out), or, when the encoder gates every transition of a run of
+    frames in one call, one (transition, sequence) pair with the compound id
+    ``transition * n_seq + seq``.
     """
     if theta_d <= 0:
         raise ConfigError("gating distance must be positive")

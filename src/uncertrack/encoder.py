@@ -1,29 +1,32 @@
 """Uncertainty-aware motion encoding over raw detection frames.
 
-The stages that read only the frames run once per observation window (or
-pack of windows): the unary embedding of every detection, the distance gate
-of every frame transition and the movement features of every gated pair.
-Then, per frame transition: score the affinities of the gated pairs from
-those features and the previous motion states, keep the top-K candidate
-predecessors of each current detection (one without MSA), update
-per-candidate states (the affinity chain GRU feeding the motion GRU when ASU
-is on), then fuse the candidates' states with attention, a softmax of the
-affinity logits, and learned sigmoid gates (MSA).  A candidate's segment is
-its current detection's row, so the fused states land straight in the
-current frame's rows; a detection with zero candidates is a track birth with
-zero hidden states, and a transition without any gated pair is the same rule
-applied to every row, run on the same path with zero rows.
+The encoder takes a run of frames and the starts of the windows it encodes
+within the run.  The stages that read only the frames run once per run,
+whatever the windows' overlap: the unary embedding of every detection, the
+distance gate of every frame transition and the movement features of every
+gated pair.  Their rows are then laid out by index, step by step, each step
+holding every window's copy of its frame.  Then, per step: score the
+affinities of the gated pairs from those features and the previous motion
+states, keep the top-K candidate predecessors of each current detection
+(one without MSA), update per-candidate states (the affinity chain GRU
+feeding the motion GRU when ASU is on), then fuse the candidates' states
+with attention, a softmax of the affinity logits, and learned sigmoid gates
+(MSA).  A candidate's segment is its current detection's row, so the fused
+states land straight in the current step's rows; a detection with zero
+candidates is a track birth with zero hidden states, and a transition
+without any gated pair is the same rule applied to every row, run on the
+same path with zero rows.
 
 The pass returns one :class:`SequenceEncoding` whose pairs, logits and
-predecessors are indexed by stacked rows, the rows of all frames in order.
-Candidate summation runs in (logit desc, distance, prev index) order so the
-aggregation is reproducible and independent of input pair order.
+predecessors are indexed by the pass's laid-out rows, the rows of all steps
+in order.  Candidate summation runs in (logit desc, distance, prev index)
+order so the aggregation is reproducible and independent of input pair
+order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -35,7 +38,7 @@ from .model import ModelParams
 from .numerics import Tape, Var, gru_step, mlp_forward
 
 __all__ = ["SequenceEncoding", "asu_update", "msa_aggregate",
-           "encode_sequence", "implicit_chains"]
+           "encode_sequence", "final_step", "implicit_chains"]
 
 
 def asu_update(tape: Tape, params: ModelParams, x, a, prev_mot,
@@ -86,8 +89,9 @@ def msa_aggregate(tape: Tape, params: ModelParams, seg: np.ndarray, n_seg: int,
 
 @dataclass
 class SequenceEncoding:
-    """One encode pass, indexed by stacked rows: the rows of
-    :func:`~uncertrack.detections.concat_frames` of the pass's frames."""
+    """One encode pass, indexed by the pass's laid-out rows: the rows of
+    every step in order, step ``t`` holding frame ``starts[j] + t`` of the
+    run for each start ``j`` (see :func:`encode_sequence`)."""
 
     pairs: np.ndarray               # (P, 2) gated [prev, curr], (curr, prev) order
     pair_block: np.ndarray          # (P,) gate block: transition * n_windows + window
@@ -95,7 +99,7 @@ class SequenceEncoding:
     selected: np.ndarray            # indices into pairs, (curr, rank) order
     alphas: np.ndarray              # (S,) aggregation weight of each selected pair
     best_prev: np.ndarray           # (R,) argmax-alpha predecessor row, -1 if none
-    offsets: np.ndarray             # (T + 1,) first row of each frame, then R
+    offsets: np.ndarray             # (T + 1,) first row of each step, then R
     h_mot_final: Var                # (N_T, hidden)
 
 
@@ -104,42 +108,113 @@ def _zero_state(tape: Tape, n: int, hidden: int, like: Var) -> Var:
     return tape.const(np.zeros((n, hidden), dtype=like.value.dtype))
 
 
-def encode_sequence(tape: Tape, params: ModelParams,
-                    frames: list[FrameArrays]) -> SequenceEncoding:
-    """Run the encoder over an observation window, or over a pack of windows
-    stacked by :func:`~uncertrack.detections.stack_windows`.
+def _ranges(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    # the concatenation of arange(f, f + c) over (first, counts)
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1]) + np.repeat(first - ends + counts, counts)
 
-    The frame-local stages run once per call: one embedding of every row of
-    every frame, one gate over every transition (compound block id
-    ``transition * n_windows + window``, so each window of each transition
-    is gated alone) and one movement MLP over every gated pair.  Each
-    transition then cuts its rows from those results with ``slice_rows`` and
-    runs only the stages that read the recurrent state, in frame-local rows.
-    Pairs are gated only within a window, so a pack encodes each of its
-    windows as if alone.  Returns the final-frame motion states for decoding
-    plus the pass's pairs, affinity logits and diagnostics in stacked rows.
+
+def _lay_out(run_off: np.ndarray, pairs: np.ndarray, starts: np.ndarray,
+             steps: int, n_seq: int, window: np.ndarray):
+    """Index a run's rows and pairs into the laid-out pass.
+
+    Returns the run row of every laid-out row, the run pair of every
+    laid-out pair, those pairs in laid-out rows, every laid-out row's gate
+    block ``step * n_windows + window`` and the first row of every step.
     """
-    if len(frames) < 2:
-        raise ConfigError("encode_sequence needs at least 2 frames")
+    n_starts = len(starts)
+    frame = starts + np.arange(steps)[:, None]  # run frame of (step, window)
+    counts = np.diff(run_off)[frame].ravel()
+    first = np.cumsum(counts) - counts  # laid-out first row of (step, window)
+    rows = _ranges(run_off[frame].ravel(), counts)
+    block = np.repeat(np.arange(counts.size), counts) * n_seq + window[rows]
+    # the run's pairs into frame f are pairs[p_off[f]:p_off[f + 1]]; a
+    # window's copy of them moves by its rows' shift on each side
+    p_off = np.searchsorted(pairs[:, 1], run_off)
+    into = frame[1:].ravel()
+    n_pairs = p_off[into + 1] - p_off[into]
+    src = _ranges(p_off[into], n_pairs)
+    shift = np.stack([first[:-n_starts] - run_off[into - 1],
+                      first[n_starts:] - run_off[into]], axis=1)
+    laid = pairs[src] + np.repeat(shift, n_pairs, axis=0)
+    return rows, src, laid, block, np.append(first[::n_starts], len(rows))
+
+
+def final_step(frames: list[FrameArrays], starts=(0,)) -> FrameArrays:
+    """The rows :func:`encode_sequence` forecasts, as one frame: the last
+    frame of every window ``frames[s : s + T]`` in start order.  Window
+    ``j``'s rows carry window id ``j * n + seq``, where ``seq`` is the row's
+    own id and ``n`` one more than the largest of those, so no two windows
+    (nor two sequences of a stacked pack) share an id."""
+    steps = len(frames) - starts[-1]
+    last = [frames[s + steps - 1] for s in starts]
+    n = int(max(f.window.max(initial=0) for f in last)) + 1
+    return concat_frames(last, np.concatenate(
+        [f.window + j * n for j, f in enumerate(last)]))
+
+
+def encode_sequence(tape: Tape, params: ModelParams, frames: list[FrameArrays],
+                    starts=(0,)) -> SequenceEncoding:
+    """Run the encoder over the windows ``frames[s : s + T]`` of a run of
+    frames, one per start ``s`` in ``starts``, with ``T = len(frames) -
+    starts[-1]``.
+
+    ``starts=(0,)`` encodes the run as one window, which may be a pack of
+    windows stacked by :func:`~uncertrack.detections.stack_windows` (its
+    rows' ``window`` ids tell its sequences apart); evaluation passes the
+    overlapping windows of a world's frames as one run and their starts.
+
+    The frame-local stages run once over the run, however many windows read
+    a frame: one embedding of every row, one gate over every (transition,
+    sequence) block (compound block id ``transition * n_seq + seq``) and one
+    movement MLP over every gated pair.  Their rows are then laid out by
+    index: step ``t`` holds frame ``starts[j] + t`` for each start ``j`` in
+    order, each frame's rows in their own order, and a laid-out row's window
+    id is ``j * n_seq + seq``.  One start lays nothing out.  Each step then
+    cuts its rows with ``slice_rows`` and runs only the stages that read the
+    recurrent state, in step-local rows.  Pairs are gated only within a
+    sequence and every window carries its own states, so nothing mixes
+    across windows.  Returns the final step's motion states for
+    decoding (the rows of :func:`final_step`) plus the pass's pairs, affinity
+    logits and diagnostics in laid-out rows.
+    """
+    starts = np.asarray(starts, dtype=np.intp)
+    if len(starts) == 0 or starts[0] != 0 or np.any(starts[1:] <= starts[:-1]):
+        raise ConfigError("encode_sequence: window starts must ascend from 0, "
+                          f"got {starts.tolist()}")
+    steps = len(frames) - int(starts[-1])
+    if steps < 2:
+        raise ConfigError("encode_sequence needs windows of at least 2 frames, "
+                          f"got {steps}")
     cfg = params.config
     # without MSA only the top-ranked candidate's state is kept
     k = cfg.k_candidates if cfg.use_msa else 1
 
-    # row offsets of each frame in the stack of all frames
-    sizes = [len(f) for f in frames]
-    off = [0, *accumulate(sizes)]
+    # the run's frames, each embedded and gated once
+    run_off = np.append(0, np.cumsum([len(f) for f in frames]))
     stacked = concat_frames(frames)
     x_det_all = embed_frame(tape, params, stacked)
-    # the gate's previous side is frames 0..T-2, its current side 1..T-1
-    n_win = int(stacked.window.max(initial=0)) + 1
-    block = np.repeat(np.arange(len(frames)), sizes) * n_win + stacked.window
-    prev_end, curr_start = off[-2], off[1]
+    # the gate's previous side is the run's frames but the last, its current
+    # side all but the first
+    n_seq = int(stacked.window.max(initial=0)) + 1
+    block = np.repeat(np.arange(len(frames)), np.diff(run_off)) * n_seq \
+        + stacked.window
+    prev_end, curr_start = run_off[-2], run_off[1]
     prev_pos, curr_pos = stacked.pos[:prev_end], stacked.pos[curr_start:]
     pairs, dists = gate_positions(prev_pos, curr_pos, cfg.theta_d,
-                                  block[:prev_end], block[curr_start:] - n_win)
+                                  block[:prev_end], block[curr_start:] - n_seq)
     x_mov_all = movement_features(tape, params, prev_pos, curr_pos, pairs)
-    pairs[:, 1] += curr_start  # stacked rows on both sides
-    # pairs come in (curr, prev) order, so transition t's are one run
+    pairs[:, 1] += curr_start  # run rows on both sides
+    off = run_off
+    if len(starts) > 1:
+        rows, src, pairs, block, off = _lay_out(run_off, pairs, starts, steps,
+                                                n_seq, stacked.window)
+        x_det_all = tape.gather_rows(x_det_all, rows)
+        x_mov_all = tape.gather_rows(x_mov_all, src)
+        dists = dists[src]
+    # pairs come in (curr, prev) order, so step t's are one run
+    off = off.tolist()
+    sizes = np.diff(off).tolist()
     cut = np.searchsorted(pairs[:, 1], off[1:]).tolist()
 
     x_det_prev = tape.slice_rows(x_det_all, 0, off[1])
@@ -148,7 +223,7 @@ def encode_sequence(tape: Tape, params: ModelParams,
              if cfg.use_asu else None)
 
     logits_all, selected, tops, alphas = [], [], [], []
-    for t in range(1, len(frames)):
+    for t in range(1, steps):
         n_curr = sizes[t]
         lo, hi = cut[t - 1], cut[t]
         local = pairs[lo:hi] - [off[t - 1], off[t]]

@@ -7,11 +7,14 @@ matched true-positive detections with a full future.  nl_fde@3s restricts the
 mean to samples whose future deviates from a degree-1 least-squares fit by
 more than a residual threshold of 0.1.
 
-The model and the kinematic baselines are scored by one loop: every world is
-cut once by :func:`~uncertrack.forecaster.cut_window` (the training cut,
-without the detection cap) and its windows are slices of that cut, ground
+The model and the kinematic baselines are scored by one loop: every world's
+frames that its windows read are cut once by
+:func:`~uncertrack.forecaster.cut_window` (the training cut, without the
+detection cap), and each pack of windows is forecast from one run of those
+frames and the windows' starts within it, so the model embeds and gates
+every frame of a pack once however many windows overlap on it.  Ground
 truth comes from :func:`~uncertrack.forecaster.gt_future`, and only the
-forecast of the final waypoints differs between them.
+forecast of the final waypoints differs between the scorers.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .affinity import gate_positions
-from .detections import stack_windows
+from .encoder import final_step
 from .forecaster import (cut_window, forecast_sequence, gt_future, pack_ranges,
                          window_starts)
 from .model import (EVAL_STRIDE, T_OBS, VARIANTS, ModelConfig, ModelParams,
@@ -126,12 +129,14 @@ def _score_windows(worlds: list[WorldLog], forecast, t_obs: int,
                    window_stride: int, config: ModelConfig) -> EvalReport:
     """Slide evaluation windows over worlds and accumulate displacement errors.
 
-    ``forecast(stacked_frames, seconds)`` returns the final waypoint of every
-    row of a pack's last frame, (N, 2); ``seconds`` is the horizon at the
-    world's frame rate.  Each world is cut once; its windows, slices of that
-    cut with stride and horizon taken from its frame rate, are packed by
-    :func:`pack_ranges`.  A detection is scored when it matches an agent
-    alive for the whole horizon.
+    ``forecast(run, starts, seconds)`` returns the final waypoint of every
+    row of the last frames of the windows ``run[s : s + t_obs]``, in start
+    order, (N, 2); ``seconds`` is the horizon at the world's frame rate.
+    Each world is cut once, up to the last frame a window reads; its windows,
+    with stride and horizon taken from its frame rate, are packed by
+    :func:`pack_ranges`, and a pack is forecast from the run of frames its
+    windows span.  A detection is scored when it matches an agent alive for
+    the whole horizon.
     """
     errors = [np.zeros(0)]  # seeded: concatenates even without windows
     nonlinear = [np.zeros(0, dtype=bool)]
@@ -140,13 +145,15 @@ def _score_windows(worlds: list[WorldLog], forecast, t_obs: int,
         _, horizon = stride_and_horizon(log.frame_rate, config)
         seconds = horizon / log.frame_rate
         agents = [tr.agent_id for tr in log.tracks]
-        frames = cut_window(log, 0, log.num_frames)[0]
         starts = range(0, window_starts(log, t_obs, config), window_stride)
+        frames = cut_window(log, 0, starts[-1] + t_obs if starts else 0)[0]
         windows = [frames[t0:t0 + t_obs] for t0 in starts]
         num_windows += len(windows)
 
         for lo, hi in pack_ranges(windows):
-            final = forecast(stack_windows(windows[lo:hi]), seconds)
+            first = starts[lo]
+            final = forecast(frames[first:starts[hi - 1] + t_obs],
+                             [t0 - first for t0 in starts[lo:hi]], seconds)
             row = 0
             for t0 in starts[lo:hi]:
                 last = frames[t0 + t_obs - 1]
@@ -175,8 +182,8 @@ def evaluate_model(params: ModelParams, worlds: list[WorldLog],
                    t_obs: int = T_OBS, window_stride: int = EVAL_STRIDE,
                    sim=None) -> EvalReport:
     """fde@3s and nl_fde@3s of the model's forecasts."""
-    def final_waypoints(frames, seconds):
-        _, forecasts = forecast_sequence(params, frames, sim=sim)
+    def final_waypoints(run, starts, seconds):
+        _, forecasts = forecast_sequence(params, run, sim=sim, starts=starts)
         return np.array([f.waypoints[-1] for f in forecasts]).reshape(-1, 2)
 
     return _score_windows(worlds, final_waypoints, t_obs, window_stride,
@@ -186,16 +193,18 @@ def evaluate_model(params: ModelParams, worlds: list[WorldLog],
 def stand_still_fde(worlds: list[WorldLog],
                     config: ModelConfig = ModelConfig()) -> EvalReport:
     """Independent baseline: forecast = stay at the detected position."""
-    return _score_windows(worlds, lambda frames, seconds: frames[-1].pos,
-                          T_OBS, EVAL_STRIDE, config)
+    return _score_windows(
+        worlds, lambda run, starts, seconds: final_step(run, starts).pos,
+        T_OBS, EVAL_STRIDE, config)
 
 
 def constant_velocity_fde(worlds: list[WorldLog],
                           config: ModelConfig = ModelConfig()) -> EvalReport:
     """Independent baseline: forecast = detected position plus detected
     velocity times the horizon."""
-    def final_waypoints(frames, seconds):
-        return frames[-1].pos + frames[-1].velo * seconds
+    def final_waypoints(run, starts, seconds):
+        final = final_step(run, starts)
+        return final.pos + final.velo * seconds
 
     return _score_windows(worlds, final_waypoints, T_OBS, EVAL_STRIDE, config)
 

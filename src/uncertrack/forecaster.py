@@ -19,7 +19,7 @@ import numpy as np
 
 from .affinity import gate_positions
 from .detections import FrameArrays, stack_windows
-from .encoder import SequenceEncoding, encode_sequence
+from .encoder import SequenceEncoding, encode_sequence, final_step
 from .errors import ConfigError, check_fields
 from .model import (MAX_DETECTIONS, T_OBS, ModelConfig, ModelParams,
                     init_model, stride_and_horizon, variant_config)
@@ -80,12 +80,12 @@ def decode_trajectory(tape: Tape, params: ModelParams, p_n: Var) -> Var:
 
 
 def _forward(tape: Tape, params: ModelParams, frames: list[FrameArrays],
-             sim) -> tuple[SequenceEncoding, Var]:
+             sim, starts=(0,)) -> tuple[SequenceEncoding, Var]:
     # encoder, (SIM,) decoder: the one forward pass of training and inference
-    enc = encode_sequence(tape, params, frames)
+    enc = encode_sequence(tape, params, frames, starts)
     p_n = enc.h_mot_final
     if sim is not None:
-        p_n = sim(tape, p_n, frames[-1])
+        p_n = sim(tape, p_n, final_step(frames, starts))
     return enc, decode_trajectory(tape, params, p_n)
 
 
@@ -214,20 +214,30 @@ def gt_future(log: WorldLog, agent_ids: list[int] | np.ndarray, frame: int,
     """Ground-truth positions of agents at ``frame`` (column 0) and at the
     ``config.pred_steps`` forecast instants after it, (N, steps + 1, 2), and
     whether each agent is alive then, (N, steps + 1).  ``FP_ID`` is never
-    alive."""
+    alive; an id that names no track raises :class:`ConfigError`."""
     steps = config.pred_steps
     stride, _ = stride_and_horizon(log.frame_rate, config)
     instants = frame + stride * np.arange(steps + 1)
-    pos = np.zeros((len(agent_ids), steps + 1, 2))
-    alive = np.zeros((len(agent_ids), steps + 1), dtype=bool)
-    by_id = {tr.agent_id: tr for tr in log.tracks}
-    for n, agent in enumerate(agent_ids):
-        if agent == FP_ID:
-            continue
-        track = by_id[int(agent)]
-        alive[n] = ((instants >= track.birth_frame)
-                    & (instants <= track.death_frame))
-        pos[n, alive[n]] = track.pos[instants[alive[n]] - track.birth_frame]
+    ids = np.asarray(agent_ids, dtype=np.int64)
+    # track 0 stands for FP_ID: born after it dies, it is never alive
+    track_ids, births, deaths, lengths = np.array(
+        [(FP_ID, 1, 0, 0)] + [(tr.agent_id, tr.birth_frame, tr.death_frame,
+                               len(tr.pos)) for tr in log.tracks],
+        dtype=np.int64).T
+    # one lookup of the ids among the sorted track ids
+    order = np.argsort(track_ids, kind="stable")
+    k = order[np.searchsorted(track_ids[order], ids).clip(max=len(order) - 1)]
+    missing = track_ids[k] != ids
+    if missing.any():
+        raise ConfigError(f"gt_future: agent {int(ids[missing][0])} has no "
+                          "track in the world")
+    birth = births[k, None]
+    alive = (instants >= birth) & (instants <= deaths[k, None])
+    # one gather from the tracks' positions, stacked in track order
+    rows = (np.cumsum(lengths) - lengths)[k, None] + instants - birth
+    pos = np.zeros((len(ids), steps + 1, 2))
+    pos[alive] = np.concatenate([tr.pos for tr in log.tracks]
+                                + [np.zeros((0, 2))])[rows[alive]]
     return pos, alive
 
 
@@ -438,9 +448,13 @@ def train(cfg: TrainConfig, worlds: list[WorldLog], variant: str = "full",
 
 
 def forecast_sequence(params: ModelParams, frames: list[FrameArrays],
-                      sim=None) -> tuple[SequenceEncoding, list[Forecast]]:
-    """Inference: encode a window, or a pack of stacked windows, and decode
-    forecasts for every row of its final frame.
+                      sim=None, starts=(0,)
+                      ) -> tuple[SequenceEncoding, list[Forecast]]:
+    """Inference: encode the windows ``frames[s : s + T]`` of a run, one per
+    start (by default the run itself, which may be a pack of stacked
+    windows, see :func:`~uncertrack.encoder.encode_sequence`), and decode
+    forecasts for every row of their final frames, in start order
+    (:func:`~uncertrack.encoder.final_step`).
 
     Runs on a forward-only tape: no gradient is kept, so each intermediate is
     freed as soon as it is used, and the forecasts are bitwise those of a
@@ -448,8 +462,8 @@ def forecast_sequence(params: ModelParams, frames: list[FrameArrays],
     a float64 copy in float64).  The returned encoding's logits are
     constants.
     """
-    enc, offsets = _forward(Tape(grad=False), params, frames, sim)
-    final = frames[-1]
+    enc, offsets = _forward(Tape(grad=False), params, frames, sim, starts)
+    final = final_step(frames, starts)
     waypoints = (final.pos[:, None]
                  + offsets.value.reshape(len(final), params.config.pred_steps, 2))
     return enc, [Forecast(waypoints=w) for w in waypoints]

@@ -252,6 +252,29 @@ def evaluate_direct(worlds, forecast, t_obs, window_stride, pred_steps,
             "num_windows": num_windows}
 
 
+def gt_future_loop(log, agent_ids, frame, config):
+    """Ground truth at ``frame`` and the forecast instants after it, one
+    agent at a time through a dict of tracks by id; ``FP_ID`` stays zero and
+    never alive."""
+    from uncertrack.model import stride_and_horizon
+    from uncertrack.world import FP_ID
+
+    steps = config.pred_steps
+    stride, _ = stride_and_horizon(log.frame_rate, config)
+    instants = frame + stride * np.arange(steps + 1)
+    pos = np.zeros((len(agent_ids), steps + 1, 2))
+    alive = np.zeros((len(agent_ids), steps + 1), dtype=bool)
+    by_id = {tr.agent_id: tr for tr in log.tracks}
+    for n, agent in enumerate(agent_ids):
+        if agent == FP_ID:
+            continue
+        track = by_id[int(agent)]
+        alive[n] = ((instants >= track.birth_frame)
+                    & (instants <= track.death_frame))
+        pos[n, alive[n]] = track.pos[instants[alive[n]] - track.birth_frame]
+    return pos, alive
+
+
 def linear_fit_residual(points) -> float:
     """Degree-1 least squares on x(t), y(t) via explicit normal equations."""
     pts = np.asarray(points, dtype=float)

@@ -9,8 +9,10 @@ import pytest
 import uncertrack.affinity as affinity
 import uncertrack.encoder as encoder
 from uncertrack.detections import Detection, FrameArrays, stack_windows
-from uncertrack.encoder import (asu_update, encode_sequence, implicit_chains,
-                                msa_aggregate)
+from uncertrack.encoder import (asu_update, encode_sequence, final_step,
+                                implicit_chains, msa_aggregate)
+from uncertrack.errors import ConfigError
+from uncertrack.forecaster import MeanPoolSIM, forecast_sequence
 from uncertrack.model import ModelConfig, init_model, variant_config
 from uncertrack.numerics import Tape, mlp_forward
 from uncertrack.world import NoiseConfig, corrupt_to_detections, generate_world
@@ -496,11 +498,12 @@ def test_frame_local_stages_run_once_per_pass(monkeypatch):
         return mlp_forward_(tape, layer, x)
 
     monkeypatch.setattr(affinity, "mlp_forward", mlp_forward_counted)
-    for frames in (_lone_window(), _random_pack(48)):
+    for frames, starts in ((_lone_window(), (0,)), (_random_pack(48), (0,)),
+                           (_world_run(30), (0, 5, 10))):
         calls.clear()
-        encode_sequence(Tape(), params, frames)
+        encode_sequence(Tape(), params, frames, starts)
         assert calls == {"embed_frame": 1, "gate_positions": 1, "mlp_mov": 1,
-                         "select_top_k": len(frames) - 1}
+                         "select_top_k": len(frames) - starts[-1] - 1}
 
 
 @pytest.mark.parametrize("variant", ["full", "baseline"])
@@ -563,3 +566,128 @@ def test_k_candidates_do_nothing_without_msa():
     assert len(curr) > 0 and len(np.unique(curr)) == len(curr)
     assert len(np.unique(ten.pairs[:, 1])) == len(curr) < len(ten.pairs)
     assert all(np.array_equal(a, b) for a, b in zip(g_one, g_ten))
+
+
+def _random_run(seed, n_frames, empty):
+    # frames in one 12 m square, the frames in ``empty`` without rows
+    rng = np.random.default_rng(seed)
+    sizes = [0 if t in empty else int(rng.integers(1, 9))
+             for t in range(n_frames)]
+    return [FrameArrays(
+        pos=rng.uniform(0, 12, (n, 2)), velo=rng.normal(0, 3, (n, 2)),
+        size=rng.uniform(1, 5, (n, 3)), heading=rng.uniform(-3, 3, n),
+        score=rng.uniform(0.1, 0.9, n)) for n in sizes]
+
+
+def _world_run(n_frames):
+    log = corrupt_to_detections(generate_world(24, 100, seed=44),
+                                NoiseConfig(), seed=44)
+    return _frames_from_log(log, 10, n_frames)
+
+
+# (run, steps, starts): overlapping windows at stride 1 and 5, disjoint
+# windows, and a run with an empty frame inside every window and an empty
+# last frame in window 2
+RUNS = {
+    "stride-1": lambda: (_world_run(20), 15, (0, 1, 2, 3, 4, 5)),
+    "stride-5": lambda: (_world_run(45), 20, (0, 5, 10, 15, 20, 25)),
+    "disjoint": lambda: (_world_run(37), 12, (0, 25)),
+    "empty": lambda: (_random_run(52, 15, empty=(6, 10)), 8, (0, 1, 3, 7)),
+}
+
+
+def _laid_out(frames, steps, starts, offsets):
+    # the laid-out row of every row of each window encoded alone, and the
+    # rows of the windows before it at each step
+    before = np.cumsum([[0] * steps]
+                       + [[len(frames[s + t]) for t in range(steps)]
+                          for s in starts], axis=0)
+    rows = [np.concatenate([offsets[t] + before[j][t]
+                            + np.arange(len(frames[s + t]))
+                            for t in range(steps)])
+            for j, s in enumerate(starts)]
+    return rows, before
+
+
+def _close(got, want, dtype):
+    # equal up to the rounding of BLAS products over matrices of another
+    # height (a window alone has fewer rows than the pass it is laid out in)
+    tol = 100 * np.finfo(dtype).eps * max(np.max(np.abs(want), initial=0.0), 1.0)
+    return got.shape == want.shape and np.max(np.abs(got - want),
+                                              initial=0.0) <= tol
+
+
+@pytest.mark.parametrize("variant", ["full", "baseline"])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("layout", list(RUNS))
+def test_laid_out_windows_encode_as_each_window_alone(layout, dtype, variant):
+    # one pass over a run of frames with window starts is, bitwise, the pass
+    # over a pack of the windows' copies; and each window's rows, pairs,
+    # selections and predecessors are those of the window encoded alone
+    frames, steps, starts = RUNS[layout]()
+    params = init_model(variant_config(variant, ModelConfig()), seed=53)
+    if dtype == "float64":
+        params = float64_copy(params)
+    windows = [frames[s:s + steps] for s in starts]
+    run = encode_sequence(Tape(), params, frames, starts)
+    pack = encode_sequence(Tape(), params, stack_windows(windows))
+    for name in ("pairs", "pair_block", "selected", "alphas", "best_prev",
+                 "offsets"):
+        assert np.array_equal(getattr(run, name), getattr(pack, name)), name
+    assert np.array_equal(run.logits.value, pack.logits.value)
+    assert np.array_equal(run.h_mot_final.value, pack.h_mot_final.value)
+
+    rows, before = _laid_out(frames, steps, starts, run.offsets)
+    run_chains = implicit_chains(run)
+    final = 0
+    for j, window in enumerate(windows):
+        alone = encode_sequence(Tape(), params, window)
+        to_run = rows[j]
+        mine = np.isin(run.pairs[:, 1], to_run)
+        assert np.array_equal(run.pairs[mine], to_run[alone.pairs])
+        assert np.array_equal(run.pair_block[mine],
+                              alone.pair_block * len(starts) + j)
+        assert _close(run.logits.value[mine], alone.logits.value, dtype)
+        kept = mine[run.selected]
+        assert np.array_equal(run.selected[kept],
+                              np.flatnonzero(mine)[alone.selected])
+        assert _close(run.alphas[kept], alone.alphas, dtype)
+        linked = alone.best_prev >= 0
+        assert np.array_equal(run.best_prev[to_run],
+                              np.where(linked, to_run[alone.best_prev], -1))
+        n = len(window[-1])
+        assert _close(run.h_mot_final.value[final:final + n],
+                      alone.h_mot_final.value, dtype)
+        chains = implicit_chains(alone)
+        assert np.array_equal(run_chains[final:final + n],
+                              np.where(chains >= 0, chains + before[j][::-1], -1))
+        final += n
+    assert final == len(run_chains) == len(run.h_mot_final.value)
+    assert len(run.pairs) > 0 and np.any(run_chains[:, 1:] >= 0)
+
+
+@pytest.mark.parametrize("layout", list(RUNS))
+def test_laid_out_forecasts_equal_each_window_alone(layout):
+    frames, steps, starts = RUNS[layout]()
+    params = init_model(ModelConfig(), seed=54)
+    for w in params.mlp_dec.block.weights:
+        w *= 30.0  # forecasts that move away from the detections
+    sim = MeanPoolSIM(radius=10.0)
+    windows = [frames[s:s + steps] for s in starts]
+    _, run = forecast_sequence(params, frames, sim=sim, starts=starts)
+    _, pack = forecast_sequence(params, stack_windows(windows), sim=sim)
+    alone = [f for w in windows for f in forecast_sequence(params, w, sim=sim)[1]]
+    assert len(run) == len(pack) == len(alone)
+    for f, p, a in zip(run, pack, alone):
+        assert np.array_equal(f.waypoints, p.waypoints)
+        assert _close(f.waypoints, a.waypoints, np.float32)
+    assert final_step(frames, starts).window.tolist() == [
+        j for j, w in enumerate(windows) for _ in range(len(w[-1]))]
+
+
+@pytest.mark.parametrize("starts", [(), (1, 2), (0, 3, 2), (0, 0, 1), (0, 9)])
+def test_window_starts_must_ascend_from_zero_and_leave_two_frames(starts):
+    frames = _random_run(55, 10, empty=())
+    with pytest.raises(ConfigError, match="window starts|at least 2 frames"):
+        encode_sequence(Tape(), init_model(ModelConfig(), seed=56), frames,
+                        starts)

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import uncertrack.encoder as encoder
 from oracles import evaluate_direct, linear_fit_residual, match_brute_force
 from uncertrack.detections import FrameArrays
 from uncertrack.evaluation import (MATCH_THRESHOLD_M, NL_RESIDUAL_THRESHOLD,
@@ -140,6 +141,33 @@ def test_kinematic_baselines_on_one_noiseless_cv_agent():
                        speed)
     assert constant_velocity_fde([world]).fde_cm < 1e-6
     assert abs(stand_still_fde([world]).fde_cm - speed * 3.0 * 100.0) < 1e-6
+
+
+def test_evaluation_embeds_and_gates_each_frame_once(monkeypatch):
+    # a 120-frame world's 15 windows of 20 frames, one pack, read frames
+    # 0..89: each is embedded once (not once per window holding it) and each
+    # of their 89 transitions is gated once (not 19 per window, 285)
+    log = _world(11, frames=120, agents=24)
+    embedded, gated = [], []
+    embed_frame, gate_positions = encoder.embed_frame, encoder.gate_positions
+
+    def embed_counted(tape, params, frame):
+        embedded.append(len(frame))
+        return embed_frame(tape, params, frame)
+
+    def gate_counted(prev_pos, curr_pos, theta_d, prev_window, curr_window):
+        # gate_positions gates blocks 0..largest id one at a time
+        gated.append(int(max(prev_window.max(initial=0),
+                             curr_window.max(initial=0))) + 1)
+        return gate_positions(prev_pos, curr_pos, theta_d, prev_window,
+                              curr_window)
+
+    monkeypatch.setattr(encoder, "embed_frame", embed_counted)
+    monkeypatch.setattr(encoder, "gate_positions", gate_counted)
+    report = evaluate_model(init_model(SMALL, seed=1), [log])
+    assert report.num_windows == 15
+    assert embedded == [sum(len(log.frames[t]) for t in range(90))]
+    assert gated == [89]
 
 
 def _direct_frame(dets):

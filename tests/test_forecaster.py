@@ -6,8 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import (bce_direct, float64_copy, mean_pool_reference,
-                     pairs_per_transition)
+from oracles import (bce_direct, float64_copy, gt_future_loop,
+                     mean_pool_reference, pairs_per_transition)
 from uncertrack import forecaster
 from uncertrack.detections import FrameArrays, stack_windows
 from uncertrack.encoder import SequenceEncoding, encode_sequence
@@ -15,7 +15,7 @@ from uncertrack.errors import ConfigError
 from uncertrack.forecaster import (PACK_DETECTIONS, MeanPoolSIM, SequenceSample,
                                    TrainConfig, augment_sample, build_sample,
                                    cut_window, decode_trajectory,
-                                   forecast_sequence, pack_ranges,
+                                   forecast_sequence, gt_future, pack_ranges,
                                    pack_samples, total_loss, train)
 from uncertrack.model import VARIANTS, ModelConfig, init_model, variant_config
 from uncertrack.numerics import Tape, grad_check
@@ -73,6 +73,41 @@ def test_build_sample_matches_per_agent_loop():
                                       tr.pos[tr.index_at(f)]
                                       - sample.frames[-1].pos[n])
     assert capped and cut_short
+
+
+@pytest.mark.parametrize("frame_rate", [10.0, 20.0])
+def test_gt_future_equals_per_agent_loop(frame_rate):
+    # every frame's detections (false positives included) and every agent,
+    # at instants before an agent's birth, inside its life and past its death
+    frames = 140
+    log = corrupt_to_detections(
+        generate_world(12, frames, frame_rate=frame_rate, seed=13),
+        NoiseConfig(), seed=13, num_frames=frames, frame_rate=frame_rate)
+    config = ModelConfig()
+    agents = [tr.agent_id for tr in log.tracks][::-1]
+    partly = 0
+    for frame in range(0, frames, 3):
+        ids = np.concatenate([log.true_ids[frame], agents])
+        pos, alive = gt_future(log, ids, frame, config)
+        want_pos, want_alive = gt_future_loop(log, ids, frame, config)
+        assert np.array_equal(alive, want_alive)
+        assert np.array_equal(pos, want_pos)
+        assert pos.dtype == want_pos.dtype
+        assert not alive[ids == FP_ID].any()
+        partly += np.count_nonzero(alive.any(axis=1) & ~alive.all(axis=1))
+    assert partly > 0 and (np.concatenate(log.true_ids) == FP_ID).any()
+
+    pos, alive = gt_future(log, [], 5, config)
+    assert pos.shape == (0, config.pred_steps + 1, 2)
+    assert alive.shape == (0, config.pred_steps + 1)
+
+
+def test_gt_future_refuses_an_id_without_a_track():
+    log = _world(9)
+    missing = max(tr.agent_id for tr in log.tracks) + 7
+    for ids in ([missing], [FP_ID, 0, missing], [-5]):
+        with pytest.raises(ConfigError, match=f"agent {ids[-1]} has no track"):
+            gt_future(log, ids, 10, ModelConfig())
 
 
 def _samples(config):
