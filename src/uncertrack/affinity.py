@@ -31,11 +31,11 @@ def gate_positions(prev_pos: np.ndarray, curr_pos: np.ndarray, theta_d: float,
     kept: each block's contiguous rows are gated alone, so its pairs and
     distances are bitwise what gating that block alone gives, shifted by the
     rows of the blocks stacked before it, and the cost is linear in the
-    number of blocks.  The ids must ascend.  A block is one window of a pack
-    (``FrameArrays.window``, as :func:`~uncertrack.detections.stack_windows`
-    lays them out), or, when the encoder gates every transition of a run of
-    frames in one call, one (transition, sequence) pair with the compound id
-    ``transition * n_seq + seq``.
+    number of blocks.  The ids must ascend.  A block is one transition of a
+    run of frames, when the encoder gates every transition inside its
+    windows in one call, or one window of the final step, when the SIM
+    gates the final rows against themselves
+    (:func:`~uncertrack.encoder.final_step`).
     """
     if theta_d <= 0:
         raise ConfigError("gating distance must be positive")

@@ -1,21 +1,22 @@
 """Uncertainty-aware motion encoding over raw detection frames.
 
 The encoder takes a run of frames and the starts of the windows it encodes
-within the run.  The stages that read only the frames run once per run,
-whatever the windows' overlap: the unary embedding of every detection, the
-distance gate of every frame transition and the movement features of every
-gated pair.  Their rows are then laid out by index, step by step, each step
-holding every window's copy of its frame.  Then, per step: score the
-affinities of the gated pairs from those features and the previous motion
-states, keep the top-K candidate predecessors of each current detection
-(one without MSA), update per-candidate states (the affinity chain GRU
-feeding the motion GRU when ASU is on), then fuse the candidates' states
-with attention, a softmax of the affinity logits, and learned sigmoid gates
-(MSA).  A candidate's segment is its current detection's row, so the fused
-states land straight in the current step's rows; a detection with zero
-candidates is a track birth with zero hidden states, and a transition
-without any gated pair is the same rule applied to every row, run on the
-same path with zero rows.
+within the run: overlapping windows of one world in evaluation, a training
+pack's windows laid end to end.  The stages that read only the frames run
+once per run, whatever the windows' overlap: the unary embedding of every
+detection, the distance gate of every frame transition inside a window and
+the movement features of every gated pair.  Their rows are then laid out by
+index, step by step, each step holding every window's copy of its frame.
+Then, per step: score the affinities of the gated pairs from those features
+and the previous motion states, keep the top-K candidate predecessors of
+each current detection (one without MSA), update per-candidate states (the
+affinity chain GRU feeding the motion GRU when ASU is on), then fuse the
+candidates' states with attention, a softmax of the affinity logits, and
+learned sigmoid gates (MSA).  A candidate's segment is its current
+detection's row, so the fused states land straight in the current step's
+rows; a detection with zero candidates is a track birth with zero hidden
+states, and a transition without any gated pair is the same rule applied to
+every row, run on the same path with zero rows.
 
 The pass returns one :class:`SequenceEncoding` whose pairs, logits and
 predecessors are indexed by the pass's laid-out rows, the rows of all steps
@@ -100,6 +101,7 @@ class SequenceEncoding:
     alphas: np.ndarray              # (S,) aggregation weight of each selected pair
     best_prev: np.ndarray           # (R,) argmax-alpha predecessor row, -1 if none
     offsets: np.ndarray             # (T + 1,) first row of each step, then R
+    run_rows: np.ndarray            # (R,) run row of each row, arange(R) for one start
     h_mot_final: Var                # (N_T, hidden)
 
 
@@ -114,20 +116,43 @@ def _ranges(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1]) + np.repeat(first - ends + counts, counts)
 
 
+def _gate_run(pos: np.ndarray, run_off: np.ndarray, starts: np.ndarray,
+              steps: int, theta_d: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gate every transition ``f -> f + 1`` of a run that lies inside a
+    window, in one call whose block ``k`` is the ``k``-th of them; the
+    transitions between windows laid end to end are left out.  Returns the
+    pairs in run rows, sorted by current row, and their distances."""
+    f = np.arange(len(run_off) - 2)
+    # f -> f + 1 lies inside a window when it lies inside the window of the
+    # last start at or before f
+    f = f[f - starts[np.searchsorted(starts, f, side="right") - 1] < steps - 1]
+    sizes = np.diff(run_off)
+    prev = _ranges(run_off[f], sizes[f])
+    curr = _ranges(run_off[f + 1], sizes[f + 1])
+    block = np.arange(len(f))
+    pairs, dists = gate_positions(pos[prev], pos[curr], theta_d,
+                                  np.repeat(block, sizes[f]),
+                                  np.repeat(block, sizes[f + 1]))
+    pairs[:, 0] = prev[pairs[:, 0]]
+    pairs[:, 1] = curr[pairs[:, 1]]
+    return pairs, dists
+
+
 def _lay_out(run_off: np.ndarray, pairs: np.ndarray, starts: np.ndarray,
-             steps: int, n_seq: int, window: np.ndarray):
+             steps: int):
     """Index a run's rows and pairs into the laid-out pass.
 
     Returns the run row of every laid-out row, the run pair of every
     laid-out pair, those pairs in laid-out rows, every laid-out row's gate
     block ``step * n_windows + window`` and the first row of every step.
+    One start is the identity layout.
     """
     n_starts = len(starts)
     frame = starts + np.arange(steps)[:, None]  # run frame of (step, window)
     counts = np.diff(run_off)[frame].ravel()
     first = np.cumsum(counts) - counts  # laid-out first row of (step, window)
     rows = _ranges(run_off[frame].ravel(), counts)
-    block = np.repeat(np.arange(counts.size), counts) * n_seq + window[rows]
+    block = np.repeat(np.arange(counts.size), counts)
     # the run's pairs into frame f are pairs[p_off[f]:p_off[f + 1]]; a
     # window's copy of them moves by its rows' shift on each side
     p_off = np.searchsorted(pairs[:, 1], run_off)
@@ -140,17 +165,15 @@ def _lay_out(run_off: np.ndarray, pairs: np.ndarray, starts: np.ndarray,
     return rows, src, laid, block, np.append(first[::n_starts], len(rows))
 
 
-def final_step(frames: list[FrameArrays], starts=(0,)) -> FrameArrays:
+def final_step(frames: list[FrameArrays], starts=(0,)
+               ) -> tuple[FrameArrays, np.ndarray]:
     """The rows :func:`encode_sequence` forecasts, as one frame: the last
-    frame of every window ``frames[s : s + T]`` in start order.  Window
-    ``j``'s rows carry window id ``j * n + seq``, where ``seq`` is the row's
-    own id and ``n`` one more than the largest of those, so no two windows
-    (nor two sequences of a stacked pack) share an id."""
+    frame of every window ``frames[s : s + T]`` in start order, and each
+    row's window, the index ``j`` of its start."""
     steps = len(frames) - starts[-1]
     last = [frames[s + steps - 1] for s in starts]
-    n = int(max(f.window.max(initial=0) for f in last)) + 1
-    return concat_frames(last, np.concatenate(
-        [f.window + j * n for j, f in enumerate(last)]))
+    return concat_frames(last), np.repeat(np.arange(len(last)),
+                                          [len(f) for f in last])
 
 
 def encode_sequence(tape: Tape, params: ModelParams, frames: list[FrameArrays],
@@ -159,24 +182,23 @@ def encode_sequence(tape: Tape, params: ModelParams, frames: list[FrameArrays],
     frames, one per start ``s`` in ``starts``, with ``T = len(frames) -
     starts[-1]``.
 
-    ``starts=(0,)`` encodes the run as one window, which may be a pack of
-    windows stacked by :func:`~uncertrack.detections.stack_windows` (its
-    rows' ``window`` ids tell its sequences apart); evaluation passes the
-    overlapping windows of a world's frames as one run and their starts.
+    ``starts=(0,)`` encodes the run as one window.  Evaluation passes the
+    overlapping windows of a world's frames as one run and their starts;
+    training lays a pack's windows end to end, ``starts = T * arange(B)``.
 
     The frame-local stages run once over the run, however many windows read
-    a frame: one embedding of every row, one gate over every (transition,
-    sequence) block (compound block id ``transition * n_seq + seq``) and one
-    movement MLP over every gated pair.  Their rows are then laid out by
-    index: step ``t`` holds frame ``starts[j] + t`` for each start ``j`` in
-    order, each frame's rows in their own order, and a laid-out row's window
-    id is ``j * n_seq + seq``.  One start lays nothing out.  Each step then
-    cuts its rows with ``slice_rows`` and runs only the stages that read the
-    recurrent state, in step-local rows.  Pairs are gated only within a
-    sequence and every window carries its own states, so nothing mixes
-    across windows.  Returns the final step's motion states for
-    decoding (the rows of :func:`final_step`) plus the pass's pairs, affinity
-    logits and diagnostics in laid-out rows.
+    a frame: one embedding of every row, one gate over every transition
+    ``f -> f + 1`` that lies inside a window (the transitions between
+    windows laid end to end are never gated) and one movement MLP over every
+    gated pair.  Their rows are then laid out by index: step ``t`` holds
+    frame ``starts[j] + t`` for each start ``j`` in order, each frame's rows
+    in their own order; a laid-out row's window is ``j``.  One start lays
+    nothing out.  Each step then cuts its rows with ``slice_rows`` and runs
+    only the stages that read the recurrent state, in step-local rows.
+    Every window carries its own states, so nothing mixes across windows.
+    Returns the final step's motion states for decoding (the rows of
+    :func:`final_step`) plus the pass's pairs, affinity logits and
+    diagnostics in laid-out rows.
     """
     starts = np.asarray(starts, dtype=np.intp)
     if len(starts) == 0 or starts[0] != 0 or np.any(starts[1:] <= starts[:-1]):
@@ -192,23 +214,12 @@ def encode_sequence(tape: Tape, params: ModelParams, frames: list[FrameArrays],
 
     # the run's frames, each embedded and gated once
     run_off = np.append(0, np.cumsum([len(f) for f in frames]))
-    stacked = concat_frames(frames)
-    x_det_all = embed_frame(tape, params, stacked)
-    # the gate's previous side is the run's frames but the last, its current
-    # side all but the first
-    n_seq = int(stacked.window.max(initial=0)) + 1
-    block = np.repeat(np.arange(len(frames)), np.diff(run_off)) * n_seq \
-        + stacked.window
-    prev_end, curr_start = run_off[-2], run_off[1]
-    prev_pos, curr_pos = stacked.pos[:prev_end], stacked.pos[curr_start:]
-    pairs, dists = gate_positions(prev_pos, curr_pos, cfg.theta_d,
-                                  block[:prev_end], block[curr_start:] - n_seq)
-    x_mov_all = movement_features(tape, params, prev_pos, curr_pos, pairs)
-    pairs[:, 1] += curr_start  # run rows on both sides
-    off = run_off
+    run = concat_frames(frames)
+    x_det_all = embed_frame(tape, params, run)
+    pairs, dists = _gate_run(run.pos, run_off, starts, steps, cfg.theta_d)
+    x_mov_all = movement_features(tape, params, run.pos, run.pos, pairs)
+    rows, src, pairs, block, off = _lay_out(run_off, pairs, starts, steps)
     if len(starts) > 1:
-        rows, src, pairs, block, off = _lay_out(run_off, pairs, starts, steps,
-                                                n_seq, stacked.window)
         x_det_all = tape.gather_rows(x_det_all, rows)
         x_mov_all = tape.gather_rows(x_mov_all, src)
         dists = dists[src]
@@ -272,7 +283,7 @@ def encode_sequence(tape: Tape, params: ModelParams, frames: list[FrameArrays],
         pairs=pairs, pair_block=block[pairs[:, 0]],
         logits=tape.concat(logits_all, axis=0), selected=selected,
         alphas=np.concatenate(alphas), best_prev=best_prev,
-        offsets=np.array(off), h_mot_final=h_mot)
+        offsets=np.array(off), run_rows=rows, h_mot_final=h_mot)
 
 
 def implicit_chains(encoding: SequenceEncoding) -> np.ndarray:

@@ -194,7 +194,7 @@ def stand_still_fde(worlds: list[WorldLog],
                     config: ModelConfig = ModelConfig()) -> EvalReport:
     """Independent baseline: forecast = stay at the detected position."""
     return _score_windows(
-        worlds, lambda run, starts, seconds: final_step(run, starts).pos,
+        worlds, lambda run, starts, seconds: final_step(run, starts)[0].pos,
         T_OBS, EVAL_STRIDE, config)
 
 
@@ -203,7 +203,7 @@ def constant_velocity_fde(worlds: list[WorldLog],
     """Independent baseline: forecast = detected position plus detected
     velocity times the horizon."""
     def final_waypoints(run, starts, seconds):
-        final = final_step(run, starts)
+        final, _ = final_step(run, starts)
         return final.pos + final.velo * seconds
 
     return _score_windows(worlds, final_waypoints, T_OBS, EVAL_STRIDE, config)

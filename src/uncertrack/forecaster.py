@@ -6,8 +6,9 @@ observed frame (so an all-zero decoder forecasts "stand still").  Training
 minimizes smooth-L1 on the final-frame forecasts of true-positive detections
 plus a lambda-weighted mean of the per-transition affinity BCE, with lambda
 decayed linearly over the first half of the epochs.  Windows are encoded in
-packs: several windows stacked row-wise share one tape pass, with every
-row tagged by its window so that nothing mixes across windows.
+packs: a pack's windows are laid end to end as one run of frames with the
+windows' starts, and share one tape pass in which nothing mixes across
+windows (see :func:`~uncertrack.encoder.encode_sequence`).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .affinity import gate_positions
-from .detections import FrameArrays, stack_windows
+from .detections import FrameArrays
 from .encoder import SequenceEncoding, encode_sequence, final_step
 from .errors import ConfigError, check_fields
 from .model import (MAX_DETECTIONS, T_OBS, ModelConfig, ModelParams,
@@ -33,7 +34,7 @@ __all__ = ["Forecast", "TrainConfig", "SequenceSample", "EpochStats",
            "build_sample", "cut_window", "gt_future", "window_starts",
            "pair_labels", "train", "forecast_sequence",
            "model_config_from_train", "PACK_DETECTIONS", "pack_ranges",
-           "pack_samples"]
+           "join_samples"]
 
 
 @dataclass
@@ -42,9 +43,10 @@ class Forecast:
 
 
 # ---- social interaction plug-in ----------------------------------------------
-# A SIM maps the final frame's encodings to the decoder input,
-# ``sim(tape, encodings, final_frame) -> Var``; ``sim=None`` decodes the
-# encodings as they are.
+# A SIM maps the final rows' encodings to the decoder input,
+# ``sim(tape, encodings, final_frame, window) -> Var``, where ``window`` is
+# each final row's window (:func:`~uncertrack.encoder.final_step`);
+# ``sim=None`` decodes the encodings as they are.
 
 
 class MeanPoolSIM:
@@ -59,9 +61,10 @@ class MeanPoolSIM:
     def __init__(self, radius: float = 10.0):
         self.radius = radius
 
-    def __call__(self, tape: Tape, encodings: Var, frame: FrameArrays) -> Var:
-        pairs, _ = gate_positions(frame.pos, frame.pos, self.radius,
-                                  frame.window, frame.window)
+    def __call__(self, tape: Tape, encodings: Var, frame: FrameArrays,
+                 window: np.ndarray) -> Var:
+        pairs, _ = gate_positions(frame.pos, frame.pos, self.radius, window,
+                                  window)
         nb, row = pairs[pairs[:, 0] != pairs[:, 1]].T
         n = len(frame)
         scale = 1.0 / np.maximum(np.bincount(row, minlength=n), 1)[:, None]
@@ -85,7 +88,7 @@ def _forward(tape: Tape, params: ModelParams, frames: list[FrameArrays],
     enc = encode_sequence(tape, params, frames, starts)
     p_n = enc.h_mot_final
     if sim is not None:
-        p_n = sim(tape, p_n, final_step(frames, starts))
+        p_n = sim(tape, p_n, *final_step(frames, starts))
     return enc, decode_trajectory(tape, params, p_n)
 
 
@@ -107,19 +110,19 @@ def total_loss(tape: Tape, pred_offsets: Var, sample: SequenceSample,
     averaged over its supervised components, plus ``lam`` times its affinity
     loss: the mean BCE over each transition's gated pairs (labelled by
     :func:`pair_labels`), summed over transitions and divided by the
-    window's ``t_obs - 1`` transitions.  Per-window normalisation is carried
-    by the weights of two weighted sums over the whole pack: a target
-    component weighs one over its window's supervised components (a window
-    without targets weighs 0), and a pair one over the pairs of its gate
-    block (one transition of one window).  The same expression serves every
-    pack, also one without targets or without pairs.
+    window's ``T - 1`` transitions.  Per-window normalisation is carried by
+    the weights of two weighted sums over the whole pack: a target component
+    weighs one over its window's supervised components (a window without
+    targets weighs 0), and a pair one over the pairs of its gate block (one
+    transition of one window).  The same expression serves every pack, also
+    one without targets or without pairs.
 
     Returns (loss Var, summed l_traj, summed l_aff, windows with targets).
     Raises when a window has neither supervised forecasts nor gated pairs.
     """
-    n_win = sample.num_windows
-    n_trans = len(sample.frames) - 1
-    row_window = sample.frames[-1].window
+    n_win = len(sample.starts)
+    n_trans = len(sample.frames) - int(sample.starts[-1]) - 1
+    _, row_window = final_step(sample.frames, sample.starts)
     win_mask = np.bincount(row_window, weights=sample.target_mask.sum(axis=1),
                            minlength=n_win)
     n_traj = int(np.count_nonzero(win_mask))
@@ -127,12 +130,15 @@ def total_loss(tape: Tape, pred_offsets: Var, sample: SequenceSample,
         pred_offsets, sample.target_offsets,
         sample.target_mask / np.maximum(win_mask[row_window], 1.0)[:, None])
 
-    pairs, block = encoding.pairs, encoding.pair_block
-    labels = pair_labels(pairs, np.concatenate(sample.true_ids))
-    l_aff = tape.bce(encoding.logits, labels, 1.0 / np.bincount(block)[block])
+    block = encoding.pair_block
+    per_block = np.bincount(block)
+    ids = np.concatenate(sample.true_ids)[encoding.run_rows]
+    l_aff = tape.bce(encoding.logits, pair_labels(encoding.pairs, ids),
+                     1.0 / per_block[block])
 
-    pair_window = np.concatenate([f.window for f in sample.frames])[pairs[:, 1]]
-    win_scored = np.bincount(pair_window, minlength=n_win) > 0
+    # block b is transition b // n_win of window b % n_win
+    win_scored = np.bincount(np.arange(len(per_block)) % n_win,
+                             weights=per_block, minlength=n_win) > 0
     empty = np.flatnonzero((win_mask == 0) & ~win_scored)
     if len(empty):
         raise ConfigError(f"degenerate window {int(empty[0])} of the pack: no "
@@ -170,13 +176,17 @@ def lr_schedule(epoch: int, cfg: TrainConfig) -> float:
 
 @dataclass
 class SequenceSample:
-    """One observation window, or a pack of windows (see :func:`pack_samples`)."""
+    """One observation window, or a pack of windows laid end to end as one
+    run of frames (see :func:`join_samples`): window ``j`` is
+    ``frames[s_j : s_j + T]`` for ``s_j = starts[j]``.  Targets are the final
+    rows of every window in start order
+    (:func:`~uncertrack.encoder.final_step`)."""
 
     frames: list[FrameArrays]
     true_ids: list[np.ndarray]
     target_offsets: np.ndarray   # (N_T, 2 * pred_steps), GT future minus det pos
     target_mask: np.ndarray      # (N_T, 2 * pred_steps) in {0, 1}
-    num_windows: int = 1
+    starts: np.ndarray | tuple = (0,)
 
 
 def window_starts(log: WorldLog, t_obs: int, config: ModelConfig) -> int:
@@ -279,11 +289,15 @@ PACK_DETECTIONS = 512
 
 
 def pack_ranges(windows: list[list[FrameArrays]]) -> list[tuple[int, int]]:
-    """Split consecutive windows into packs ``windows[lo:hi]``.
+    """Split consecutive windows into packs ``windows[lo:hi]``, each
+    encoded in one pass as a run of frames with the windows' starts
+    (training lays a pack's windows end to end, evaluation passes the frames
+    its overlapping windows span).
 
-    A window's size is its mean detections per frame; a pack takes windows
-    in order until the next one would push its summed size past
-    ``PACK_DETECTIONS`` (a window above the budget forms a pack alone).
+    A window's size is its mean detections per frame, so a pack's summed
+    size is the mean rows of one laid-out step; a pack takes windows in order
+    until the next one would push its summed size past ``PACK_DETECTIONS``
+    (a window above the budget forms a pack alone).
     """
     packs, lo, load = [], 0, 0.0
     for i, frames in enumerate(windows):
@@ -297,17 +311,16 @@ def pack_ranges(windows: list[list[FrameArrays]]) -> list[tuple[int, int]]:
     return packs
 
 
-def pack_samples(samples: list[SequenceSample]) -> SequenceSample:
-    """Stack single-window samples into one pack; sample ``b``'s rows get
-    window index ``b``."""
+def join_samples(samples: list[SequenceSample]) -> SequenceSample:
+    """Lay equally long single-window samples end to end as one run, sample
+    ``b`` being window ``b`` with start ``b * T``."""
     steps = len(samples[0].frames)
     return SequenceSample(
-        frames=stack_windows([s.frames for s in samples]),
-        true_ids=[np.concatenate([s.true_ids[t] for s in samples])
-                  for t in range(steps)],
+        frames=[f for s in samples for f in s.frames],
+        true_ids=[ids for s in samples for ids in s.true_ids],
         target_offsets=np.concatenate([s.target_offsets for s in samples]),
         target_mask=np.concatenate([s.target_mask for s in samples]),
-        num_windows=len(samples))
+        starts=steps * np.arange(len(samples)))
 
 
 def augment_sample(sample: SequenceSample, rng: np.random.Generator) -> SequenceSample:
@@ -324,8 +337,7 @@ def augment_sample(sample: SequenceSample, rng: np.random.Generator) -> Sequence
         if do_flip:
             pos, velo, heading = pos * flip, velo * flip, -heading
         frames.append(FrameArrays(pos=pos, velo=velo, size=f.size.copy(),
-                                  heading=heading, score=f.score.copy(),
-                                  window=f.window))
+                                  heading=heading, score=f.score.copy()))
     steps = sample.target_offsets.shape[1] // 2
     off = sample.target_offsets.reshape(-1, steps, 2) @ rot
     if do_flip:
@@ -333,7 +345,7 @@ def augment_sample(sample: SequenceSample, rng: np.random.Generator) -> Sequence
     return SequenceSample(frames=frames, true_ids=sample.true_ids,
                           target_offsets=off.reshape(-1, 2 * steps),
                           target_mask=sample.target_mask.copy(),
-                          num_windows=sample.num_windows)
+                          starts=sample.starts)
 
 
 # ---- training ------------------------------------------------------------------
@@ -386,8 +398,9 @@ def train(cfg: TrainConfig, worlds: list[WorldLog], variant: str = "full",
           sim=None) -> tuple[ModelParams, list[EpochStats]]:
     """Full training loop; deterministic for a fixed (cfg, worlds, variant).
 
-    Each Adam batch is cut into packs by :func:`pack_ranges` and every pack
-    is one tape pass; the gradient is that of the mean window loss.
+    Each Adam batch is cut into packs by :func:`pack_ranges`; a pack's
+    windows are laid end to end (:func:`join_samples`) and encoded in one
+    tape pass.  The gradient is that of the mean window loss.
     """
     model_cfg = model_config_from_train(cfg, variant)
     starts_per_world = [window_starts(w, cfg.t_obs, model_cfg) for w in worlds]
@@ -423,8 +436,9 @@ def train(cfg: TrainConfig, worlds: list[WorldLog], variant: str = "full",
                        for wi, t0 in batch]
             for p_lo, p_hi in pack_ranges([s.frames for s in samples]):
                 tape = Tape()
-                pack = pack_samples(samples[p_lo:p_hi])
-                enc, offsets = _forward(tape, params, pack.frames, sim)
+                pack = join_samples(samples[p_lo:p_hi])
+                enc, offsets = _forward(tape, params, pack.frames, sim,
+                                        pack.starts)
                 loss, l_traj, l_aff, n_traj = total_loss(tape, offsets, pack,
                                                          enc, lam)
                 value = float(loss.value[0, 0])
@@ -451,8 +465,8 @@ def forecast_sequence(params: ModelParams, frames: list[FrameArrays],
                       sim=None, starts=(0,)
                       ) -> tuple[SequenceEncoding, list[Forecast]]:
     """Inference: encode the windows ``frames[s : s + T]`` of a run, one per
-    start (by default the run itself, which may be a pack of stacked
-    windows, see :func:`~uncertrack.encoder.encode_sequence`), and decode
+    start (by default the run itself as one window, see
+    :func:`~uncertrack.encoder.encode_sequence`), and decode
     forecasts for every row of their final frames, in start order
     (:func:`~uncertrack.encoder.final_step`).
 
@@ -463,7 +477,7 @@ def forecast_sequence(params: ModelParams, frames: list[FrameArrays],
     constants.
     """
     enc, offsets = _forward(Tape(grad=False), params, frames, sim, starts)
-    final = final_step(frames, starts)
+    final, _ = final_step(frames, starts)
     waypoints = (final.pos[:, None]
                  + offsets.value.reshape(len(final), params.config.pred_steps, 2))
     return enc, [Forecast(waypoints=w) for w in waypoints]

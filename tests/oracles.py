@@ -304,7 +304,7 @@ def circle_positions(center, radius, phase0, omega, dt, n):
 # ---- encoder diagnostics (one segment at a time) -----------------------------
 
 def best_prev_loop(pairs, selected, alphas, n_rows):
-    """Argmax-alpha predecessor (first on ties) and age of every stacked row,
+    """Argmax-alpha predecessor (first on ties) and age of every laid-out row,
     one segment (current row) at a time.
 
     ``pairs[selected]`` are the selected [prev, curr] rows and ``alphas``
@@ -337,7 +337,7 @@ def chains_from(best_prev, offsets):
 
 
 def pairs_per_transition(encoding):
-    """The gated pairs into each frame after the first, from stacked rows."""
+    """The gated pairs into each step after the first, from laid-out rows."""
     off = encoding.offsets
     frame = np.searchsorted(off, encoding.pairs[:, 1], side="right") - 1
     return np.bincount(frame - 1, minlength=len(off) - 2).tolist()
@@ -345,20 +345,25 @@ def pairs_per_transition(encoding):
 
 # ---- the encoder, one transition at a time ----------------------------------
 
-def encode_loop(tape, params, frames):
-    """The encoder with every stage called per frame or per transition: each
-    frame embedded alone, each transition gated alone and its movement MLP
-    run on that transition's pairs only.
+def encode_loop(tape, params, windows):
+    """The encoder with every stage called per frame or per transition, over
+    equally long windows side by side: step t joins frame t of every
+    window, each step is embedded alone, and each transition is gated alone,
+    window by window, and its movement MLP run on that transition's pairs
+    only.
 
-    Returns the final motion states (a Var) and the pass in stacked rows:
+    Returns the final motion states (a Var) and the pass in laid-out rows:
     ``(pairs, logits, selected, alphas)``, with one logits Var per
     transition.
     """
     from uncertrack.affinity import (gate_positions, movement_features,
                                      pair_features, select_top_k)
-    from uncertrack.detections import embed_frame
+    from uncertrack.detections import concat_frames, embed_frame
     from uncertrack.encoder import asu_update, msa_aggregate
 
+    frames = [concat_frames(step) for step in zip(*windows)]
+    ids = [np.repeat(np.arange(len(step)), [len(f) for f in step])
+           for step in zip(*windows)]
     cfg = params.config
     k = cfg.k_candidates if cfg.use_msa else 1
     x_prev = embed_frame(tape, params, frames[0])
@@ -371,10 +376,10 @@ def encode_loop(tape, params, frames):
     h_aff = zeros(len(frames[0])) if cfg.use_asu else None
     pairs_all, logits_all, selected, alphas = [], [], [], []
     lo, n_pairs = 0, 0  # first row of the previous frame, pairs so far
-    for prev, curr in zip(frames, frames[1:]):
+    for prev, curr, prev_id, curr_id in zip(frames, frames[1:], ids, ids[1:]):
         x_curr = embed_frame(tape, params, curr)
         pairs, dists = gate_positions(prev.pos, curr.pos, cfg.theta_d,
-                                      prev.window, curr.window)
+                                      prev_id, curr_id)
         x_mov = movement_features(tape, params, prev.pos, curr.pos, pairs)
         x, a, logits = pair_features(tape, params, x_prev, x_curr, x_mov,
                                      h_mot, pairs)

@@ -298,8 +298,9 @@ def test_select_top_k_zero_pairs():
 
 
 def test_window_gating_matches_each_window_alone():
-    # windows stacked into one pack overlap in space; gating pairs only
-    # within a window gives each window's own pairs and distances, bitwise
+    # windows side by side in one frame (the SIM's final step) overlap in
+    # space; gating pairs only within a window gives each window's own pairs
+    # and distances, bitwise
     rng = np.random.default_rng(33)
     windows = [(rng.uniform(-8, 8, (n, 2)), rng.uniform(-8, 8, (m, 2)))
                for n, m in [(7, 6), (0, 4), (5, 0), (9, 11)]]
@@ -334,8 +335,8 @@ def test_window_gating_matches_each_window_alone():
 
 
 def test_compound_ids_gate_each_transition_alone():
-    # the encoder gates every transition of a pass in one call: previous
-    # side frames 0..T-2, current side 1..T-1, block id
+    # every transition of several windows side by side in one call:
+    # previous side frames 0..T-2, current side 1..T-1, compound block id
     # transition * n_windows + window; cut at the transitions' first current
     # rows, the pairs and distances are bitwise those of one call per
     # transition

@@ -8,7 +8,7 @@ import pytest
 
 import uncertrack.affinity as affinity
 import uncertrack.encoder as encoder
-from uncertrack.detections import Detection, FrameArrays, stack_windows
+from uncertrack.detections import Detection, FrameArrays
 from uncertrack.encoder import (asu_update, encode_sequence, final_step,
                                 implicit_chains, msa_aggregate)
 from uncertrack.errors import ConfigError
@@ -386,16 +386,15 @@ def test_affinity_parameters_reach_forecast_path():
 
 @pytest.mark.parametrize("variant", ["full", "baseline"])
 def test_diagnostics_match_segment_loop_oracle(variant):
-    # best_prev, ages and implicit chains of a pack of seeded windows equal
-    # the one-segment-at-a-time reference
+    # best_prev, ages and implicit chains of a run of seeded windows laid
+    # end to end equal the one-segment-at-a-time reference
     windows = []
     for seed in (40, 41, 42):
         log = corrupt_to_detections(generate_world(8, 100, seed=seed),
                                     NoiseConfig(), seed=seed)
         windows.append(_frames_from_log(log, 30, 12))
-    frames = stack_windows(windows)
     params = init_model(variant_config(variant, _small_config()), seed=43)
-    enc = encode_sequence(Tape(), params, frames)
+    enc = encode_sequence(Tape(), params, *_end_to_end(windows))
 
     want, ages = best_prev_loop(enc.pairs, enc.selected, enc.alphas,
                                 enc.offsets[-1])
@@ -424,8 +423,10 @@ def _random_windows(seed):
     return windows
 
 
-def _random_pack(seed):
-    return stack_windows(_random_windows(seed))
+def _end_to_end(windows):
+    # equally long windows laid end to end: the run and the windows' starts
+    return ([f for w in windows for f in w],
+            len(windows[0]) * np.arange(len(windows)))
 
 
 def _grads(params, tape, h_final, logits):
@@ -449,18 +450,19 @@ def test_encoding_matches_the_per_transition_loop(layout, dtype, variant):
     # one embedding, one gate call and one movement MLP per pass, cut per
     # transition, give bitwise what calling them per frame or per transition
     # gives; gradients differ only by summation order
-    frames = _lone_window() if layout == "lone" else _random_pack(45)
+    # (a pack is windows laid end to end, encoded with their starts)
+    windows = [_lone_window()] if layout == "lone" else _random_windows(45)
     params = init_model(variant_config(variant, ModelConfig()), seed=46)
     if dtype == "float64":
         params = float64_copy(params)
     tape, loop_tape = Tape(), Tape()
-    enc = encode_sequence(tape, params, frames)
+    enc = encode_sequence(tape, params, *_end_to_end(windows))
     h_final, (pairs, logits, sel, alphas) = encode_loop(loop_tape, params,
-                                                         frames)
+                                                         windows)
 
     assert enc.h_mot_final.value.dtype == np.dtype(dtype)
     assert np.array_equal(enc.h_mot_final.value, h_final.value)
-    assert len(logits) == len(frames) - 1
+    assert len(logits) == len(windows[0]) - 1
     if layout == "pack":  # the empty frame 4 leaves two transitions pairless
         assert pairs_per_transition(enc)[3:5] == [0, 0]
     assert enc.pairs.dtype == pairs.dtype
@@ -498,7 +500,8 @@ def test_frame_local_stages_run_once_per_pass(monkeypatch):
         return mlp_forward_(tape, layer, x)
 
     monkeypatch.setattr(affinity, "mlp_forward", mlp_forward_counted)
-    for frames, starts in ((_lone_window(), (0,)), (_random_pack(48), (0,)),
+    for frames, starts in ((_lone_window(), (0,)),
+                           _end_to_end(_random_windows(48)),
                            (_world_run(30), (0, 5, 10))):
         calls.clear()
         encode_sequence(Tape(), params, frames, starts)
@@ -506,12 +509,47 @@ def test_frame_local_stages_run_once_per_pass(monkeypatch):
                          "select_top_k": len(frames) - starts[-1] - 1}
 
 
+def test_windows_laid_end_to_end_gate_only_their_own_transitions(monkeypatch):
+    # three 5-frame windows laid end to end, each window's first frame a
+    # copy of the previous window's last one moved by 1 cm: the gate is
+    # offered exactly the 3 * 4 transitions inside the windows, and no pair
+    # joins a window's last frame to the next window's first
+    steps, n_win = 5, 3
+    frames = _random_run(57, steps * n_win, empty=())
+    starts = steps * np.arange(n_win)
+    for s in starts[1:]:
+        frames[s] = replace(frames[s - 1], pos=frames[s - 1].pos + 0.01)
+    frame_of = {tuple(p): t for t, f in enumerate(frames) for p in f.pos}
+    offered, gated = set(), set()
+    gate = encoder.gate_positions
+
+    def spy(prev_pos, curr_pos, theta_d, prev_ids, curr_ids):
+        pairs, dists = gate(prev_pos, curr_pos, theta_d, prev_ids, curr_ids)
+        for b in np.intersect1d(prev_ids, curr_ids):
+            offered.update((frame_of[tuple(p)], frame_of[tuple(c)])
+                           for p in prev_pos[prev_ids == b]
+                           for c in curr_pos[curr_ids == b])
+        gated.update((frame_of[tuple(prev_pos[i])], frame_of[tuple(curr_pos[j])])
+                     for i, j in pairs)
+        return pairs, dists
+
+    monkeypatch.setattr(encoder, "gate_positions", spy)
+    params = init_model(ModelConfig(), seed=58)
+    encode_sequence(Tape(), params, frames, starts)
+    inside = {(s + t, s + t + 1) for s in starts for t in range(steps - 1)}
+    assert offered == inside and len(inside) == n_win * (steps - 1)
+    assert gated <= inside and len(gated) == len(inside)
+    for s in starts[1:]:  # the boundaries would pair if they were gated
+        assert len(gate(frames[s - 1].pos, frames[s].pos,
+                        params.config.theta_d)[0]) > 0
+
+
 @pytest.mark.parametrize("variant", ["full", "baseline"])
 @pytest.mark.parametrize("layout", ["random", "worlds"])
 def test_diagnostics_of_a_pack_equal_each_window_alone(layout, variant):
-    # best_prev and implicit_chains of a pack (with an empty frame, or of
-    # seeded worlds with long chains) are each window's own, shifted by the
-    # rows of the windows stacked before it
+    # best_prev and implicit_chains of a pack of windows laid end to end
+    # (with an empty frame, or of seeded worlds with long chains) are each
+    # window's own, shifted by the rows of the windows laid out before it
     if layout == "random":
         windows = _random_windows(49)
     else:
@@ -519,7 +557,7 @@ def test_diagnostics_of_a_pack_equal_each_window_alone(layout, variant):
             generate_world(8, 100, seed=seed), NoiseConfig(), seed=seed), 30, 12)
             for seed in (40, 41, 42)]
     params = init_model(variant_config(variant, ModelConfig()), seed=50)
-    pack = encode_sequence(Tape(), params, stack_windows(windows))
+    pack = encode_sequence(Tape(), params, *_end_to_end(windows))
     pack_chains = implicit_chains(pack)
     # before[w][t]: rows of windows 0..w-1 in frame t
     before = np.cumsum([[0] * len(windows[0])]
@@ -527,7 +565,7 @@ def test_diagnostics_of_a_pack_equal_each_window_alone(layout, variant):
     final = 0
     for w, frames in enumerate(windows):
         alone = encode_sequence(Tape(), params, frames)
-        # stacked row of the pack for each of the window's stacked rows
+        # laid-out row of the pack for each of the window's rows
         to_pack = np.concatenate([
             pack.offsets[t] + before[w][t] + np.arange(len(f))
             for t, f in enumerate(frames)])
@@ -621,21 +659,15 @@ def _close(got, want, dtype):
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 @pytest.mark.parametrize("layout", list(RUNS))
 def test_laid_out_windows_encode_as_each_window_alone(layout, dtype, variant):
-    # one pass over a run of frames with window starts is, bitwise, the pass
-    # over a pack of the windows' copies; and each window's rows, pairs,
-    # selections and predecessors are those of the window encoded alone
+    # each window's rows, pairs, selections and predecessors in one pass
+    # over a run of frames with window starts are those of the window
+    # encoded alone
     frames, steps, starts = RUNS[layout]()
     params = init_model(variant_config(variant, ModelConfig()), seed=53)
     if dtype == "float64":
         params = float64_copy(params)
     windows = [frames[s:s + steps] for s in starts]
     run = encode_sequence(Tape(), params, frames, starts)
-    pack = encode_sequence(Tape(), params, stack_windows(windows))
-    for name in ("pairs", "pair_block", "selected", "alphas", "best_prev",
-                 "offsets"):
-        assert np.array_equal(getattr(run, name), getattr(pack, name)), name
-    assert np.array_equal(run.logits.value, pack.logits.value)
-    assert np.array_equal(run.h_mot_final.value, pack.h_mot_final.value)
 
     rows, before = _laid_out(frames, steps, starts, run.offsets)
     run_chains = implicit_chains(run)
@@ -675,13 +707,11 @@ def test_laid_out_forecasts_equal_each_window_alone(layout):
     sim = MeanPoolSIM(radius=10.0)
     windows = [frames[s:s + steps] for s in starts]
     _, run = forecast_sequence(params, frames, sim=sim, starts=starts)
-    _, pack = forecast_sequence(params, stack_windows(windows), sim=sim)
     alone = [f for w in windows for f in forecast_sequence(params, w, sim=sim)[1]]
-    assert len(run) == len(pack) == len(alone)
-    for f, p, a in zip(run, pack, alone):
-        assert np.array_equal(f.waypoints, p.waypoints)
+    assert len(run) == len(alone)
+    for f, a in zip(run, alone):
         assert _close(f.waypoints, a.waypoints, np.float32)
-    assert final_step(frames, starts).window.tolist() == [
+    assert final_step(frames, starts)[1].tolist() == [
         j for j, w in enumerate(windows) for _ in range(len(w[-1]))]
 
 

@@ -9,14 +9,14 @@ import pytest
 from oracles import (bce_direct, float64_copy, gt_future_loop,
                      mean_pool_reference, pairs_per_transition)
 from uncertrack import forecaster
-from uncertrack.detections import FrameArrays, stack_windows
-from uncertrack.encoder import SequenceEncoding, encode_sequence
+from uncertrack.detections import FrameArrays
+from uncertrack.encoder import SequenceEncoding, encode_sequence, final_step
 from uncertrack.errors import ConfigError
 from uncertrack.forecaster import (PACK_DETECTIONS, MeanPoolSIM, SequenceSample,
                                    TrainConfig, augment_sample, build_sample,
                                    cut_window, decode_trajectory,
-                                   forecast_sequence, gt_future, pack_ranges,
-                                   pack_samples, total_loss, train)
+                                   forecast_sequence, gt_future, join_samples,
+                                   pack_ranges, total_loss, train)
 from uncertrack.model import VARIANTS, ModelConfig, init_model, variant_config
 from uncertrack.numerics import Tape, grad_check
 from uncertrack.world import (FP_ID, NoiseConfig, corrupt_to_detections,
@@ -125,7 +125,8 @@ def _samples(config):
 
 def _loss(params, sample, tape, sim=None):
     # the forward pass and loss of one training pack, as train() runs them
-    enc, offsets = forecaster._forward(tape, params, sample.frames, sim)
+    enc, offsets = forecaster._forward(tape, params, sample.frames, sim,
+                                       sample.starts)
     return enc, total_loss(tape, offsets, sample, enc, lam=0.7)
 
 
@@ -165,7 +166,8 @@ def test_packed_loss_and_gradients_equal_per_window_sum(variant):
     params.zero_grads()
 
     tape = Tape()
-    enc, (loss, l_traj, l_aff, n_traj) = _loss(params, pack_samples(samples), tape)
+    pack = join_samples(samples)
+    enc, (loss, l_traj, l_aff, n_traj) = _loss(params, pack, tape)
     tape.backward(loss)
     packed = [g.copy() for b in params.blocks() for g in b.grads]
     params.zero_grads()
@@ -174,7 +176,7 @@ def test_packed_loss_and_gradients_equal_per_window_sum(variant):
     assert abs(loss.value[0, 0] - loss_sum) < 1e-10
     # l_aff sums each window's mean over transitions of its per-transition
     # mean BCE, and the loss adds lam times it
-    ids = np.concatenate(pack_samples(samples).true_ids)[enc.pairs]
+    ids = np.concatenate(pack.true_ids)[enc.run_rows[enc.pairs]]
     labels = (ids[:, 0] == ids[:, 1]) & (ids[:, 0] != FP_ID)
     terms = np.array([bce_direct(z, y)
                       for z, y in zip(enc.logits.value[:, 0], labels)])
@@ -201,7 +203,8 @@ def test_end_to_end_gradients_match_finite_differences(variant, sim):
     if sim is not None:  # the SIM must mix some encodings to be checked
         tape = Tape()
         p_n = encode_sequence(tape, params, sample.frames).h_mot_final
-        assert np.any(sim(tape, p_n, sample.frames[-1]).value != p_n.value)
+        assert np.any(sim(tape, p_n, *final_step(sample.frames)).value
+                      != p_n.value)
 
     def loss_fn():
         tape = Tape()
@@ -219,9 +222,9 @@ def test_loss_adds_a_fixed_number_of_nodes():
     # add
     params = init_model(SMALL, seed=6)
     counts = []
-    for sample in _samples(SMALL)[:1] + [pack_samples(_samples(SMALL))]:
+    for sample in _samples(SMALL)[:1] + [join_samples(_samples(SMALL))]:
         tape = Tape()
-        enc = encode_sequence(tape, params, sample.frames)
+        enc = encode_sequence(tape, params, sample.frames, sample.starts)
         offsets = decode_trajectory(tape, params, enc.h_mot_final)
         before = len(tape._nodes)
         total_loss(tape, offsets, sample, enc, 0.7)
@@ -237,7 +240,7 @@ def test_loss_without_targets_has_no_trajectory_term():
     for s in samples:
         s.target_mask[...] = 0.0
     tape = Tape()
-    enc, (loss, l_traj, l_aff, n_traj) = _loss(params, pack_samples(samples),
+    enc, (loss, l_traj, l_aff, n_traj) = _loss(params, join_samples(samples),
                                                tape)
     tape.backward(loss)
     assert l_traj == 0.0 and n_traj == 0
@@ -278,19 +281,21 @@ def test_confident_wrong_affinities_keep_their_gradient():
                             true_ids=[np.array([1, 2]), np.array([1, 2])],
                             target_offsets=np.zeros((2, 12)),
                             target_mask=np.zeros((2, 12)))
-    pack = pack_samples([window, window])
+    pack = join_samples([window, window])
     z = np.array([[20.0], [-20.0], [0.5]])
     labels = np.array([0.0, 1.0, 0.0])
     weights = np.array([1.0, 0.5, 0.5])  # 1 / pairs in the pair's window
     grad = np.zeros_like(z)
     tape = Tape()
-    # stacked rows: frame 0 is rows 0-3, frame 1 rows 4-7, two per window
+    # laid-out rows: step 0 is rows 0-3, step 1 rows 4-7, two per window;
+    # the run holds window 0's frames, then window 1's
     empty = np.zeros(0, dtype=int)
     enc = SequenceEncoding(pairs=np.array([[1, 4], [2, 6], [3, 6]]),
                            pair_block=np.array([0, 1, 1]),
                            logits=tape.param(z, grad), selected=empty,
                            alphas=np.zeros(0), best_prev=np.full(8, -1),
                            offsets=np.array([0, 4, 8]),
+                           run_rows=np.array([0, 1, 4, 5, 2, 3, 6, 7]),
                            h_mot_final=tape.const(np.zeros((4, 6))))
     lam = 0.7
     loss, _, _, _ = total_loss(tape, tape.const(np.zeros((4, 12))), pack,
@@ -311,7 +316,7 @@ def test_degenerate_window_is_rejected():
         frames=[FrameArrays.from_detections([])] * 19 + [lone],
         true_ids=[np.zeros(0, dtype=int)] * 19 + [np.array([0])],
         target_offsets=np.zeros((1, 12)), target_mask=np.zeros((1, 12)))
-    pack = pack_samples([_samples(SMALL)[0], degenerate])
+    pack = join_samples([_samples(SMALL)[0], degenerate])
     with pytest.raises(ConfigError, match="degenerate window 1"):
         _loss(init_model(SMALL, seed=7), pack, Tape())
 
@@ -324,10 +329,10 @@ def test_mean_pool_sim_equals_dense_reference():
     window = np.repeat([0, 1], [10, 8])
     n = len(pos)
     frame = FrameArrays(pos=pos, velo=np.zeros((n, 2)), size=np.ones((n, 3)),
-                        heading=np.zeros(n), score=np.ones(n), window=window)
+                        heading=np.zeros(n), score=np.ones(n))
     enc = rng.standard_normal((n, 6))
     tape = Tape()
-    got = MeanPoolSIM(radius=6.0)(tape, tape.const(enc), frame).value
+    got = MeanPoolSIM(radius=6.0)(tape, tape.const(enc), frame, window).value
     want = mean_pool_reference(pos, window, enc, 6.0)
     assert np.max(np.abs(got - want)) <= 1e-12
     assert np.array_equal(got[[9, 17]], enc[[9, 17]])
@@ -338,11 +343,13 @@ def test_mean_pool_sim_equals_dense_reference():
 def test_packed_forecasts_equal_each_window_alone(sim):
     # the windows overlap in space: neither gating nor the SIM may mix them
     params = init_model(SMALL, seed=8)
-    windows = [s.frames for s in _samples(SMALL)]
-    _, packed = forecast_sequence(params, stack_windows(windows), sim=sim)
+    samples = _samples(SMALL)
+    pack = join_samples(samples)
+    _, packed = forecast_sequence(params, pack.frames, sim=sim,
+                                  starts=pack.starts)
     row = 0
-    for frames in windows:
-        _, alone = forecast_sequence(params, frames, sim=sim)
+    for sample in samples:
+        _, alone = forecast_sequence(params, sample.frames, sim=sim)
         for f in alone:
             assert np.max(np.abs(packed[row].waypoints - f.waypoints)) < 1e-10
             row += 1
@@ -351,18 +358,21 @@ def test_packed_forecasts_equal_each_window_alone(sim):
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_window_with_empty_frames_packs_like_alone(variant):
-    # one window loses a middle frame and its final frame: its transitions
-    # into and out of them have no pairs, and it forecasts zero rows, on the
-    # same path as every other window
+    # the last window loses its first, a middle and its final frame, and
+    # window 1 its final frame: two of them border the next or the previous
+    # window in the pack's run.  Their transitions have no pairs, and a
+    # window without final rows forecasts zero rows, on the same path as
+    # every other window
     config = variant_config(variant, SMALL)
     params = float64_copy(init_model(config, seed=10))
     samples = _samples(config)
-    gappy = samples[3]
-    for t in (9, len(gappy.frames) - 1):
-        gappy.frames[t] = FrameArrays.from_detections([])
-        gappy.true_ids[t] = np.zeros(0, dtype=int)
-    gappy.target_offsets = gappy.target_offsets[:0]
-    gappy.target_mask = gappy.target_mask[:0]
+    for sample, gaps in ((samples[3], (0, 9, -1)), (samples[1], (-1,))):
+        for t in gaps:
+            sample.frames[t] = FrameArrays.from_detections([])
+            sample.true_ids[t] = np.zeros(0, dtype=int)
+        if -1 in gaps:
+            sample.target_offsets = sample.target_offsets[:0]
+            sample.target_mask = sample.target_mask[:0]
 
     loss_sum, alone = 0.0, []
     for sample in samples:
@@ -374,17 +384,17 @@ def test_window_with_empty_frames_packs_like_alone(variant):
     per_window = [g.copy() for b in params.blocks() for g in b.grads]
     params.zero_grads()
 
-    pack = pack_samples(samples)
+    pack = join_samples(samples)
     tape = Tape()
     _, (loss, _, _, _) = _loss(params, pack, tape)
     tape.backward(loss)
     packed = [g.copy() for b in params.blocks() for g in b.grads]
     params.zero_grads()
-    _, forecasts = forecast_sequence(params, pack.frames)
+    _, forecasts = forecast_sequence(params, pack.frames, starts=pack.starts)
 
     assert abs(loss.value[0, 0] - loss_sum) < 1e-10
     assert max(np.max(np.abs(a - b)) for a, b in zip(per_window, packed)) < 1e-10
-    assert len(forecasts) == len(alone) == len(pack.frames[-1])
+    assert len(forecasts) == len(alone) == len(pack.target_mask)
     for got, want in zip(forecasts, alone):
         assert np.max(np.abs(got.waypoints - want.waypoints)) < 1e-10
 
@@ -397,16 +407,18 @@ def test_forecasts_record_nothing_and_equal_a_recording_tape(monkeypatch,
     # inference binds parameters as constants: its tape holds no node, and
     # every waypoint is bitwise what a recording tape computes
     params = init_model(variant_config(variant, SMALL), seed=9)
-    frames = stack_windows([s.frames for s in _samples(SMALL)])
+    pack = join_samples(_samples(SMALL))
+    frames, starts = pack.frames, pack.starts
+    final, window = final_step(frames, starts)
     tape = Tape()
-    p_n = encode_sequence(tape, params, frames).h_mot_final
+    p_n = encode_sequence(tape, params, frames, starts).h_mot_final
     if sim is not None:
-        p_n = sim(tape, p_n, frames[-1])
+        p_n = sim(tape, p_n, final, window)
     offsets = decode_trajectory(tape, params, p_n).value
     assert tape._nodes
     steps = params.config.pred_steps
     want = [pos[None, :] + row.reshape(steps, 2)
-            for pos, row in zip(frames[-1].pos, offsets)]
+            for pos, row in zip(final.pos, offsets)]
 
     tapes = []
 
@@ -416,7 +428,7 @@ def test_forecasts_record_nothing_and_equal_a_recording_tape(monkeypatch,
             tapes.append(self)
 
     monkeypatch.setattr(forecaster, "Tape", SpyTape)
-    _, got = forecast_sequence(params, frames, sim=sim)
+    _, got = forecast_sequence(params, frames, sim=sim, starts=starts)
     assert len(tapes) == 1 and tapes[0]._nodes == []
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -451,8 +463,9 @@ def test_float32_training_and_forecasts_hold_only_float32(monkeypatch):
     params, _ = train(cfg, worlds, sim=MeanPoolSIM())
     assert all(w.dtype == np.float32 for b in params.blocks() for w in b.weights)
     n_train = len(seen)
-    forecast_sequence(params, stack_windows([s.frames for s in _samples(SMALL)]),
-                      sim=MeanPoolSIM())
+    pack = join_samples(_samples(SMALL))
+    forecast_sequence(params, pack.frames, sim=MeanPoolSIM(),
+                      starts=pack.starts)
     assert n_train > 1000 and len(seen) > n_train + 100
     assert set(seen) == {np.dtype(np.float32)}
 
