@@ -22,32 +22,27 @@ __all__ = ["gate_positions", "movement_features", "pair_features",
 
 
 def gate_positions(prev_pos: np.ndarray, curr_pos: np.ndarray, theta_d: float,
-                   prev_window: np.ndarray | None = None,
-                   curr_window: np.ndarray | None = None
+                   prev_window: np.ndarray, curr_window: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray]:
-    """All (prev, curr) pairs within theta_d, ordered by (curr, prev).
+    """All (prev, curr) pairs within theta_d inside one block, ordered by
+    (curr, prev).
 
-    Given per-row block ids for both sides, only pairs inside one block are
-    kept: each block's contiguous rows are gated alone, so its pairs and
-    distances are bitwise what gating that block alone gives, shifted by the
-    rows of the blocks stacked before it, and the cost is linear in the
-    number of blocks.  The ids must ascend.  A block is one transition of a
-    run of frames, when the encoder gates every transition inside its
-    windows in one call, or one window of the final step, when the SIM
-    gates the final rows against themselves
-    (:func:`~uncertrack.encoder.final_step`).
+    Each side's rows carry ascending block ids; zero ids are one block.
+    Each block's contiguous rows are gated alone, so its pairs and distances
+    are bitwise what gating that block alone gives, shifted by the rows of
+    the blocks stacked before it, and the cost is linear in the number of
+    blocks.  A block is one transition of a run of frames (the encoder), one
+    window's final rows (the SIM, :func:`~uncertrack.encoder.final_step`)
+    or one evaluated window (:func:`~uncertrack.evaluation.match_for_eval`).
     """
     if theta_d <= 0:
         raise ConfigError("gating distance must be positive")
-    if prev_window is None:  # one block
-        ps, cs = [0, len(prev_pos)], [0, len(curr_pos)]
-    else:
-        if (prev_window[1:] < prev_window[:-1]).any() or (
-                curr_window[1:] < curr_window[:-1]).any():
-            raise ConfigError("gate_positions: window ids must ascend")
-        ids = np.arange(max(prev_window[-1:].max(initial=0),
-                            curr_window[-1:].max(initial=0)) + 2)
-        ps, cs = np.searchsorted(prev_window, ids), np.searchsorted(curr_window, ids)
+    if (prev_window[1:] < prev_window[:-1]).any() or (
+            curr_window[1:] < curr_window[:-1]).any():
+        raise ConfigError("gate_positions: window ids must ascend")
+    ids = np.arange(max(prev_window[-1:].max(initial=0),
+                        curr_window[-1:].max(initial=0)) + 2)
+    ps, cs = np.searchsorted(prev_window, ids), np.searchsorted(curr_window, ids)
     r2 = theta_d * theta_d
     blocks = [_gate_block(prev_pos[ps[w]:ps[w + 1]], curr_pos[cs[w]:cs[w + 1]], r2)
               for w in range(len(ps) - 1)]

@@ -1,4 +1,4 @@
-"""Final-displacement metrics, the shared window scoring loop, the kinematic
+"""Final-displacement metrics, the shared window scoring, the kinematic
 baselines, and the ablation harness.
 
 fde@3s is the mean distance (reported in centimeters) between the last
@@ -7,14 +7,16 @@ matched true-positive detections with a full future.  nl_fde@3s restricts the
 mean to samples whose future deviates from a degree-1 least-squares fit by
 more than a residual threshold of 0.1.
 
-The model and the kinematic baselines are scored by one loop: every world's
-frames that its windows read are cut once by
+The model and the kinematic baselines are scored the same way, one world at
+a time: the frames that a world's windows read are cut once by
 :func:`~uncertrack.forecaster.cut_window` (the training cut, without the
 detection cap), and each pack of windows is forecast from one run of those
 frames and the windows' starts within it, so the model embeds and gates
-every frame of a pack once however many windows overlap on it.  Ground
-truth comes from :func:`~uncertrack.forecaster.gt_future`, and only the
-forecast of the final waypoints differs between the scorers.
+every frame of a pack once however many windows overlap on it.  Then one
+:func:`~uncertrack.forecaster.gt_future` call gathers the ground truth of
+every window and agent, and one :func:`match_for_eval` call matches every
+window's final detections.  Only the forecast of the final waypoints differs
+between the scorers.
 """
 
 from __future__ import annotations
@@ -40,27 +42,29 @@ NL_RESIDUAL_THRESHOLD = 0.1
 MATCH_THRESHOLD_M = 2.0
 
 
-def match_for_eval(det_pos: np.ndarray, gt_pos: np.ndarray):
-    """Greedy nearest-neighbor matching within ``MATCH_THRESHOLD_M``; each
-    side is used at most once.
+def match_for_eval(det_pos: np.ndarray, gt_pos: np.ndarray,
+                   det_window: np.ndarray, gt_window: np.ndarray) -> np.ndarray:
+    """Greedy nearest-neighbor matching within ``MATCH_THRESHOLD_M`` inside
+    each window (ascending ids on both sides); each row is used once.
 
     Candidates are the pairs :func:`~uncertrack.affinity.gate_positions`
     keeps (so the threshold is compared on squared distances), taken by
-    distance, ties in (detection, ground truth) order.  Returns the matches
-    ``(i, j, d)`` of detection i and ground truth j, sorted.
+    distance, ties in gate order.  No pair crosses a window, so each window
+    matches as it would alone.  Returns the matched ``[detection, ground
+    truth]`` rows, (M, 2), in gate order: (detection, ground truth) order.
     """
-    pairs, dist = gate_positions(gt_pos, det_pos, MATCH_THRESHOLD_M)
+    pairs, dist = gate_positions(gt_pos, det_pos, MATCH_THRESHOLD_M,
+                                 gt_window, det_window)
     order = np.argsort(dist, kind="stable")
     used_det = np.zeros(len(det_pos), dtype=bool)
     used_gt = np.zeros(len(gt_pos), dtype=bool)
-    matches = []
-    gt_idx, det_idx = pairs[order].T.tolist()
-    for i, j, d in zip(det_idx, gt_idx, dist[order].tolist()):
+    kept = np.zeros(len(pairs), dtype=bool)
+    for k, (j, i) in zip(order.tolist(), pairs[order].tolist()):
         if used_det[i] or used_gt[j]:
             continue
         used_det[i] = used_gt[j] = True
-        matches.append((i, j, d))
-    return sorted(matches)
+        kept[k] = True
+    return pairs[kept][:, ::-1]
 
 
 def nonlinearity_residual(futures: np.ndarray) -> np.ndarray:
@@ -127,7 +131,7 @@ def _mean_std(values: list[float | None]) -> str:
 
 def _score_windows(worlds: list[WorldLog], forecast, t_obs: int,
                    window_stride: int, config: ModelConfig) -> EvalReport:
-    """Slide evaluation windows over worlds and accumulate displacement errors.
+    """Score the evaluation windows of every world, one world at a time.
 
     ``forecast(run, starts, seconds)`` returns the final waypoint of every
     row of the last frames of the windows ``run[s : s + t_obs]``, in start
@@ -135,8 +139,9 @@ def _score_windows(worlds: list[WorldLog], forecast, t_obs: int,
     Each world is cut once, up to the last frame a window reads; its windows,
     with stride and horizon taken from its frame rate, are packed by
     :func:`pack_ranges`, and a pack is forecast from the run of frames its
-    windows span.  A detection is scored when it matches an agent alive for
-    the whole horizon.
+    windows span.  The packs' waypoints, concatenated, are the rows of
+    :func:`final_step` over all windows.  A detection is scored when it
+    matches, inside its window, an agent alive for the whole horizon.
     """
     errors = [np.zeros(0)]  # seeded: concatenates even without windows
     nonlinear = [np.zeros(0, dtype=bool)]
@@ -144,28 +149,25 @@ def _score_windows(worlds: list[WorldLog], forecast, t_obs: int,
     for log in worlds:
         _, horizon = stride_and_horizon(log.frame_rate, config)
         seconds = horizon / log.frame_rate
+        starts = np.arange(0, window_starts(log, t_obs, config), window_stride)
+        num_windows += len(starts)
+        if not len(starts):
+            continue
+        frames = cut_window(log, 0, starts[-1] + t_obs)[0]
+        final = np.concatenate([
+            forecast(frames[starts[lo]:starts[hi - 1] + t_obs],
+                     starts[lo:hi] - starts[lo], seconds)
+            for lo, hi in pack_ranges([frames[s:s + t_obs] for s in starts])])
+        last, det_window = final_step(frames, starts)
         agents = [tr.agent_id for tr in log.tracks]
-        starts = range(0, window_starts(log, t_obs, config), window_stride)
-        frames = cut_window(log, 0, starts[-1] + t_obs if starts else 0)[0]
-        windows = [frames[t0:t0 + t_obs] for t0 in starts]
-        num_windows += len(windows)
-
-        for lo, hi in pack_ranges(windows):
-            first = starts[lo]
-            final = forecast(frames[first:starts[hi - 1] + t_obs],
-                             [t0 - first for t0 in starts[lo:hi]], seconds)
-            row = 0
-            for t0 in starts[lo:hi]:
-                last = frames[t0 + t_obs - 1]
-                gt, alive = gt_future(log, agents, t0 + t_obs - 1, config)
-                gt = gt[alive.all(axis=1)]
-                matches = match_for_eval(last.pos, gt[:, 0])
-                i, j = np.array([m[:2] for m in matches],
-                                dtype=np.intp).reshape(-1, 2).T
-                errors.append(np.hypot(*(final[row + i] - gt[j, -1]).T))
-                nonlinear.append(nonlinearity_residual(gt[j, 1:])
-                                 > NL_RESIDUAL_THRESHOLD)
-                row += len(last)
+        gt, alive = gt_future(log, np.tile(agents, len(starts)),
+                              np.repeat(starts + t_obs - 1, len(agents)), config)
+        live = alive.all(axis=1)
+        gt_window = np.repeat(np.arange(len(starts)), len(agents))[live]
+        gt = gt[live]
+        i, j = match_for_eval(last.pos, gt[:, 0], det_window, gt_window).T
+        errors.append(np.hypot(*(final[i] - gt[j, -1]).T))
+        nonlinear.append(nonlinearity_residual(gt[j, 1:]) > NL_RESIDUAL_THRESHOLD)
 
     errors_arr = np.concatenate(errors)
     nl_arr = np.concatenate(nonlinear)

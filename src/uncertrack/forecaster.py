@@ -219,15 +219,17 @@ def cut_window(log: WorldLog, t0: int, t_obs: int,
     return frames, ids
 
 
-def gt_future(log: WorldLog, agent_ids: list[int] | np.ndarray, frame: int,
-              config: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
+def gt_future(log: WorldLog, agent_ids: list[int] | np.ndarray,
+              frame: int | np.ndarray, config: ModelConfig
+              ) -> tuple[np.ndarray, np.ndarray]:
     """Ground-truth positions of agents at ``frame`` (column 0) and at the
     ``config.pred_steps`` forecast instants after it, (N, steps + 1, 2), and
-    whether each agent is alive then, (N, steps + 1).  ``FP_ID`` is never
-    alive; an id that names no track raises :class:`ConfigError`."""
+    whether each agent is alive then, (N, steps + 1).  ``frame`` is one frame
+    for every id or one frame per id.  ``FP_ID`` is never alive; an id that
+    names no track raises :class:`ConfigError`."""
     steps = config.pred_steps
     stride, _ = stride_and_horizon(log.frame_rate, config)
-    instants = frame + stride * np.arange(steps + 1)
+    instants = np.asarray(frame)[..., None] + stride * np.arange(steps + 1)
     ids = np.asarray(agent_ids, dtype=np.int64)
     # track 0 stands for FP_ID: born after it dies, it is never alive
     track_ids, births, deaths, lengths = np.array(
@@ -251,14 +253,15 @@ def gt_future(log: WorldLog, agent_ids: list[int] | np.ndarray, frame: int,
     return pos, alive
 
 
-def build_sample(log: WorldLog, t0: int, t_obs: int, config: ModelConfig,
-                 max_detections: int = MAX_DETECTIONS) -> SequenceSample:
-    """Cut one observation window and its forecasting targets from a world.
+def build_sample(log: WorldLog, t0: int, t_obs: int,
+                 config: ModelConfig) -> SequenceSample:
+    """Cut one training window, capped at ``MAX_DETECTIONS`` per frame, and
+    its forecasting targets from a world.
 
     Targets are the final-frame detections' ground-truth offsets; an agent
     whose ground truth ends early is supervised on the valid fragment.
     """
-    frames, ids = cut_window(log, t0, t_obs, max_detections)
+    frames, ids = cut_window(log, t0, t_obs, MAX_DETECTIONS)
     pos, alive = gt_future(log, ids[-1], t0 + t_obs - 1, config)
     future = alive[:, 1:]
     offsets = np.where(future[:, :, None],
@@ -357,8 +360,6 @@ class TrainConfig:
     applied, see :func:`model_config_from_train`)."""
 
     batch_sequences: int = 16
-    max_detections: int = MAX_DETECTIONS
-    t_obs: int = T_OBS
     lr: float = 0.003
     lr_decay: float = 0.6
     lr_num_decays: int = 6
@@ -368,13 +369,13 @@ class TrainConfig:
     seed: int = 0
     windows_per_world: int = 4
     model: ModelConfig = ModelConfig()
+    t_obs = T_OBS  # not a field; kept until perfbench reads model.T_OBS
 
     def __post_init__(self):
         # lr_num_decays may be 0, meaning no decay; seed is any integer
         check_fields(self, "an integer", ("seed",))
         check_fields(self, "a positive integer",
-                     ("batch_sequences", "max_detections", "t_obs", "epochs",
-                      "windows_per_world"))
+                     ("batch_sequences", "epochs", "windows_per_world"))
         check_fields(self, "a non-negative integer", ("lr_num_decays",))
         check_fields(self, "a positive finite number", ("lr", "lr_decay"))
         check_fields(self, "a non-negative finite number",
@@ -403,7 +404,7 @@ def train(cfg: TrainConfig, worlds: list[WorldLog], variant: str = "full",
     tape pass.  The gradient is that of the mean window loss.
     """
     model_cfg = model_config_from_train(cfg, variant)
-    starts_per_world = [window_starts(w, cfg.t_obs, model_cfg) for w in worlds]
+    starts_per_world = [window_starts(w, T_OBS, model_cfg) for w in worlds]
     total_windows = sum(cfg.windows_per_world for s in starts_per_world if s > 0)
     if total_windows < cfg.batch_sequences:
         raise ConfigError(f"training needs at least {cfg.batch_sequences} "
@@ -430,9 +431,8 @@ def train(cfg: TrainConfig, worlds: list[WorldLog], variant: str = "full",
         traj_n = aff_n = 0
         for lo in range(0, len(windows), cfg.batch_sequences):
             batch = windows[lo: lo + cfg.batch_sequences]
-            samples = [augment_sample(build_sample(worlds[wi], t0, cfg.t_obs,
-                                                   model_cfg, cfg.max_detections),
-                                      aug_rng)
+            samples = [augment_sample(build_sample(worlds[wi], t0, T_OBS,
+                                                   model_cfg), aug_rng)
                        for wi, t0 in batch]
             for p_lo, p_hi in pack_ranges([s.frames for s in samples]):
                 tape = Tape()

@@ -22,9 +22,16 @@ def _frame(positions):
                   heading=0.0, score=0.7) for p in positions])
 
 
+def _gate_one_block(prev_pos, curr_pos, theta_d):
+    """``gate_positions`` over one block: zero ids on both sides."""
+    return gate_positions(prev_pos, curr_pos, theta_d,
+                          np.zeros(len(prev_pos), dtype=int),
+                          np.zeros(len(curr_pos), dtype=int))
+
+
 def _features(tape, params, prev, curr, h_mot_prev):
     """Gate two frames and run ``pair_features`` on the gated pairs."""
-    pairs, _ = gate_positions(prev.pos, curr.pos, params.config.theta_d)
+    pairs, _ = _gate_one_block(prev.pos, curr.pos, params.config.theta_d)
     _, a, logits = pair_features(
         tape, params, embed_frame(tape, params, prev),
         embed_frame(tape, params, curr),
@@ -109,9 +116,9 @@ def test_long_term_feature_gradient_wrt_history(params):
 
 def test_gating_boundary_inclusive():
     prev = np.array([[0.0, 0.0]])
-    pairs, dists = gate_positions(prev, np.array([[0.0, 10.0]]), 10.0)
+    pairs, dists = _gate_one_block(prev, np.array([[0.0, 10.0]]), 10.0)
     assert len(pairs) == 1 and dists[0] == 10.0
-    pairs, _ = gate_positions(prev, np.array([[0.0, 10.01]]), 10.0)
+    pairs, _ = _gate_one_block(prev, np.array([[0.0, 10.01]]), 10.0)
     assert len(pairs) == 0
 
 
@@ -122,7 +129,7 @@ def test_gating_matches_brute_force():
         n_curr = int(rng.integers(0, 50))
         prev = rng.uniform(-30, 30, (n_prev, 2))
         curr = rng.uniform(-30, 30, (n_curr, 2))
-        pairs, dists = gate_positions(prev, curr, 10.0)
+        pairs, dists = _gate_one_block(prev, curr, 10.0)
         want = gate_brute_force(prev, curr, 10.0)
         assert [tuple(p) for p in pairs] == want
         for (m, n), d in zip(pairs, dists):
@@ -135,7 +142,7 @@ def test_gating_matches_brute_force():
 
 def test_gating_rejects_nonpositive_theta():
     with pytest.raises(ConfigError):
-        gate_positions(np.zeros((1, 2)), np.zeros((1, 2)), 0.0)
+        _gate_one_block(np.zeros((1, 2)), np.zeros((1, 2)), 0.0)
 
 
 def test_gating_rejects_descending_window_ids():
@@ -162,7 +169,7 @@ def _predecessor_recall(worlds):
             ids_prev, ids_curr = log.true_ids[t - 1], log.true_ids[t]
             m, n = np.nonzero((ids_prev[:, None] == ids_curr[None, :])
                               & (ids_curr[None, :] != FP_ID))
-            pairs, _ = gate_positions(prev.pos, curr.pos, theta_d)
+            pairs, _ = _gate_one_block(prev.pos, curr.pos, theta_d)
             gated = pairs[:, 0] * len(curr) + pairs[:, 1]
             kept += int(np.isin(m * len(curr) + n, gated).sum())
             total += len(m)
@@ -290,7 +297,7 @@ def test_select_top_k_segment_layout():
 
 def test_select_top_k_zero_pairs():
     # a transition without pairs keeps none: every detection is a birth
-    pairs, dists = gate_positions(np.zeros((0, 2)), np.zeros((3, 2)), 5.0)
+    pairs, dists = _gate_one_block(np.zeros((0, 2)), np.zeros((3, 2)), 5.0)
     assert pairs.shape == (0, 2) and dists.shape == (0,)
     sel, top = select_top_k(pairs, dists, np.zeros(0), 4)
     assert sel.shape == top.shape == (0,)
@@ -314,7 +321,7 @@ def test_window_gating_matches_each_window_alone():
     want_pairs, want_dists = [], []
     prev_off = curr_off = 0
     for p, c in windows:
-        wp, wd = gate_positions(p, c, 6.0)
+        wp, wd = _gate_one_block(p, c, 6.0)
         want_pairs.append(wp + [prev_off, curr_off])
         want_dists.append(wd)
         prev_off += len(p)

@@ -540,8 +540,10 @@ def test_windows_laid_end_to_end_gate_only_their_own_transitions(monkeypatch):
     assert offered == inside and len(inside) == n_win * (steps - 1)
     assert gated <= inside and len(gated) == len(inside)
     for s in starts[1:]:  # the boundaries would pair if they were gated
-        assert len(gate(frames[s - 1].pos, frames[s].pos,
-                        params.config.theta_d)[0]) > 0
+        prev, curr = frames[s - 1].pos, frames[s].pos
+        assert len(gate(prev, curr, params.config.theta_d,
+                        np.zeros(len(prev), dtype=int),
+                        np.zeros(len(curr), dtype=int))[0]) > 0
 
 
 @pytest.mark.parametrize("variant", ["full", "baseline"])

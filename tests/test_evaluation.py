@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import uncertrack.encoder as encoder
+import uncertrack.evaluation as evaluation
 from oracles import evaluate_direct, linear_fit_residual, match_brute_force
 from uncertrack.detections import FrameArrays
 from uncertrack.evaluation import (MATCH_THRESHOLD_M, NL_RESIDUAL_THRESHOLD,
@@ -53,6 +54,11 @@ def test_mixed_frame_rates_evaluate_as_each_world_alone():
     assert stand_still_fde([w10, w20]).fde_cm is not None
 
 
+def _match_one_window(det, gt):
+    return match_for_eval(det, gt, np.zeros(len(det), dtype=int),
+                          np.zeros(len(gt), dtype=int))
+
+
 @pytest.mark.parametrize("n_det, n_gt", [(0, 0), (0, 6), (6, 0), (8, 8),
                                           (15, 10), (10, 25)])
 def test_match_for_eval_equals_brute_force(n_det, n_gt):
@@ -66,17 +72,41 @@ def test_match_for_eval_equals_brute_force(n_det, n_gt):
         else:
             det = rng.uniform(-3.0, 3.0, size=(n_det, 2))
             gt = rng.uniform(-3.0, 3.0, size=(n_gt, 2))
-        got = match_for_eval(det, gt)
+        got = _match_one_window(det, gt)
         want = match_brute_force(det, gt, MATCH_THRESHOLD_M)
-        assert [(i, j) for i, j, _ in got] == [(i, j) for i, j, _ in want]
-        assert all(abs(a[2] - b[2]) <= 1e-12 for a, b in zip(got, want))
+        assert np.array_equal(got, np.array([(i, j) for i, j, _ in want],
+                                            dtype=int).reshape(-1, 2))
 
 
 def test_match_for_eval_keeps_the_threshold_and_breaks_ties_in_order():
     det = np.array([[0.0, 0.0], [10.0, 0.0]])
     gt = np.array([[0.0, 2.0], [2.0, 0.0], [10.0, 2.0 + 1e-9]])
-    assert match_for_eval(det, gt) == [(0, 0, MATCH_THRESHOLD_M)]
-    assert match_for_eval(det[::-1], gt[::-1]) == [(1, 1, MATCH_THRESHOLD_M)]
+    assert _match_one_window(det, gt).tolist() == [[0, 0]]
+    assert _match_one_window(det[::-1], gt[::-1]).tolist() == [[1, 1]]
+
+
+def test_match_for_eval_over_windows_equals_each_window_alone():
+    # windows side by side overlap in space but never match across; window 1
+    # is empty, window 2 has no ground truth, and windows 0 and 3 hold the
+    # same lattice points, so equal distances (and ties) recur across windows
+    rng = np.random.default_rng(17)
+    lattice = (rng.integers(-4, 5, size=(9, 2)) * 0.5,
+               rng.integers(-4, 5, size=(7, 2)) * 0.5)
+    windows = [lattice, (np.zeros((0, 2)), np.zeros((0, 2))),
+               (rng.uniform(-3, 3, (5, 2)), np.zeros((0, 2))), lattice,
+               (rng.uniform(-3, 3, (6, 2)), rng.uniform(-3, 3, (10, 2)))]
+    det = np.concatenate([d for d, _ in windows])
+    gt = np.concatenate([g for _, g in windows])
+    det_window = np.repeat(np.arange(len(windows)), [len(d) for d, _ in windows])
+    gt_window = np.repeat(np.arange(len(windows)), [len(g) for _, g in windows])
+    got = match_for_eval(det, gt, det_window, gt_window)
+
+    alone = [_match_one_window(d, g) for d, g in windows]
+    det_off = np.cumsum([0] + [len(d) for d, _ in windows])
+    gt_off = np.cumsum([0] + [len(g) for _, g in windows])
+    assert np.array_equal(got, np.concatenate(
+        [m + [d0, g0] for m, d0, g0 in zip(alone, det_off, gt_off)]))
+    assert len(alone[0]) > 0 and np.array_equal(alone[0], alone[3])
 
 
 def test_nonlinearity_residual_equals_normal_equations():
@@ -146,9 +176,11 @@ def test_kinematic_baselines_on_one_noiseless_cv_agent():
 def test_evaluation_embeds_and_gates_each_frame_once(monkeypatch):
     # a 120-frame world's 15 windows of 20 frames, one pack, read frames
     # 0..89: each is embedded once (not once per window holding it) and each
-    # of their 89 transitions is gated once (not 19 per window, 285)
+    # of their 89 transitions is gated once (not 19 per window, 285); the
+    # world's ground truth is gathered and matched in one call each (not
+    # one per window)
     log = _world(11, frames=120, agents=24)
-    embedded, gated = [], []
+    embedded, gated, scored = [], [], []
     embed_frame, gate_positions = encoder.embed_frame, encoder.gate_positions
 
     def embed_counted(tape, params, frame):
@@ -162,12 +194,22 @@ def test_evaluation_embeds_and_gates_each_frame_once(monkeypatch):
         return gate_positions(prev_pos, curr_pos, theta_d, prev_window,
                               curr_window)
 
+    def counted(name, fn):
+        def wrapper(*args):
+            scored.append(name)
+            return fn(*args)
+        return wrapper
+
     monkeypatch.setattr(encoder, "embed_frame", embed_counted)
     monkeypatch.setattr(encoder, "gate_positions", gate_counted)
+    for name in ("gt_future", "match_for_eval"):
+        monkeypatch.setattr(evaluation, name,
+                            counted(name, getattr(evaluation, name)))
     report = evaluate_model(init_model(SMALL, seed=1), [log])
-    assert report.num_windows == 15
+    assert report.num_windows == 15 and report.num_matched > 0
     assert embedded == [sum(len(log.frames[t]) for t in range(90))]
     assert gated == [89]
+    assert scored == ["gt_future", "match_for_eval"]
 
 
 def _direct_frame(dets):

@@ -49,14 +49,15 @@ def test_build_sample_matches_per_agent_loop():
     tracks = {tr.agent_id: tr for tr in log.tracks}
     capped = cut_short = 0
     for t0 in range(0, 70, 3):
-        sample = build_sample(log, t0, 20, config, max_detections=12)
-        for t, frame in enumerate(sample.frames):
+        frames, true_ids = cut_window(log, t0, 20, 12)
+        for t, frame in enumerate(frames):
             dets = log.frames[t0 + t]
             keep = sorted(sorted(range(len(dets)),
                                  key=lambda i: -dets[i].score)[:12])
             capped += len(keep) < len(dets)
             assert np.array_equal(frame.pos, [dets[i].pos for i in keep])
-            assert np.array_equal(sample.true_ids[t], log.true_ids[t0 + t][keep])
+            assert np.array_equal(true_ids[t], log.true_ids[t0 + t][keep])
+        sample = build_sample(log, t0, 20, config)
         t_final = t0 + 19
         for n, agent in enumerate(sample.true_ids[-1]):
             for k in range(config.pred_steps):
@@ -96,6 +97,15 @@ def test_gt_future_equals_per_agent_loop(frame_rate):
         assert not alive[ids == FP_ID].any()
         partly += np.count_nonzero(alive.any(axis=1) & ~alive.all(axis=1))
     assert partly > 0 and (np.concatenate(log.true_ids) == FP_ID).any()
+
+    # one frame per id: every id of every third frame, each at its own frame
+    at = np.arange(0, frames, 3)
+    ids = np.concatenate([np.concatenate([log.true_ids[f], agents]) for f in at])
+    per_id = np.repeat(at, [len(log.true_ids[f]) + len(agents) for f in at])
+    pos, alive = gt_future(log, ids, per_id, config)
+    want = [gt_future_loop(log, [a], f, config) for a, f in zip(ids, per_id)]
+    assert np.array_equal(alive, np.concatenate([w[1] for w in want]))
+    assert np.array_equal(pos, np.concatenate([w[0] for w in want]))
 
     pos, alive = gt_future(log, [], 5, config)
     assert pos.shape == (0, config.pred_steps + 1, 2)
@@ -526,7 +536,6 @@ def test_config_rejects_non_finite(cls, name, value):
 @pytest.mark.parametrize("cls, name, value", [
     (TrainConfig, "epochs", 0), (TrainConfig, "epochs", -3),
     (TrainConfig, "batch_sequences", 0), (TrainConfig, "lr", 0.0),
-    (TrainConfig, "t_obs", 0),
     (TrainConfig, "lr_num_decays", -1), (TrainConfig, "lambda_start", -0.5),
     # a count must be an integer, not a float or a bool
     (TrainConfig, "epochs", 2.0), (TrainConfig, "windows_per_world", True),
