@@ -1,5 +1,11 @@
 """Detections and their learned representation.
 
+A frame's detections are held as columns, one row per detection
+(:class:`FrameArrays`).  A world stores each of its frames this way, built
+once where the detections enter the program, with read-only columns: the
+windows cut from the world share them.  :class:`Detection` is the view of
+one row, for code that reads detections one at a time by iterating a frame.
+
 A detection's unary embedding deliberately excludes position: each remaining
 field goes through its own small embedding layer, the results are fused into
 x_det.  Position information only ever enters through frame-to-frame movement
@@ -10,6 +16,7 @@ Embedding works row by row: the encoder joins every frame of a run with
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +29,8 @@ __all__ = ["Detection", "FrameArrays", "concat_frames", "embed_frame"]
 
 @dataclass
 class Detection:
-    """One detector output at one frame (z axis ignored throughout)."""
+    """One detector output at one frame (z axis ignored throughout): the
+    row view of a :class:`FrameArrays`."""
 
     pos: tuple[float, float]
     velo: tuple[float, float]
@@ -33,7 +41,8 @@ class Detection:
 
 @dataclass
 class FrameArrays:
-    """Column view of one frame's detections for batched math."""
+    """One frame's detections as float64 columns, row ``i`` being detection
+    ``i``; iterating a frame yields its rows as :class:`Detection`."""
 
     pos: np.ndarray      # (N, 2)
     velo: np.ndarray     # (N, 2)
@@ -43,6 +52,8 @@ class FrameArrays:
 
     @classmethod
     def from_detections(cls, dets: list[Detection]) -> "FrameArrays":
+        """Columns of a list of rows; ``from_detections(list(frame))`` is
+        ``frame`` bit for bit."""
         n = len(dets)
         # the reshape keeps an empty frame's (0, 2) and (0, 3) columns
         return cls(
@@ -54,6 +65,12 @@ class FrameArrays:
 
     def __len__(self) -> int:
         return self.pos.shape[0]
+
+    def __iter__(self) -> Iterator[Detection]:
+        """Each row as a :class:`Detection` whose fields are Python floats."""
+        return map(Detection, map(tuple, self.pos.tolist()),
+                   map(tuple, self.velo.tolist()), map(tuple, self.size.tolist()),
+                   self.heading.tolist(), self.score.tolist())
 
 
 def concat_frames(frames: list[FrameArrays]) -> FrameArrays:

@@ -198,24 +198,30 @@ def window_starts(log: WorldLog, t_obs: int, config: ModelConfig) -> int:
 def cut_window(log: WorldLog, t0: int, t_obs: int,
                max_detections: int | None = None
                ) -> tuple[list[FrameArrays], list[np.ndarray]]:
-    """Frames ``t0 .. t0 + t_obs - 1`` of a world as arrays, with every
-    row's hidden identity.
+    """Frames ``t0 .. t0 + t_obs - 1`` of a world, with every row's hidden
+    identity.
 
-    ``max_detections`` keeps only a frame's most confident detections, in
-    their original order; it bounds training memory, so evaluation leaves
+    The frames are the world's own, not copies: their columns are read-only
+    and shared by every window cut from the world.  ``max_detections``
+    keeps only a frame's most confident detections, in their original
+    order, as new columns; it bounds training memory, so evaluation leaves
     it unset and scores every detection.
     """
-    frames, ids = [], []
-    for t in range(t0, t0 + t_obs):
-        dets = log.frames[t]
-        tid = log.true_ids[t]
-        if max_detections is not None and len(dets) > max_detections:
-            order = np.argsort([-d.score for d in dets])[:max_detections]
-            order.sort()
-            dets = [dets[i] for i in order]
-            tid = tid[order]
-        frames.append(FrameArrays.from_detections(dets))
-        ids.append(tid)
+    if t0 < 0 or t0 + t_obs > log.num_frames:
+        raise ConfigError(f"window of frames {t0} .. {t0 + t_obs - 1} is "
+                          f"outside the world's {log.num_frames} frames")
+    frames = log.frames[t0:t0 + t_obs]
+    ids = log.true_ids[t0:t0 + t_obs]
+    if max_detections is None:
+        return frames, ids
+    for k, frame in enumerate(frames):
+        if len(frame) > max_detections:
+            keep = np.sort(np.argsort(-frame.score)[:max_detections])
+            frames[k] = FrameArrays(pos=frame.pos[keep], velo=frame.velo[keep],
+                                    size=frame.size[keep],
+                                    heading=frame.heading[keep],
+                                    score=frame.score[keep])
+            ids[k] = ids[k][keep]
     return frames, ids
 
 

@@ -16,12 +16,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
 from pathlib import Path
 
 import numpy as np
 
-from .detections import Detection
+from .detections import Detection, FrameArrays
 from .errors import ConfigError, check_fields
 from .model import T_OBS, ModelConfig, stride_and_horizon
 from .rng import substream
@@ -92,9 +92,18 @@ class NoiseConfig:
 
 @dataclass
 class WorldLog:
+    """A world's ground truth and its detector output.
+
+    ``frames[t]`` holds frame ``t``'s detections as columns, built once where
+    the detections enter the program (:func:`corrupt_to_detections`,
+    :func:`load_world`) with read-only arrays, since every window cut from
+    the world shares them; iterate a frame for its :class:`Detection` rows.
+    ``true_ids[t]`` holds each detection's hidden identity.
+    """
+
     frame_rate: float
     tracks: list[AgentTrack]
-    frames: list[list[Detection]]
+    frames: list[FrameArrays]
     true_ids: list[np.ndarray]  # per frame, per detection; FP_ID marks FPs
     rng_seed: int = 0
 
@@ -251,9 +260,10 @@ def _burst_masks(tracks, noise, rng) -> dict[int, list[bool]]:
 
 
 def _detect(rng: np.random.Generator, noise: NoiseConfig, rows: tuple, i: int,
-            pos_sigma: float, score_mean: float) -> Detection:
-    """Perturb row ``i`` of a track into one detection; the draws are pos,
-    velo, heading, size, score, in that order.  ``rows`` holds the track's
+            pos_sigma: float, score_mean: float) -> tuple[float, ...]:
+    """Perturb row ``i`` of a track into one detection's nine values: pos
+    (2), velo (2), size (3), heading, score.  The draws are pos, velo,
+    heading, size, score, in that order.  ``rows`` holds the track's
     ``pos``, ``velo``, ``heading`` and ``size`` as flat lists of Python
     floats.
 
@@ -276,12 +286,20 @@ def _detect(rng: np.random.Generator, noise: NoiseConfig, rows: tuple, i: int,
         heading = _wrap_angle(heading + dh)
     vs, ss = noise.velo_sigma, noise.size_sigma
     score = score_mean + noise.score_sigma * z8
-    return Detection(
-        pos=(px + (0.0 + pos_sigma * z0), py + (0.0 + pos_sigma * z1)),
-        velo=(vx + (0.0 + vs * z2), vy + (0.0 + vs * z3)),
-        size=(max(sl + (0.0 + ss * z5), 0.2), max(sw + (0.0 + ss * z6), 0.2),
-              max(sh + (0.0 + ss * z7), 0.2)),
-        heading=heading, score=min(max(score, 1e-4), 1.0 - 1e-4))
+    return (px + (0.0 + pos_sigma * z0), py + (0.0 + pos_sigma * z1),
+            vx + (0.0 + vs * z2), vy + (0.0 + vs * z3),
+            max(sl + (0.0 + ss * z5), 0.2), max(sw + (0.0 + ss * z6), 0.2),
+            max(sh + (0.0 + ss * z7), 0.2),
+            heading, min(max(score, 1e-4), 1.0 - 1e-4))
+
+
+def _read_only(frame: FrameArrays) -> FrameArrays:
+    """``frame`` with its columns made read-only, as a world stores it: the
+    windows cut from the world share them."""
+    for column in (frame.pos, frame.velo, frame.size, frame.heading,
+                   frame.score):
+        column.flags.writeable = False
+    return frame
 
 
 def corrupt_to_detections(tracks: list[AgentTrack], noise: NoiseConfig,
@@ -308,36 +326,49 @@ def corrupt_to_detections(tracks: list[AgentTrack], noise: NoiseConfig,
     bursts = _burst_masks(tracks, noise, rng)
     # each track's arrays as flat lists of Python floats, converted once; flat,
     # so they add no container per row for the garbage collector to walk
-    rows = {tr.agent_id: (tr.pos.ravel().tolist(), tr.velo.ravel().tolist(),
-                          tr.heading.tolist(), tr.size.ravel().tolist())
-            for tr in tracks}
+    agents = [(tr.agent_id, tr.birth_frame,
+               (tr.pos.ravel().tolist(), tr.velo.ravel().tolist(),
+                tr.heading.tolist(), tr.size.ravel().tolist()),
+               bursts[tr.agent_id]) for tr in tracks]
+    births = np.array([tr.birth_frame for tr in tracks], dtype=np.int64)
+    deaths = np.array([tr.death_frame for tr in tracks], dtype=np.int64)
+    frame_no = np.arange(num_frames)[:, None]
+    alive = ((births <= frame_no) & (frame_no <= deaths)).tolist()
 
-    frames: list[list[Detection]] = []
+    values: list[float] = []  # the world's detections, nine values each
+    counts: list[int] = []
     true_ids: list[np.ndarray] = []
     for t in range(num_frames):
-        dets: list[Detection] = []
         ids: list[int] = []
-        live = [tr for tr in tracks if tr.alive(t)]
-        for tr in live:
-            i = tr.index_at(t)
+        live = list(compress(agents, alive[t]))
+        for agent_id, birth, track_rows, burst in live:
+            i = t - birth
             if rng.random() < noise.miss_rate:
                 continue
-            pos_sigma = noise.pos_sigma * (_BURST_POS_FACTOR
-                                           if bursts[tr.agent_id][i] else 1.0)
-            dets.append(_detect(rng, noise, rows[tr.agent_id], i, pos_sigma,
-                                noise.score_tp_mean))
-            ids.append(tr.agent_id)
+            pos_sigma = noise.pos_sigma * (_BURST_POS_FACTOR if burst[i]
+                                           else 1.0)
+            values += _detect(rng, noise, track_rows, i, pos_sigma,
+                              noise.score_tp_mean)
+            ids.append(agent_id)
 
         if live and noise.fp_rate > 0:
             for _ in range(int(rng.poisson(noise.fp_rate))):
-                host = live[int(rng.integers(len(live)))]
-                dets.append(_detect(rng, noise, rows[host.agent_id],
-                                    host.index_at(t), noise.fp_cluster_sigma,
-                                    noise.score_fp_mean))
+                _, birth, track_rows, _ = live[int(rng.integers(len(live)))]
+                values += _detect(rng, noise, track_rows, t - birth,
+                                  noise.fp_cluster_sigma, noise.score_fp_mean)
                 ids.append(FP_ID)
 
-        frames.append(dets)
+        counts.append(len(ids))
         true_ids.append(np.array(ids, dtype=int))
+
+    # one contiguous array per field for the whole world; each frame's
+    # columns are slices of them
+    table = np.array(values, dtype=float).reshape(-1, 9)
+    columns = (table[:, 0:2].copy(), table[:, 2:4].copy(),
+               table[:, 4:7].copy(), table[:, 7].copy(), table[:, 8].copy())
+    ends = np.cumsum(counts).tolist()
+    frames = [_read_only(FrameArrays(*(c[end - n:end] for c in columns)))
+              for n, end in zip(counts, ends)]
     return WorldLog(frame_rate=frame_rate, tracks=tracks, frames=frames,
                     true_ids=true_ids, rng_seed=seed)
 
@@ -345,29 +376,35 @@ def corrupt_to_detections(tracks: list[AgentTrack], noise: NoiseConfig,
 # ---- JSONL serialization -----------------------------------------------------
 
 
+# json.dumps's settings without its cycle check: every record written is
+# made of fresh lists and dicts, so it holds no cycle to find
+_ENCODER = json.JSONEncoder(check_circular=False)
+
+
 def save_world(log: WorldLog, path) -> None:
     """One JSON object per line: a world header, agent lines, frame lines."""
     path = Path(path)
+    encode = _ENCODER.encode
     with open(path, "w") as f:
-        f.write(json.dumps({"type": "world", "frame_rate": log.frame_rate,
-                            "rng_seed": log.rng_seed,
-                            "num_frames": log.num_frames}) + "\n")
+        f.write(encode({"type": "world", "frame_rate": log.frame_rate,
+                        "rng_seed": log.rng_seed,
+                        "num_frames": log.num_frames}) + "\n")
         for tr in log.tracks:
-            f.write(json.dumps({
+            f.write(encode({
                 "type": "agent", "agent_id": tr.agent_id,
                 "birth_frame": tr.birth_frame, "death_frame": tr.death_frame,
                 "pos": tr.pos.tolist(), "velo": tr.velo.tolist(),
                 "heading": tr.heading.tolist(), "size": tr.size.tolist(),
             }) + "\n")
-        for t, dets in enumerate(log.frames):
-            recs = []
-            for d, tid in zip(dets, log.true_ids[t].tolist(), strict=True):
-                recs.append({"pos": list(d.pos), "velo": list(d.velo),
-                             "size": list(d.size), "heading": d.heading,
-                             "score": d.score,
-                             "true_id": "FP" if tid == FP_ID else tid})
-            f.write(json.dumps({"type": "frame", "frame": t,
-                                "detections": recs}) + "\n")
+        for t, (frame, ids) in enumerate(zip(log.frames, log.true_ids)):
+            recs = [{"pos": p, "velo": v, "size": s, "heading": h, "score": c,
+                     "true_id": "FP" if tid == FP_ID else tid}
+                    for p, v, s, h, c, tid in zip(
+                        frame.pos.tolist(), frame.velo.tolist(),
+                        frame.size.tolist(), frame.heading.tolist(),
+                        frame.score.tolist(), ids.tolist(), strict=True)]
+            f.write(encode({"type": "frame", "frame": t,
+                            "detections": recs}) + "\n")
 
 
 def _reject_constant(name: str):
@@ -415,9 +452,10 @@ def _real_rows(rows, name: str, where: str) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
-def _scan_detections(recs) -> tuple[list[Detection], np.ndarray] | None:
+def _scan_detections(recs) -> tuple[FrameArrays, np.ndarray] | None:
     """A frame line's detections and true ids after one type scan and one
-    ``isfinite`` over all its numbers, or None if anything in it is off."""
+    ``isfinite`` over all its numbers, or None if anything in it is off.
+    The columns are slices of the one array that ``isfinite`` checks."""
     try:
         pos, velo, size, heading, score, tids = (
             [r[k] for r in recs]
@@ -434,17 +472,21 @@ def _scan_detections(recs) -> tuple[list[Detection], np.ndarray] | None:
     if not _REAL.issuperset(map(type, numbers)):
         return None
     try:
-        if not np.isfinite(np.array(numbers, dtype=float)).all():
-            return None
+        values = np.array(numbers, dtype=float)
     except OverflowError:  # an integer beyond float range
         return None
-    # positional, in Detection's field order: keywords cost ~40% more here
-    dets = list(map(Detection, map(tuple, pos), map(tuple, velo),
-                    map(tuple, size), map(float, heading), map(float, score)))
-    return dets, np.array([FP_ID if t == "FP" else t for t in tids], dtype=int)
+    if not np.isfinite(values).all():
+        return None
+    n = len(pos)
+    frame = FrameArrays(pos=values[:2 * n].reshape(n, 2),
+                        velo=values[2 * n:4 * n].reshape(n, 2),
+                        size=values[4 * n:7 * n].reshape(n, 3),
+                        heading=values[7 * n:8 * n], score=values[8 * n:])
+    return (_read_only(frame),
+            np.array([FP_ID if t == "FP" else t for t in tids], dtype=int))
 
 
-def _frame_detections(recs, where: str) -> tuple[list[Detection], np.ndarray]:
+def _frame_detections(recs, where: str) -> tuple[FrameArrays, np.ndarray]:
     """A frame line's detections and true ids.  When the one scan of the
     whole line fails, every field is checked in line order, so the refusal
     names the first bad field."""
@@ -463,7 +505,8 @@ def _frame_detections(recs, where: str) -> tuple[list[Detection], np.ndarray]:
         if tid != "FP" and _integer(tid, "true_id", where) == FP_ID:
             raise ConfigError(f'{where}: true_id {FP_ID} must be written "FP"')
         ids.append(FP_ID if tid == "FP" else tid)
-    return dets, np.array(ids, dtype=int)
+    return (_read_only(FrameArrays.from_detections(dets)),
+            np.array(ids, dtype=int))
 
 
 def load_world(path) -> WorldLog:
@@ -490,7 +533,7 @@ def load_world(path) -> WorldLog:
     tracks: list[AgentTrack] = []
     agent_ids: set[int] = set()
     # frame -> (line number, detections, true ids)
-    frame_lines: dict[int, tuple[int, list[Detection], np.ndarray]] = {}
+    frame_lines: dict[int, tuple[int, FrameArrays, np.ndarray]] = {}
     with open(path) as f:
         for line_no, line in enumerate(f, 1):
             line = line.strip()
@@ -573,5 +616,5 @@ def load_world(path) -> WorldLog:
                           "line")
     per_frame = [frame_lines[t] for t in range(num_frames)]
     return WorldLog(frame_rate=frame_rate, tracks=tracks,
-                    frames=[dets for _, dets, _ in per_frame],
+                    frames=[frame for _, frame, _ in per_frame],
                     true_ids=[ids for _, _, ids in per_frame], rng_seed=rng_seed)

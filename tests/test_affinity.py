@@ -164,8 +164,7 @@ def _predecessor_recall(worlds):
     kept = total = 0
     for log in worlds:
         for t in range(1, log.num_frames):
-            prev = FrameArrays.from_detections(log.frames[t - 1])
-            curr = FrameArrays.from_detections(log.frames[t])
+            prev, curr = log.frames[t - 1], log.frames[t]
             ids_prev, ids_curr = log.true_ids[t - 1], log.true_ids[t]
             m, n = np.nonzero((ids_prev[:, None] == ids_curr[None, :])
                               & (ids_curr[None, :] != FP_ID))

@@ -125,13 +125,28 @@ def test_scene_translation_invariance_many_cases(params):
         assert np.array_equal(a, b)
 
 
+def _columns(frame):
+    return frame.pos, frame.velo, frame.size, frame.heading, frame.score
+
+
 def test_from_detections_matches_the_row_loop():
+    # and it inverts iterating a frame: a stored frame's rows, an empty
+    # frame's included, convert back to that frame bit for bit
     log = corrupt_to_detections(generate_world(24, 60, seed=3), NoiseConfig(),
                                 seed=3)
+    empty = corrupt_to_detections(generate_world(2, 60, seed=3),
+                                  NoiseConfig(miss_rate=1.0, fp_rate=0.0),
+                                  seed=3).frames[0]
     odd = [_det(pos=(-0.0, 3), velo=(0, -0.0), size=(4, 2, 1.5), heading=-0.0)]
-    for dets in log.frames + [odd, []]:
-        frame = FrameArrays.from_detections(dets)
-        got = (frame.pos, frame.velo, frame.size, frame.heading, frame.score)
-        for g, want in zip(got, frame_columns_loop(dets), strict=True):
-            assert g.shape == want.shape and g.dtype == want.dtype
-            assert g.tobytes() == want.tobytes()
+    for dets in log.frames + [empty, odd, []]:
+        rows = list(dets)
+        frame = FrameArrays.from_detections(rows)
+        wants = [frame_columns_loop(rows)]
+        if isinstance(dets, FrameArrays):
+            assert all(type(v) is float for d in rows
+                       for v in (*d.pos, *d.velo, *d.size, d.heading, d.score))
+            wants.append(_columns(dets))
+        for want in wants:
+            for g, w in zip(_columns(frame), want, strict=True):
+                assert g.shape == w.shape and g.dtype == w.dtype
+                assert g.tobytes() == w.tobytes()

@@ -29,8 +29,7 @@ def _small_config(**kw):
 
 
 def _frames_from_log(log, start, length):
-    return [FrameArrays.from_detections(log.frames[t])
-            for t in range(start, start + length)]
+    return log.frames[start:start + length]
 
 
 def _ages(enc):

@@ -140,7 +140,8 @@ def test_windows_whose_final_frames_are_empty_score_nothing():
     log = _world(2)
     finals = set(range(T_OBS - 1, window_starts(log, T_OBS, SMALL) + T_OBS - 1,
                        EVAL_STRIDE))
-    log = replace(log, frames=[[] if t in finals else f
+    empty = FrameArrays.from_detections([])
+    log = replace(log, frames=[empty if t in finals else f
                                for t, f in enumerate(log.frames)],
                   true_ids=[ids[:0] if t in finals else ids
                             for t, ids in enumerate(log.true_ids)])

@@ -51,7 +51,7 @@ def test_build_sample_matches_per_agent_loop():
     for t0 in range(0, 70, 3):
         frames, true_ids = cut_window(log, t0, 20, 12)
         for t, frame in enumerate(frames):
-            dets = log.frames[t0 + t]
+            dets = list(log.frames[t0 + t])
             keep = sorted(sorted(range(len(dets)),
                                  key=lambda i: -dets[i].score)[:12])
             capped += len(keep) < len(dets)
@@ -74,6 +74,47 @@ def test_build_sample_matches_per_agent_loop():
                                       tr.pos[tr.index_at(f)]
                                       - sample.frames[-1].pos[n])
     assert capped and cut_short
+
+
+def test_cut_windows_share_the_world_read_only():
+    # a window's frames are the world's own, so a write into one raises
+    # instead of changing the world; augmenting and capping make new columns
+    log = _world(9, agents=30, frames=120)
+    frames, ids = cut_window(log, 10, 20)
+    assert frames[0] is log.frames[10] and ids[0] is log.true_ids[10]
+    with pytest.raises(ValueError, match="read-only"):
+        cut_window(log, 10, 20)[0][0].pos[0, 0] = 1.0
+    sample = augment_sample(build_sample(log, 10, 20, ModelConfig()),
+                            np.random.default_rng(0))
+    assert all(f.pos.flags.writeable for f in sample.frames)
+    capped = cut_window(log, 10, 20, 12)[0]
+    assert [len(f) for f in capped] == [min(len(f), 12) for f in frames]
+    assert any(len(f) > 12 for f in frames)
+    for t0 in (-1, 101):
+        with pytest.raises(ConfigError, match="outside the world's 120 frames"):
+            cut_window(log, t0, 20)
+
+
+def test_cap_keeps_the_rows_of_an_argsort_over_the_rows():
+    # scores rounded to one decimal tie within every frame; the cap keeps
+    # the rows np.argsort picks from the rows' negated scores, in row order
+    log = _world(9, agents=30, frames=120)
+    log = replace(log, frames=[replace(f, score=np.round(f.score, 1))
+                               for f in log.frames])
+    ties = 0
+    for cap in (3, 12, 17):
+        frames, ids = cut_window(log, 40, 20, cap)
+        for t, frame in enumerate(frames):
+            rows = list(log.frames[40 + t])
+            keep = np.argsort([-d.score for d in rows])[:cap]
+            keep.sort()
+            dropped = set(range(len(rows))) - set(keep)
+            ties += min(rows[i].score for i in keep) in {
+                rows[i].score for i in dropped}
+            assert frame.pos.tobytes() == np.array(
+                [rows[i].pos for i in keep]).reshape(-1, 2).tobytes()
+            assert np.array_equal(ids[t], log.true_ids[40 + t][keep])
+    assert ties
 
 
 @pytest.mark.parametrize("frame_rate", [10.0, 20.0])
@@ -266,8 +307,10 @@ def test_loss_without_pairs_has_no_affinity_term():
     config = variant_config("full", SMALL)
     params = float64_copy(init_model(config, seed=12))
     sample = build_sample(_world(5), 10, 20, config)
-    for t, f in enumerate(sample.frames):
-        f.pos[:] = 1e3 * (100 * t + np.arange(len(f)))[:, None]
+    sample = replace(sample, frames=[
+        replace(f, pos=1e3 * np.repeat((100 * t + np.arange(len(f)))[:, None],
+                                       2, axis=1))
+        for t, f in enumerate(sample.frames)])
     tape = Tape()
     enc, (loss, l_traj, l_aff, n_traj) = _loss(params, sample, tape)
     tape.backward(loss)

@@ -7,7 +7,6 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
-from uncertrack.detections import FrameArrays
 from uncertrack.encoder import encode_sequence
 from uncertrack.errors import ConfigError
 from uncertrack.evaluation import evaluate_model
@@ -271,7 +270,7 @@ def _affinity_labels(log, t):
     """Gated pairs of frames t-1 and t (the default gate,
     ``ModelConfig().theta_d``) and their same-identity labels, as training
     computes them."""
-    frames = [FrameArrays.from_detections(log.frames[f]) for f in (t - 1, t)]
+    frames = log.frames[t - 1:t + 1]
     enc = encode_sequence(Tape(), init_model(ModelConfig(), seed=0), frames)
     ids = np.concatenate([log.true_ids[t - 1], log.true_ids[t]])
     # stacked current rows follow the previous frame's rows
@@ -331,27 +330,40 @@ def test_zero_noise_nearest_is_self():
                 assert log.true_ids[t - 1][m] == log.true_ids[t][n]
 
 
-def test_jsonl_round_trip(tmp_path):
-    tracks = generate_world(4, 80, seed=9)
-    log = corrupt_to_detections(tracks, NoiseConfig(), seed=10)
-    path = tmp_path / "world.jsonl"
-    save_world(log, path)
-    back = load_world(path)
-    assert back.frame_rate == log.frame_rate
-    assert back.rng_seed == log.rng_seed
-    assert back.num_frames == log.num_frames
-    for ta, tb in zip(log.tracks, back.tracks):
-        assert np.array_equal(ta.pos, tb.pos)
-        assert np.array_equal(ta.velo, tb.velo)
-        assert np.array_equal(ta.heading, tb.heading)
-    for fa, fb, ia, ib in zip(log.frames, back.frames, log.true_ids, back.true_ids):
-        assert np.array_equal(ia, ib)
-        for da, db in zip(fa, fb):
-            assert da.pos == db.pos and da.score == db.score
+def _columns(frame):
+    return frame.pos, frame.velo, frame.size, frame.heading, frame.score
 
-    second = tmp_path / "again.jsonl"
-    save_world(back, second)
-    assert path.read_bytes() == second.read_bytes()
+
+def test_jsonl_round_trip(tmp_path):
+    # also at ~17 and ~70 detections per frame (24 and 100 agents): both
+    # worlds store their columns read-only, the loaded ones equal the
+    # generated ones bit for bit, and saving the loaded world rewrites the
+    # file byte for byte
+    for agents, frames in ((4, 80), (24, 120), (100, 120)):
+        tracks = generate_world(agents, frames, seed=9)
+        log = corrupt_to_detections(tracks, NoiseConfig(), seed=10)
+        path = tmp_path / f"world{agents}.jsonl"
+        save_world(log, path)
+        back = load_world(path)
+        assert back.frame_rate == log.frame_rate
+        assert back.rng_seed == log.rng_seed
+        assert back.num_frames == log.num_frames
+        for ta, tb in zip(log.tracks, back.tracks):
+            assert np.array_equal(ta.pos, tb.pos)
+            assert np.array_equal(ta.velo, tb.velo)
+            assert np.array_equal(ta.heading, tb.heading)
+        for fa, fb, ia, ib in zip(log.frames, back.frames, log.true_ids,
+                                  back.true_ids, strict=True):
+            assert np.array_equal(ia, ib)
+            for ca, cb in zip(_columns(fa), _columns(fb)):
+                assert ca.shape == cb.shape
+                assert ca.dtype == cb.dtype == np.float64
+                assert ca.tobytes() == cb.tobytes()
+                assert not ca.flags.writeable and not cb.flags.writeable
+
+        second = tmp_path / f"again{agents}.jsonl"
+        save_world(back, second)
+        assert path.read_bytes() == second.read_bytes()
 
 
 def _saved_lines(tmp_path):
