@@ -16,13 +16,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import chain, compress, count
 from pathlib import Path
 
 import numpy as np
 
-from .detections import Detection, FrameArrays
-from .errors import ConfigError, check_fields
+from .detections import FrameArrays
+from .errors import ConfigError, check_fields, check_value
 from .model import T_OBS, ModelConfig, stride_and_horizon
 from .rng import substream
 
@@ -52,14 +52,6 @@ class AgentTrack:
     @property
     def length(self) -> int:
         return self.death_frame - self.birth_frame + 1
-
-    def alive(self, frame: int) -> bool:
-        return self.birth_frame <= frame <= self.death_frame
-
-    def index_at(self, frame: int) -> int:
-        if not self.alive(frame):
-            raise ConfigError(f"agent {self.agent_id} is not alive at frame {frame}")
-        return frame - self.birth_frame
 
 
 @dataclass(frozen=True)
@@ -416,31 +408,7 @@ def _reject_constant(name: str):
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
-def _integer(value, name: str, where: str) -> int:
-    # the num_frames rule: a float, even a whole one, or a bool is refused
-    if type(value) is not int:
-        raise ConfigError(f"{where}: {name} must be an integer, got {value!r}")
-    return value
-
-
 _REAL = {int, float}  # JSON numbers; a bool or a string is refused
-
-
-# JSON reads an overflowing number (1e999) as infinity, past parse_constant
-def _real(value, name: str, where: str) -> float:
-    if type(value) not in _REAL or not math.isfinite(value):
-        raise ConfigError(f"{where}: {name} must be a finite real number, "
-                          f"got {value!r}")
-    return float(value)
-
-
-def _reals(value, n: int, name: str, where: str) -> tuple:
-    if (type(value) is not list or len(value) != n
-            or not _REAL.issuperset(map(type, value))
-            or not all(map(math.isfinite, value))):
-        raise ConfigError(f"{where}: {name} must be {n} finite real numbers, "
-                          f"got {value!r}")
-    return tuple(value)
 
 
 def _real_rows(rows, name: str, where: str) -> np.ndarray:
@@ -473,7 +441,8 @@ def _scan_detections(recs) -> tuple[FrameArrays, np.ndarray] | None:
         return None
     try:
         values = np.array(numbers, dtype=float)
-    except OverflowError:  # an integer beyond float range
+        ids = np.array([FP_ID if t == "FP" else t for t in tids], dtype=int)
+    except OverflowError:  # an integer beyond float or int64 range
         return None
     if not np.isfinite(values).all():
         return None
@@ -482,31 +451,31 @@ def _scan_detections(recs) -> tuple[FrameArrays, np.ndarray] | None:
                         velo=values[2 * n:4 * n].reshape(n, 2),
                         size=values[4 * n:7 * n].reshape(n, 3),
                         heading=values[7 * n:8 * n], score=values[8 * n:])
-    return (_read_only(frame),
-            np.array([FP_ID if t == "FP" else t for t in tids], dtype=int))
+    return _read_only(frame), ids
 
 
 def _frame_detections(recs, where: str) -> tuple[FrameArrays, np.ndarray]:
-    """A frame line's detections and true ids.  When the one scan of the
-    whole line fails, every field is checked in line order, so the refusal
-    names the first bad field."""
+    """A frame line's detections and true ids, as :func:`_scan_detections`
+    reads them.  When the scan refuses the line, every field is checked in
+    line order, so the refusal names the first bad field."""
     scanned = _scan_detections(recs)
     if scanned is not None:
         return scanned
-    dets, ids = [], []
     for r in recs:
-        dets.append(Detection(
-            pos=_reals(r["pos"], 2, "pos", where),
-            velo=_reals(r["velo"], 2, "velo", where),
-            size=_reals(r["size"], 3, "size", where),
-            heading=_real(r["heading"], "heading", where),
-            score=_real(r["score"], "score", where)))
+        for name, n in (("pos", 2), ("velo", 2), ("size", 3)):
+            if type(r[name]) is not list or len(r[name]) != n:
+                raise ConfigError(f"{where}: {name} must be {n} finite real "
+                                  f"numbers, got {r[name]!r}")
+            for x in r[name]:
+                check_value(f"{where}: {name}", "a finite real number", x)
+        for name in ("heading", "score"):
+            check_value(f"{where}: {name}", "a finite real number", r[name])
         tid = r["true_id"]
-        if tid != "FP" and _integer(tid, "true_id", where) == FP_ID:
+        if (tid != "FP" and check_value(f"{where}: true_id",
+                                        "a 64-bit integer", tid) == FP_ID):
             raise ConfigError(f'{where}: true_id {FP_ID} must be written "FP"')
-        ids.append(FP_ID if tid == "FP" else tid)
-    return (_read_only(FrameArrays.from_detections(dets)),
-            np.array(ids, dtype=int))
+    # the walk refuses every line the scan refuses
+    raise ConfigError(f"{where}: malformed detections")
 
 
 def load_world(path) -> WorldLog:
@@ -517,7 +486,8 @@ def load_world(path) -> WorldLog:
     A malformed line raises ``ConfigError`` naming ``path:line``: bad JSON,
     a NaN or Infinity literal or a number that overflows to infinity, a
     missing or ill-typed field (a frame, agent id, birth or death frame,
-    ``true_id`` or seed that is not an integer, a ``pos`` or ``velo`` that is
+    ``true_id`` or seed that is not an integer, an agent id, birth or death
+    frame or ``true_id`` beyond 64 bits, a ``pos`` or ``velo`` that is
     not 2 finite real numbers, a ``size`` not 3, a ``heading``, ``score`` or
     ``frame_rate`` not one), a non-positive frame rate, agent ``pos``,
     ``velo``, ``heading`` or ``size`` arrays that hold anything but JSON
@@ -548,22 +518,23 @@ def load_world(path) -> WorldLog:
                         raise ConfigError(f"{where}: a second world line (the "
                                           f"first is line {header})")
                     header = line_no
-                    frame_rate = _real(rec["frame_rate"], "frame_rate", where)
-                    rng_seed = _integer(rec["rng_seed"], "rng_seed", where)
-                    num_frames = rec["num_frames"]
-                    if frame_rate <= 0:
-                        raise ConfigError(f"{where}: frame_rate must be "
-                                          f"positive, got {frame_rate}")
-                    if type(num_frames) is not int or num_frames < 0:
-                        raise ConfigError(f"{where}: num_frames must be a "
-                                          f"count, got {num_frames!r}")
+                    # a float, so that a rate written as 10 saves as 10.0
+                    frame_rate = float(check_value(
+                        f"{where}: frame_rate", "a positive finite number",
+                        rec["frame_rate"]))
+                    rng_seed = check_value(f"{where}: rng_seed", "an integer",
+                                           rec["rng_seed"])
+                    num_frames = check_value(f"{where}: num_frames",
+                                             "a non-negative integer",
+                                             rec["num_frames"])
                 elif kind == "agent":
+                    agent_id, birth_frame, death_frame = (
+                        check_value(f"{where}: {name}", "a 64-bit integer",
+                                    rec[name])
+                        for name in ("agent_id", "birth_frame", "death_frame"))
                     track = AgentTrack(
-                        agent_id=_integer(rec["agent_id"], "agent_id", where),
-                        birth_frame=_integer(rec["birth_frame"], "birth_frame",
-                                             where),
-                        death_frame=_integer(rec["death_frame"], "death_frame",
-                                             where),
+                        agent_id=agent_id, birth_frame=birth_frame,
+                        death_frame=death_frame,
                         pos=_real_rows(rec["pos"], "pos", where),
                         velo=_real_rows(rec["velo"], "velo", where),
                         # scanned as the one row of a 2-D list
@@ -586,7 +557,8 @@ def load_world(path) -> WorldLog:
                             f"and size must hold its {n} frames, all finite")
                     tracks.append(track)
                 elif kind == "frame":
-                    t = _integer(rec["frame"], "frame", where)
+                    t = check_value(f"{where}: frame", "an integer",
+                                    rec["frame"])
                     if t in frame_lines:
                         raise ConfigError(f"{where}: frame {t} is listed twice "
                                           f"(first on line {frame_lines[t][0]})")
@@ -611,7 +583,7 @@ def load_world(path) -> WorldLog:
             raise ConfigError(f"{path}:{line_no}: true_id {min(unknown)} "
                               "names no agent")
     if len(frame_lines) < num_frames:
-        missing = min(set(range(num_frames)) - frame_lines.keys())
+        missing = next(t for t in count() if t not in frame_lines)
         raise ConfigError(f"{path}: frame {missing} of {num_frames} has no "
                           "line")
     per_frame = [frame_lines[t] for t in range(num_frames)]

@@ -219,8 +219,8 @@ def evaluate_direct(worlds, forecast, t_obs, window_stride, pred_steps,
 
     ``forecast(dets_per_frame, seconds)`` gets a window's detection lists
     and the horizon in seconds, and returns one final waypoint per detection
-    of the last frame.  Ground truth is read track by track with
-    ``index_at``, and matching is :func:`match_brute_force`.
+    of the last frame.  Ground truth is read track by track, at each frame's
+    offset from the track's birth, and matching is :func:`match_brute_force`.
     """
     errors, nonlinear, num_windows = [], [], 0
     for log in worlds:
@@ -237,11 +237,12 @@ def evaluate_direct(worlds, forecast, t_obs, window_stride, pred_steps,
             live = [tr for tr in log.tracks
                     if tr.birth_frame <= t_final
                     and t_final + horizon <= tr.death_frame]
-            gt_pos = [tr.pos[tr.index_at(t_final)] for tr in live]
+            # every live track covers t_final .. t_final + horizon
+            gt_pos = [tr.pos[t_final - tr.birth_frame] for tr in live]
             for i, j, _ in match_brute_force([d.pos for d in dets], gt_pos,
                                              threshold):
                 tr = live[j]
-                future = np.array([tr.pos[tr.index_at(t_final + stride * s)]
+                future = np.array([tr.pos[t_final + stride * s - tr.birth_frame]
                                    for s in range(1, pred_steps + 1)])
                 errors.append(float(np.hypot(*(final[i] - future[-1]))))
                 nonlinear.append(linear_fit_residual(future) > nl_threshold)

@@ -69,9 +69,10 @@ def test_build_sample_matches_per_agent_loop():
                     assert not sample.target_offsets[n, cols].any()
                     continue
                 tr = tracks[agent]
+                assert tr.birth_frame <= f  # else the row index would wrap
                 assert np.array_equal(sample.target_mask[n, cols], [1.0, 1.0])
                 assert np.array_equal(sample.target_offsets[n, cols],
-                                      tr.pos[tr.index_at(f)]
+                                      tr.pos[f - tr.birth_frame]
                                       - sample.frames[-1].pos[n])
     assert capped and cut_short
 
@@ -571,7 +572,9 @@ def _assert_refused(cls, name, value):
     (TrainConfig, "lr", float("nan")), (TrainConfig, "lr_decay", float("inf")),
     (TrainConfig, "lambda_end", -float("inf")),
     (ModelConfig, "theta_d", float("inf")),
-    (ModelConfig, "step_seconds", float("nan"))])
+    (ModelConfig, "step_seconds", float("nan")),
+    # an integer beyond float range
+    pytest.param(TrainConfig, "lr", 10 ** 400, id="TrainConfig-lr-10**400")])
 def test_config_rejects_non_finite(cls, name, value):
     _assert_refused(cls, name, value)
 

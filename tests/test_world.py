@@ -2,10 +2,12 @@
 
 import json
 import re
+import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uncertrack.encoder import encode_sequence
 from uncertrack.errors import ConfigError
@@ -15,19 +17,26 @@ from uncertrack.model import ModelConfig, init_model, stride_and_horizon
 from uncertrack.numerics import Tape
 from uncertrack.rng import substream
 from uncertrack.world import (DEFAULT_MOTION_MIX, FP_ID, AgentTrack,
-                              NoiseConfig, _headings_from,
-                              constant_turn_positions, corrupt_to_detections,
-                              generate_world, load_world, save_world)
+                              NoiseConfig, _frame_detections, _headings_from,
+                              _scan_detections, constant_turn_positions,
+                              corrupt_to_detections, generate_world,
+                              load_world, save_world)
 
 from oracles import (circle_positions, gate_brute_force, headings_loop,
                      linear_fit_residual, noise_channel_direct)
+
+
+def _pos_at(track: AgentTrack, frame: int) -> np.ndarray:
+    # a frame before birth would wrap to a row from the end
+    assert track.birth_frame <= frame <= track.death_frame
+    return track.pos[frame - track.birth_frame]
 
 
 def _future_waypoints(track: AgentTrack, frame: int, stride: int = 5, steps: int = 6):
     idx = [frame + stride * (i + 1) for i in range(steps)]
     if idx[-1] > track.death_frame:
         return None
-    return track.pos[[track.index_at(i) for i in idx]]
+    return np.array([_pos_at(track, i) for i in idx])
 
 
 def test_same_seed_bitwise_identical():
@@ -145,12 +154,13 @@ def test_zero_noise_is_transparent():
     log = corrupt_to_detections(tracks, NoiseConfig.zero(), seed=2)
     assert log.num_frames == 100
     for t, (dets, ids) in enumerate(zip(log.frames, log.true_ids)):
-        live = [tr for tr in log.tracks if tr.alive(t)]
+        live = [tr for tr in log.tracks
+                if tr.birth_frame <= t <= tr.death_frame]
         assert len(dets) == len(live)
         assert not np.any(ids == FP_ID)
         for d, tid in zip(dets, ids):
             tr = next(a for a in live if a.agent_id == tid)
-            i = tr.index_at(t)
+            i = t - tr.birth_frame
             assert np.array_equal(np.array(d.pos), tr.pos[i])
             assert np.array_equal(np.array(d.velo), tr.velo[i])
             assert d.heading == tr.heading[i]
@@ -184,7 +194,7 @@ def test_position_noise_matches_configured_sigma():
         for t, (dets, ids) in enumerate(zip(log.frames, log.true_ids)):
             for d, tid in zip(dets, ids):
                 tr = next(a for a in log.tracks if a.agent_id == tid)
-                errors.append(np.array(d.pos) - tr.pos[tr.index_at(t)])
+                errors.append(np.array(d.pos) - _pos_at(tr, t))
     std = np.asarray(errors).std(axis=0)
     assert np.all(std > 0.27) and np.all(std < 0.33)
 
@@ -260,7 +270,7 @@ def test_bursts_inflate_position_noise():
             for t, (dets, ids) in enumerate(zip(log.frames, log.true_ids)):
                 for d, tid in zip(dets, ids):
                     tr = next(a for a in log.tracks if a.agent_id == tid)
-                    errs.append(np.array(d.pos) - tr.pos[tr.index_at(t)])
+                    errs.append(np.array(d.pos) - _pos_at(tr, t))
         return np.asarray(errs).std()
 
     assert spread(bursty) > 1.5 * spread(base)
@@ -366,9 +376,9 @@ def test_jsonl_round_trip(tmp_path):
         assert path.read_bytes() == second.read_bytes()
 
 
-def _saved_lines(tmp_path):
-    log = corrupt_to_detections(generate_world(3, 60, seed=11), NoiseConfig(),
-                                seed=12)
+def _saved_lines(tmp_path, agents=3, frames=60, num_frames=None):
+    log = corrupt_to_detections(generate_world(agents, frames, seed=11),
+                                NoiseConfig(), seed=12, num_frames=num_frames)
     path = tmp_path / "world.jsonl"
     save_world(log, path)
     return path, path.read_text().splitlines()
@@ -437,6 +447,15 @@ _OVERFLOW = "1e999"
     ("agent", lambda r: r["pos"].__setitem__(0, ["20.27", "14.02"])),
     ("agent", lambda r: r["heading"].__setitem__(2, "0.25")),
     ("agent", lambda r: r["size"].__setitem__(1, [True, 2, 1.5])),
+    # ids beyond int64: named by no detection, the two agents would load
+    ("agent", lambda r: r.update(agent_id=2 ** 63)),
+    ("agent", lambda r: r.update(agent_id=10 ** 30)),
+    ("agent", lambda r: r.update(birth_frame=r["birth_frame"] + 2 ** 63,
+                                 death_frame=r["death_frame"] + 2 ** 63)),
+    ("agent", lambda r: r.update(death_frame=2 ** 63)),
+    ("frame", lambda r: r["detections"][0].update(true_id=2 ** 63)),
+    ("frame", lambda r: r["detections"][0].update(true_id=-2 ** 63 - 1)),
+    ("frame", lambda r: r["detections"][0].update(true_id=10 ** 400)),
 ])
 def test_load_world_rejects_missing_fields_and_non_finite(tmp_path, kind, edit):
     path, lines = _saved_lines(tmp_path)
@@ -461,6 +480,106 @@ def test_load_world_names_the_first_bad_field_of_a_frame(tmp_path):
     with pytest.raises(ConfigError, match=re.escape(
             f'{path}:{i + 1}: true_id -1 must be written "FP"')):
         load_world(path)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("agent_id", 2 ** 63), ("agent_id", 10 ** 30), ("birth_frame", 2 ** 63),
+    ("death_frame", -2 ** 63 - 1)])
+def test_load_world_names_agent_ids_and_frames_beyond_int64(tmp_path, field,
+                                                            value):
+    path, lines = _saved_lines(tmp_path)
+    line_no = _edit_line(lines, "last agent", lambda r: r.update({field: value}))
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=re.escape(
+            f"{path}:{line_no}: {field} must be a 64-bit integer, got {value}")):
+        load_world(path)
+
+
+_FIELDS = ("pos", "velo", "size", "heading", "score", "true_id")
+# each refused as a number, and as a pos, velo or size list
+_BAD_NUMBERS = (True, False, "0.5", None, [0.5], _OVERFLOW, 10 ** 400)
+_BAD_IDS = (FP_ID, 1.5, 2.0, True, "3", None, [1], 2 ** 63, -2 ** 63 - 1,
+            10 ** 400)
+
+
+def _corrupt_field(data, det) -> str:
+    """Corrupt one field of the detection record ``det`` in place, as drawn
+    from ``data``: drop it, replace it, or change the length or one number
+    of a list.  Returns the field's name."""
+    field = data.draw(st.sampled_from(_FIELDS))
+    edits = ("missing", "value") + (("length", "number")
+                                    if type(det[field]) is list else ())
+    edit = data.draw(st.sampled_from(edits))
+    if edit == "missing":
+        del det[field]
+    elif edit == "length":
+        det[field] = (det[field][:-1] if data.draw(st.booleans())
+                      else det[field] + [0.0])
+    elif edit == "number":
+        i = data.draw(st.integers(0, len(det[field]) - 1))
+        det[field][i] = data.draw(st.sampled_from(_BAD_NUMBERS))
+    elif field == "true_id":
+        det[field] = data.draw(st.sampled_from(_BAD_IDS))
+    else:
+        det[field] = data.draw(st.sampled_from(
+            _BAD_NUMBERS + ((0.5, "1.0, 2.0") if field in _FIELDS[:3] else ())))
+    return field
+
+
+@pytest.mark.parametrize("agents", [24, 100])  # ~17 and ~70 per frame
+def test_frame_line_scan_and_walk_agree(tmp_path, agents):
+    # the walk only names what the scan refuses: on a saved line both give
+    # the same frame, and every single-field corruption is refused by the
+    # scan and named by the walk, at the line's path:line
+    path, lines = _saved_lines(tmp_path, agents, 120)
+    frame_recs = {i: rec["detections"]
+                  for i, rec in enumerate(map(json.loads, lines))
+                  if rec["type"] == "frame"}
+    for recs in frame_recs.values():
+        want, got = _scan_detections(recs), _frame_detections(recs, "here")
+        assert want is not None
+        for a, b in zip((*_columns(want[0]), want[1]),
+                        (*_columns(got[0]), got[1]), strict=True):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def check(data):
+        i = data.draw(st.sampled_from([i for i, recs in frame_recs.items()
+                                       if recs]))
+        rec = json.loads(lines[i])
+        det = data.draw(st.sampled_from(rec["detections"]))
+        field = _corrupt_field(data, det)
+        line = json.dumps(rec).replace(f'"{_OVERFLOW}"', _OVERFLOW)
+        assert _scan_detections(json.loads(line)["detections"]) is None
+        # the other lines left blank: they are skipped but keep their
+        # numbers, and the refusal comes before the file's end is checked
+        path.write_text("\n" * i + line + "\n")
+        with pytest.raises(ConfigError) as refused:
+            load_world(path)
+        assert re.match(rf"{re.escape(f'{path}:{i + 1}')}: "
+                        rf"(missing field '{field}'|{field} (-1 )?must be )",
+                        str(refused.value)), str(refused.value)
+
+    check()
+
+
+def test_load_world_finds_the_first_missing_frame_in_bounded_memory(tmp_path):
+    # a declared frame count the file does not hold is not walked: a set of
+    # a million frame numbers would take ~99 MB
+    path, lines = _saved_lines(tmp_path, num_frames=60)
+    _edit_line(lines, "world", lambda r: r.update(num_frames=10 ** 6))
+    path.write_text("\n".join(lines) + "\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{path}: frame 60 of 1000000 has no line")):
+            load_world(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 @pytest.mark.parametrize("drop, message", [
